@@ -11,11 +11,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 
-from .errors import DomainError, NearPole, Nonconvergence, PoleAtOne
+from .errors import (
+    DomainError,
+    HZetaError,
+    NearPole,
+    Nonconvergence,
+    PoleAtOne,
+    SingularJet,
+)
 from .hurwitz import SeriesParams, hurwitz_jet
 from .identities import IDENTITY_NAMES, verify_identity
 from .stieltjes import MAX_GENERALIZED_ORDER, generalized_stieltjes
@@ -29,6 +37,7 @@ _ERROR_CODES = {
     PoleAtOne: "POLE_AT_ONE",
     NearPole: "NEAR_POLE",
     DomainError: "DOMAIN_ERROR",
+    SingularJet: "DOMAIN_ERROR",
     Nonconvergence: "NONCONVERGENCE",
 }
 
@@ -94,13 +103,17 @@ def _k_arg(text: str):
 
 
 def _default_tol() -> float:
+    """The --tol default: HZ_DEFAULT_TOL when set, else 1e-12."""
     env = os.environ.get("HZ_DEFAULT_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return 1e-12
+    if not env:
+        return 1e-12
+    try:
+        tol = float(env)
+        if 0 < tol < math.inf:
+            return tol
+    except ValueError:
+        pass
+    raise ValueError(f"HZ_DEFAULT_TOL must be a positive finite number, got {env!r}")
 
 
 def _fmt17(x: float) -> str:
@@ -130,8 +143,8 @@ _EVAL_CSV_HEADER = [
 ]
 
 
-def _error_record(command: str, inputs: dict, exc: Exception) -> tuple[dict, int]:
-    code = _ERROR_CODES.get(type(exc), "DOMAIN_ERROR")
+def _error_record(command: str, inputs: dict, exc: HZetaError) -> tuple[dict, int]:
+    code = _ERROR_CODES[type(exc)]
     record = {
         "command": command,
         "inputs": inputs,
@@ -161,7 +174,7 @@ def cmd_eval(args) -> int:
     try:
         p = SeriesParams(k=args.k, n_max=args.nmax, tol=args.tol)
         res = hurwitz_jet(args.s, args.alpha, args.order, p)
-    except (PoleAtOne, NearPole, DomainError, Nonconvergence) as exc:
+    except HZetaError as exc:
         record, code = _error_record("eval", inputs, exc)
         if args.format == "json":
             _emit_json(record)
@@ -211,7 +224,7 @@ def cmd_laurent(args) -> int:
     try:
         p = SeriesParams(tol=args.tol)
         expansion = generalized_stieltjes(args.alpha, args.order, p)
-    except (PoleAtOne, NearPole, DomainError, Nonconvergence) as exc:
+    except HZetaError as exc:
         record, code = _error_record("laurent", inputs, exc)
         if args.format == "json":
             _emit_json(record)
@@ -300,14 +313,13 @@ def cmd_verify(args) -> int:
         for s, alpha, r in grids[name]:
             try:
                 rep = verify_identity(name, s, alpha, r, h=args.h)
-            except Exception as exc:  # noqa: BLE001 - reported per point
+            except HZetaError as exc:
                 errors += 1
                 records.append({
                     "command": "verify", "identity": name,
                     "s": _complex_obj(complex(s)), "alpha": _complex_obj(complex(alpha)),
                     "r": r, "status": "ERROR",
-                    "error": {"code": _ERROR_CODES.get(type(exc), "DOMAIN_ERROR"),
-                              "message": str(exc)},
+                    "error": {"code": _ERROR_CODES[type(exc)], "message": str(exc)},
                 })
                 continue
             ok = rep.rel_residual <= tol
@@ -385,7 +397,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

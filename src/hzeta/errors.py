@@ -25,9 +25,11 @@ class SingularJet(HZetaError):
 
 
 class Nonconvergence(HZetaError):
-    """The series hit its term cap with terms still above tolerance.
+    """The series hit its term cap with terms still above tolerance, or
+    the Euler-Maclaurin boundary search hit its cap.
 
-    The partial result is attached so callers can inspect it.
+    The partial result of the series, if any, is attached so callers can
+    inspect it.
     """
 
     def __init__(self, message, result=None):

@@ -21,8 +21,8 @@ d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     NEAR_POLE_RADIUS,
     DomainError,
@@ -31,45 +31,45 @@ from .errors import (
     PoleAtOne,
 )
 from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite
-from .zetacore import EulerMaclaurinParams, em_tail_jet
+from .zetacore import DEFAULT_EM, EulerMaclaurinParams, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesParams:
+class SeriesParams(Record):
     """Evaluation policy.  k = None selects the shift automatically."""
 
-    k: int | None = None
-    n_max: int = 400
-    tol: float = 1e-12
-    em: EulerMaclaurinParams = field(default_factory=EulerMaclaurinParams)
+    __slots__ = ("k", "n_max", "tol", "em")
 
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
+    def __init__(
+        self,
+        k: int | None = None,
+        n_max: int = 400,
+        tol: float = 1e-12,
+        em: EulerMaclaurinParams = DEFAULT_EM,
+    ):
+        if k is not None and k < 1:
             raise ValueError("k must be >= 1")
-        if self.n_max < 8:
+        if n_max < 8:
             raise ValueError("n_max must be >= 8")
-        if not (self.tol > 0):
+        if not (tol > 0):
             raise ValueError("tol must be positive")
+        self._init(k, n_max, tol, em)
 
 
 DEFAULT_PARAMS = SeriesParams()
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
+class EvalResult(Record):
     """A jet together with an a-posteriori error estimate and the
     diagnostic counters of the evaluation that produced it."""
 
-    value: Jet
-    err_estimate: float
-    k_used: int
-    terms_used: int
+    __slots__ = ("value", "err_estimate", "k_used", "terms_used")
 
-    def __post_init__(self):
-        if not (self.err_estimate >= 0 and math.isfinite(self.err_estimate)):
+    def __init__(self, value: Jet, err_estimate: float, k_used: int, terms_used: int):
+        if not (err_estimate >= 0 and math.isfinite(err_estimate)):
             raise ValueError("error estimate must be finite and nonnegative")
+        self._init(value, err_estimate, k_used, terms_used)
 
 
 def choose_k(alpha: complex) -> int:
@@ -264,19 +264,3 @@ def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
     beta = abs(alpha) / k
     return zeta_sigma * (1.0 - beta) ** (-abs(s0)) - zeta_k_sigma
 
-
-def measured_tail_sum(
-    s0: complex, alpha: complex, r: int = 0, p: SeriesParams | None = None
-) -> float:
-    """|sum of the n >= 1 tail terms| actually accumulated by the series,
-    for comparison against convergence_bound."""
-    p = p or DEFAULT_PARAMS
-    res = hurwitz_jet(s0, alpha, r, p)
-    k = res.k_used
-    s_jet = Jet.variable(complex(s0), r)
-    head = KahanJetSum(r)
-    for n in range(k):
-        head.add(pow_negs(n + alpha, s_jet))
-    tail0, _ = em_tail_jet(complex(s0), k, r, p.em, regularized=False)
-    tail = res.value - head.jet() - tail0
-    return abs(tail.value)

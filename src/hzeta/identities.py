@@ -16,8 +16,7 @@ numerically in alpha and is what verify_identity compares against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import HZetaError
 from .hurwitz import (
     DEFAULT_PARAMS,
@@ -40,13 +39,18 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    method_notes: str
+class IdentityReport(Record):
+    __slots__ = ("lhs", "rhs", "abs_residual", "rel_residual", "method_notes")
+
+    def __init__(
+        self,
+        lhs: complex,
+        rhs: complex,
+        abs_residual: float,
+        rel_residual: float,
+        method_notes: str,
+    ):
+        self._init(lhs, rhs, abs_residual, rel_residual, method_notes)
 
 
 def _report(lhs: complex, rhs: complex, notes: str) -> IdentityReport:
@@ -102,10 +106,6 @@ def _sderiv(s0: complex, alpha: complex, r: int, p: SeriesParams) -> complex:
 
 def _fd_alpha(f, alpha: complex, h: float) -> complex:
     return (f(alpha + h) - f(alpha - h)) / (2.0 * h)
-
-
-def _fd2_alpha(f, alpha: complex, h: float) -> complex:
-    return (f(alpha + h) - 2.0 * f(alpha) + f(alpha - h)) / (h * h)
 
 
 def verify_identity(

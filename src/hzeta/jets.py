@@ -9,6 +9,12 @@ j! to recover raw derivatives.
 
 All values are immutable and every operation is a pure function, so jets
 may be shared freely between threads.
+
+The arithmetic itself lives in two list kernels, ``mul_coeffs`` (the
+truncated product) and ``pow_neg_coeffs`` (a power base**(-w) along a
+jet), which work on plain sequences of complex coefficients.  ``Jet``
+and ``pow_negs`` wrap them; hot loops such as the Euler-Maclaurin tail
+call them directly and build a single ``Jet`` at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-from dataclasses import dataclass
-
+import operator
+from ._record import Record
 from .errors import DomainError, SingularJet
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -63,16 +69,21 @@ def require_finite(z: complex, what: str = "value") -> complex:
     return z
 
 
-@dataclass(frozen=True, slots=True)
-class Jet:
+class Jet(Record):
     """Truncated Taylor expansion with complex coefficients.
 
     coeffs[j] holds f^(j)(s0) / j!.  The order is len(coeffs) - 1.
     Arithmetic between two jets requires equal order.
     """
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
+    def __init__(self, coeffs: tuple[complex, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
+
+    # Every construction passes through here; perfbench's tracer counts
+    # Jet constructions by wrapping this method.
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ValueError("a jet needs at least its order-0 coefficient")
@@ -143,13 +154,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_order(other)
-            a, b = self.coeffs, other.coeffs
-            n = len(a)
-            return Jet(
-                tuple(
-                    sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(n)
-                )
-            )
+            return Jet(tuple(mul_coeffs(self.coeffs, other.coeffs)))
         z = complex(other)
         return Jet(tuple(z * c for c in self.coeffs))
 
@@ -172,18 +177,32 @@ class Jet:
         return self * (1.0 / complex(other))
 
 
+def mul_coeffs(a, b) -> list[complex]:
+    """Truncated Cauchy product of two coefficient sequences of equal length."""
+    if len(a) == 1:
+        return [a[0] * b[0]]
+    return [sum(map(operator.mul, a[: i + 1], b[i::-1])) for i in range(len(a))]
+
+
+def _exp_coeffs(e0: complex, a) -> list[complex]:
+    """Coefficients of exp(f) from those of f and e0 = exp(a[0]), by the
+    convolution recurrence k e_k = sum_j j a_j e_(k-j).  Zero a_j are
+    skipped, so exp of a linear jet costs O(r) rather than O(r^2)."""
+    terms = [(j, j * a[j]) for j in range(1, len(a)) if a[j]]
+    e = [e0]
+    for k in range(1, len(a)):
+        e.append(sum((ja * e[k - j] for j, ja in terms if j <= k), 0j) / k)
+    return e
+
+
 def jet_exp(a: Jet) -> Jet:
     """exp of a jet via the standard convolution recurrence."""
-    c = a.coeffs
-    n = len(c)
-    e = [cmath.exp(c[0])] + [0j] * (n - 1)
-    for k in range(1, n):
-        e[k] = sum(j * c[j] * e[k - j] for j in range(1, k + 1)) / k
-    return Jet(tuple(e))
+    return Jet(tuple(_exp_coeffs(cmath.exp(a.coeffs[0]), a.coeffs)))
 
 
-def pow_negs(base: complex, s_jet: Jet) -> Jet:
-    """Jet of w -> base**(-w), the principal branch, along the given s-jet.
+def pow_neg_coeffs(base: complex, s) -> list[complex]:
+    """Coefficients of w -> base**(-w), the principal branch, along the
+    jet with coefficients s.
 
     The order-0 coefficient is assembled from a magnitude/phase split
     rather than exp(-s*log base): the magnitude |base|**(-sigma) comes
@@ -196,7 +215,7 @@ def pow_negs(base: complex, s_jet: Jet) -> Jet:
     b = complex(base)
     if b == 0:
         raise DomainError("zero base in power: alpha lies in the excluded set")
-    s0 = s_jet.coeffs[0]
+    s0 = s[0]
     sigma, t = s0.real, s0.imag
 
     try:
@@ -222,14 +241,14 @@ def pow_negs(base: complex, s_jet: Jet) -> Jet:
             f"power with base {base!r} overflows binary64 at s={s0!r}"
         ) from None
 
-    n = len(s_jet.coeffs)
-    if n == 1:
-        return Jet((e0,))
-    a = [-log_b * c for c in s_jet.coeffs]
-    e = [e0] + [0j] * (n - 1)
-    for k in range(1, n):
-        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
-    return Jet(tuple(e))
+    if len(s) == 1:
+        return [e0]
+    return _exp_coeffs(e0, [-log_b * c for c in s])
+
+
+def pow_negs(base: complex, s_jet: Jet) -> Jet:
+    """Jet of w -> base**(-w) along the given s-jet; see pow_neg_coeffs."""
+    return Jet(tuple(pow_neg_coeffs(base, s_jet.coeffs)))
 
 
 def pochhammer_jet(s_jet: Jet, n: int) -> Jet:

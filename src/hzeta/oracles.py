@@ -1,5 +1,4 @@
-"""Independent ground-truth evaluators used by the tests and the CLI
-verify command.
+"""Independent ground-truth evaluators used by the tests.
 
 Nothing here shares code with the series evaluator beyond the jet
 arithmetic: the Hurwitz oracle applies Euler-Maclaurin directly to
@@ -7,6 +6,9 @@ sum (n + alpha)**-s with its own Bernoulli table and boundary logic,
 closed forms come from Bernoulli polynomials, and the digamma family
 uses recurrence lifting plus asymptotic series.  Oracles favour
 independence over speed.
+
+This module needs numpy, which is in the ``test`` extra rather than the
+runtime dependencies; ``import hzeta`` does not load it.
 """
 
 from __future__ import annotations

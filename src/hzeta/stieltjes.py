@@ -17,8 +17,7 @@ generating_series_at_zero exposes that second route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import Nonconvergence
 from .hurwitz import (
     DEFAULT_PARAMS,
@@ -34,15 +33,16 @@ from .zetacore import em_tail_jet, stieltjes_constants
 MAX_GENERALIZED_ORDER = 12
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentExpansion:
+class LaurentExpansion(Record):
     """Pole coefficient (numerically verified to be 1) and the Laurent
     coefficients gamma_0(alpha) .. gamma_R(alpha)."""
 
-    pole_coeff: complex
-    gammas: tuple[complex, ...]
-    alpha: complex
-    order: int
+    __slots__ = ("pole_coeff", "gammas", "alpha", "order")
+
+    def __init__(
+        self, pole_coeff: complex, gammas: tuple[complex, ...], alpha: complex, order: int
+    ):
+        self._init(pole_coeff, gammas, alpha, order)
 
     def evaluate(self, s: complex) -> complex:
         """Reconstruct zeta(s, alpha) from the expansion."""

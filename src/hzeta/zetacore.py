@@ -17,17 +17,28 @@ under control at large |Im w|.
 The regularized variant multiplies through by (w - 1), turning the pole
 term into plain M**(1-w); every summand is then an entire function of w
 and the formula is valid at w = 1 itself.
+
+em_tail_jet works on plain lists of Taylor coefficients in w and wraps
+the result in a Jet only when it returns.  The summands come from the
+power kernel jets.pow_neg_coeffs, which costs O(r) per summand because
+w is a linear jet.  The rising product is carried from one correction
+term to the next by the factor (w + 2j - 1)(w + 2j), whose jet has
+three nonzero coefficients, so that update is O(r) as well.  The one
+O(r^2) product per correction term, (w)_{2j-1} times the boundary
+power, goes through jets.mul_coeffs.  The boundary search raises Nonconvergence rather than
+use a boundary that misses the target.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .errors import NEAR_POLE_RADIUS, NearPole, PoleAtOne
-from .jets import Jet, pow_negs, require_finite
+from ._record import Record
+from .errors import NEAR_POLE_RADIUS, NearPole, Nonconvergence, PoleAtOne
+from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite
 
 # Bernoulli numbers B_2 .. B_30, exact rationals fixed at build time.
 _BERNOULLI_EVEN = {
@@ -55,35 +66,37 @@ _EM_FACTOR = {
 
 MAX_BERNOULLI_DEPTH = 15
 _TRUNCATION_TARGET = 1e-15
+_MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
 
 
-@dataclass(frozen=True, slots=True)
-class EulerMaclaurinParams:
+class EulerMaclaurinParams(Record):
     """Summation policy: cutoff is a floor on the boundary M (the
     direct-sum length), bernoulli_depth the number of B_{2j} correction
     terms."""
 
-    cutoff: int = 4
-    bernoulli_depth: int = 10
+    __slots__ = ("cutoff", "bernoulli_depth")
 
-    def __post_init__(self):
-        if self.cutoff < 2:
+    def __init__(self, cutoff: int = 4, bernoulli_depth: int = 10):
+        if cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if not 1 <= self.bernoulli_depth <= MAX_BERNOULLI_DEPTH:
+        if not 1 <= bernoulli_depth <= MAX_BERNOULLI_DEPTH:
             raise ValueError(
                 f"bernoulli_depth must be in 1..{MAX_BERNOULLI_DEPTH}"
             )
+        self._init(cutoff, bernoulli_depth)
 
 
 DEFAULT_EM = EulerMaclaurinParams()
 
 
-@dataclass(frozen=True, slots=True)
-class StieltjesTable:
+class StieltjesTable(Record):
     """Laurent coefficients gamma_0 .. gamma_R of zeta at s = 1,
     in the plain-coefficient convention zeta(s) = 1/(s-1) + sum gamma_r (s-1)**r."""
 
-    gammas: tuple[complex, ...]
+    __slots__ = ("gammas",)
+
+    def __init__(self, gammas: tuple[complex, ...]):
+        self._init(gammas)
 
     @property
     def order(self) -> int:
@@ -118,7 +131,10 @@ def _boundary_ok(
 
 def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams) -> int:
     """Smallest EM boundary M >= max(cutoff, start) meeting the
-    truncation target relative to the leading magnitude start**(-Re w)."""
+    truncation target relative to the leading magnitude start**(-Re w).
+
+    Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
+    start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5."""
     w0 = complex(w0)
     sigma = w0.real
     absw = abs(w0) + 2.0 * order
@@ -128,8 +144,12 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     target = _TRUNCATION_TARGET * scale
     while not _boundary_ok(pochmag, sigma, float(m), p.bernoulli_depth, absw, target):
         m += max(1, m // 8)
-        if m > 200000:
-            break
+        if m > _MAX_BOUNDARY:
+            raise Nonconvergence(
+                f"Euler-Maclaurin boundary search passed its cap "
+                f"M = {_MAX_BOUNDARY} without meeting the truncation target "
+                f"for w0={w0}, start={start}, order={order}"
+            )
     return m
 
 
@@ -159,39 +179,58 @@ def em_tail_jet(
             )
 
     boundary = choose_boundary(w0, start, order, p)
-    w_jet = Jet.variable(w0, order)
-    w_minus_1 = w_jet - 1.0
+    # w and w - 1 as linear jets: [w0, 1, 0, ...]
+    w = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
+    wm1 = [w0 - 1.0] + w[1:]
 
-    total = Jet.constant(0.0, order)
+    total = [0j] * (order + 1)
     peak = 0.0
     for m in range(start, boundary):
-        term = pow_negs(m, w_jet)
-        peak = max(peak, term.norm())
-        total = total + term
+        term = pow_neg_coeffs(m, w)
+        peak = max(peak, max(map(abs, term)))
+        total = list(map(add, total, term))
+    pole = pow_neg_coeffs(boundary, wm1)
     if regularized:
-        total = w_minus_1 * total
-        total = total + pow_negs(boundary, w_minus_1)
+        total = list(map(add, mul_coeffs(wm1, total), pole))
     else:
-        total = total + pow_negs(boundary, w_minus_1) * w_minus_1.reciprocal()
-    p_boundary = pow_negs(boundary, w_jet)
-    corr_base = (w_minus_1 * p_boundary) if regularized else p_boundary
-    peak = max(peak, total.norm())
-    total = total + 0.5 * corr_base
+        # 1/(w - 1) by the reciprocal recurrence of a linear jet
+        recip = [1.0 / wm1[0]]
+        for _ in range(order):
+            recip.append(-recip[-1] / wm1[0])
+        total = list(map(add, total, mul_coeffs(pole, recip)))
+    corr_base = pow_neg_coeffs(boundary, w)
+    if regularized:
+        corr_base = mul_coeffs(wm1, corr_base)
+    peak = max(peak, max(map(abs, total)))
+    total = list(map(add, total, [0.5 * c for c in corr_base]))
 
-    poch = w_jet
+    poch = w
     last = 0.0
     for j in range(1, p.bernoulli_depth + 1):
-        term = (_EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)) * (poch * corr_base)
-        total = total + term
-        last = term.norm()
-        if last < 1e-30 * total.norm():
+        factor = _EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
+        term = [factor * c for c in mul_coeffs(poch, corr_base)]
+        total = list(map(add, total, term))
+        last = max(map(abs, term))
+        if last < 1e-30 * max(map(abs, total)):
             break
-        poch = poch * ((w_jet + (2 * j - 1)) * (w_jet + 2 * j))
+        # (w)_{2j+1} = (w)_{2j-1} (w + 2j - 1)(w + 2j)
+        a, b = w0 + (2 * j - 1), w0 + 2 * j
+        poch = _times_quadratic(poch, a * b, a + b)
 
     err = 2.0 * last + 8.0 * 2.220446049250313e-16 * peak * math.sqrt(
         max(boundary - start, 1)
     )
-    return total, err
+    return Jet(tuple(total)), err
+
+
+def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex]:
+    """Coefficients of (q0 + q1 h + h**2) * c in O(r): the factor has only
+    three nonzero coefficients."""
+    out = [c[0] * q0]
+    if len(c) > 1:
+        out.append(c[0] * q1 + c[1] * q0)
+        out.extend(c[i - 2] + c[i - 1] * q1 + c[i] * q0 for i in range(2, len(c)))
+    return out
 
 
 def riemann_zeta_jet(

@@ -39,6 +39,24 @@ def central_diff(f, x: complex, h: float, order: int = 1) -> complex:
     raise ValueError("stencils implemented for order 1..3 only")
 
 
+def measured_tail_sum(s0: complex, alpha: complex, r: int = 0) -> float:
+    """|sum of the n >= 1 tail terms| actually accumulated by the series,
+    for comparison against convergence_bound."""
+    from hzeta import hurwitz_jet, pow_negs
+    from hzeta.jets import Jet, KahanJetSum
+    from hzeta.zetacore import em_tail_jet
+
+    res = hurwitz_jet(s0, alpha, r)
+    k = res.k_used
+    s_jet = Jet.variable(complex(s0), r)
+    head = KahanJetSum(r)
+    for n in range(k):
+        head.add(pow_negs(n + alpha, s_jet))
+    tail0, _ = em_tail_jet(complex(s0), k, r)
+    tail = res.value - head.jet() - tail0
+    return abs(tail.value)
+
+
 def naive_pow(base: complex, s: complex) -> complex:
     """Reference base**-s through cmath, independent of the jet code."""
     return cmath.exp(-s * cmath.log(base))

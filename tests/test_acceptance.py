@@ -21,7 +21,7 @@ from hzeta import (
     stieltjes_constants,
     verify_identity,
 )
-from hzeta.hurwitz import SeriesParams, measured_tail_sum
+from hzeta.hurwitz import SeriesParams
 from hzeta.oracles import (
     digamma_oracle,
     euler_mascheroni_oracle,
@@ -31,7 +31,7 @@ from hzeta.oracles import (
     stieltjes_gamma1_oracle,
 )
 
-from conftest import central_diff
+from conftest import central_diff, measured_tail_sum
 
 ALPHA_GRID = (0.3, 0.5, 1.0, 1.7, 2 + 1j)
 

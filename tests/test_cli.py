@@ -5,6 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from hzeta import cli
+from hzeta.errors import SingularJet
+
 CLI = [sys.executable, "-m", "hzeta"]
 
 
@@ -123,6 +128,15 @@ class TestEval:
         rec = json_lines(proc.stdout)[0]
         assert rec["inputs"]["tol"] == 1e-6
 
+    @pytest.mark.parametrize("value", ["1e-6x", "-1e-6", "0", "nan", "inf"])
+    def test_env_tol_malformed(self, value):
+        proc = run_cli(
+            "eval", "--s", "2", "--alpha", "1", env_extra={"HZ_DEFAULT_TOL": value}
+        )
+        assert proc.returncode == 1
+        assert "HZ_DEFAULT_TOL" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestLaurent:
     def test_classical(self):
@@ -203,3 +217,23 @@ class TestVerify:
             assert json_lines(proc.stdout)[0]["identity"] == "MIXED_PARTIALS"
         finally:
             os.unlink(path)
+
+    def test_program_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the evaluator")
+
+        monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
+        monkeypatch.setattr(cli, "verify_identity", broken)
+        with pytest.raises(RuntimeError, match="bug in the evaluator"):
+            cli.main(["verify", "--identity", "at_zero"])
+
+    def test_singular_jet_is_domain_error(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularJet("reciprocal of a jet with zero leading coefficient")
+
+        monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
+        monkeypatch.setattr(cli, "verify_identity", singular)
+        assert cli.main(["verify", "--identity", "at_zero"]) == cli.EXIT_DOMAIN
+        records = json_lines(capsys.readouterr().out)
+        assert records[0]["error"]["code"] == "DOMAIN_ERROR"
+        assert records[-1]["errors"] == len(records) - 1

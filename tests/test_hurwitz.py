@@ -15,10 +15,9 @@ from hzeta import (
     hurwitz_jet,
     hurwitz_regularized_jet,
 )
-from hzeta.hurwitz import measured_tail_sum
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
 
-from conftest import assert_close, central_diff
+from conftest import assert_close, central_diff, measured_tail_sum
 
 
 class TestChooseK:

@@ -33,6 +33,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Jet.constant(1.0, -1)
 
+    def test_value_semantics(self):
+        a, b = Jet((1, 2j)), Jet((1 + 0j, 2j))
+        assert a == b and hash(a) == hash(b)
+        assert a != Jet((1, 3j)) and a != (1, 2j)
+        assert repr(a) == "Jet(coeffs=((1+0j), 2j))"
+        with pytest.raises(AttributeError):
+            a.coeffs = (0j, 0j)
+
 
 class TestArithmetic:
     def test_one_times_one(self):
@@ -72,6 +80,52 @@ class TestArithmetic:
         assert (a * b).coeffs[0] == (1.3 - 0.4j) * (-2.1 + 0.9j)
         assert (a + b).coeffs[0] == (1.3 - 0.4j) + (-2.1 + 0.9j)
         assert a.reciprocal().coeffs[0] == 1.0 / (1.3 - 0.4j)
+
+
+class TestKernelPins:
+    """Jet.__mul__ and pow_negs at orders 0 and 12 on cases worked out by
+    hand."""
+
+    def test_mul_order0(self):
+        assert (Jet((2 + 1j,)) * Jet((3 - 1j,))).coeffs == (7 + 1j,)
+
+    def test_mul_order12_geometric(self):
+        # 1/(1-h) squared is sum (i+1) h**i; times i rotates every coefficient
+        ones = Jet((1,) * 13)
+        assert (ones * ones).coeffs == tuple(complex(i + 1) for i in range(13))
+        assert (Jet((1j,) * 13) * ones).coeffs == tuple(
+            complex(0, i + 1) for i in range(13)
+        )
+
+    def test_mul_order12_sparse(self):
+        # (1 + h)(1 - h) = 1 - h**2, and (h**6)**2 = h**12
+        one_plus = Jet((1, 1) + (0,) * 11)
+        one_minus = Jet((1, -1) + (0,) * 11)
+        assert (one_plus * one_minus).coeffs == (1, 0, -1) + (0,) * 10
+        h6 = Jet((0,) * 6 + (1,) + (0,) * 6)
+        assert (h6 * h6).coeffs == (0,) * 12 + (1,)
+
+    def test_pow_negs_order0(self):
+        assert pow_negs(2, Jet.variable(2.0, 0)).coeffs == (0.25,)
+        assert pow_negs(4, Jet.variable(0.5, 0)).coeffs == (0.5,)
+        assert pow_negs(1, Jet.variable(3 + 4j, 0)).coeffs == (1,)
+
+    def test_pow_negs_order12_base_one(self):
+        assert pow_negs(1, Jet.variable(0.5 - 2j, 12)).coeffs == (1,) + (0,) * 12
+
+    def test_pow_negs_order12_linear(self):
+        # 2**-(0 + h) = sum (-log 2)**k / k! h**k
+        jet = pow_negs(2, Jet.variable(0.0, 12))
+        for k, c in enumerate(jet.coeffs):
+            want = (-math.log(2)) ** k / math.factorial(k)
+            assert abs(c - want) <= 4e-16 * abs(want), k
+
+    def test_pow_negs_nonlinear_jet(self):
+        # e**-(h + h**2) = 1 - h - h**2/2 + 5/6 h**3 + ...
+        s = Jet((0, 1, 1, 0))
+        jet = pow_negs(math.e, s)
+        for c, want in zip(jet.coeffs, (1, -1, -0.5, 5 / 6)):
+            assert abs(c - want) < 1e-15
 
 
 class TestReciprocal:

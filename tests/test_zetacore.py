@@ -7,6 +7,7 @@ import pytest
 from hzeta import (
     EulerMaclaurinParams,
     NearPole,
+    Nonconvergence,
     PoleAtOne,
     regularized_tail_jet,
     riemann_zeta_jet,
@@ -18,7 +19,7 @@ from hzeta.oracles import (
     hurwitz_closed_form_oracle,
     stieltjes_gamma1_oracle,
 )
-from hzeta.zetacore import em_tail_jet
+from hzeta.zetacore import DEFAULT_EM, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
 
@@ -151,3 +152,64 @@ class TestStieltjesConstants:
             stieltjes_constants(21)
         with pytest.raises(ValueError):
             stieltjes_constants(-1)
+
+
+def _mpmath_tail(mpmath, w, start, order, regularized):
+    """Taylor coefficients of sum_{m >= start} m**-w at w, or of (w-1)
+    times it, from mpmath's Hurwitz zeta (Stieltjes constants at w = 1)."""
+    with mpmath.workdps(30):
+        if regularized and w == 1:
+            coeffs = [mpmath.mpf(1)] + [
+                (-1) ** n / mpmath.factorial(n) * mpmath.stieltjes(n, start)
+                for n in range(order)
+            ]
+        else:
+            w = mpmath.mpc(w)
+            coeffs = [
+                mpmath.zeta(w, start, j) / mpmath.factorial(j) for j in range(order + 1)
+            ]
+            if regularized:
+                coeffs = [(w - 1) * coeffs[0]] + [
+                    (w - 1) * coeffs[j] + coeffs[j - 1] for j in range(1, order + 1)
+                ]
+        return [complex(c) for c in coeffs]
+
+
+class TestTailAgainstMpmath:
+    # rel_tol None: the point loses digits to cancellation (Re w = -8, or
+    # large summands), which only the error estimate has to cover
+    @pytest.mark.parametrize("order", [0, 1, 6, 12, 21])
+    @pytest.mark.parametrize(
+        "w,start,regularized,rel_tol",
+        [
+            (2.5 + 1j, 1, False, 1e-14),
+            (0.3 - 2j, 5, False, 1e-13),
+            (0.5 + 100j, 3, False, 1e-13),
+            (1.0, 1, True, 1e-14),
+            (1.0, 4, True, 1e-14),
+            (-3 + 20j, 2, True, None),
+            (-8 + 3j, 1, False, None),
+            (-8 - 100j, 2, False, None),
+        ],
+    )
+    def test_coefficients(self, w, start, regularized, rel_tol, order):
+        mpmath = pytest.importorskip("mpmath")
+        got, err = em_tail_jet(w, start, order, regularized=regularized)
+        want = _mpmath_tail(mpmath, w, start, order, regularized)
+        diffs = [abs(g - x) for g, x in zip(got.coeffs, want)]
+        assert max(diffs) <= err, f"error {max(diffs):.3e} above estimate {err:.3e}"
+        if rel_tol is not None:
+            for j, (d, x) in enumerate(zip(diffs, want)):
+                assert d <= rel_tol * max(1.0, abs(x)), f"coefficient {j}: {d:.3e}"
+
+
+class TestBoundaryCap:
+    def test_raises_past_cap(self):
+        with pytest.raises(Nonconvergence, match=r"M = 200000") as info:
+            em_tail_jet(0.5 + 1e6j, 1)
+        message = str(info.value)
+        assert "w0=(0.5+1000000j)" in message
+        assert "start=1" in message and "order=0" in message
+
+    def test_below_cap(self):
+        assert choose_boundary(0.5 + 1e5j, 1, 0, DEFAULT_EM) <= 200000

@@ -20,6 +20,7 @@ d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from ._record import Record
@@ -31,7 +32,7 @@ from .errors import (
     PoleAtOne,
 )
 from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite
-from .zetacore import DEFAULT_EM, EulerMaclaurinParams, em_tail_jet
+from .zetacore import DEFAULT_EM, EulerMaclaurinParams, PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 
@@ -79,6 +80,7 @@ def choose_k(alpha: complex) -> int:
 
 
 _PEAK_EXPONENT = 7.0
+_EPS = 2.220446049250313e-16
 
 
 def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
@@ -135,11 +137,25 @@ def _series_eval(
     pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
     acc = KahanJetSum(order)
 
+    # (n + alpha)**-s takes its magnitude and its phase from products of
+    # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
+    # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
+    # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
+    head_round = 0.0
     for n in range(k):
         term = pow_negs(n + alpha, s_jet)
-        acc.add(s_minus_1 * term if regularized else term)
+        if regularized:
+            term = s_minus_1 * term
+        acc.add(term)
+        head_round += term.norm() * (
+            4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
+        )
 
-    tail0, tail0_err = em_tail_jet(s0, k, order, p.em, regularized=regularized)
+    # every tail below lies on the line Im w = Im s0
+    phases = PhaseTable(s0.imag, order)
+    tail0, tail0_err = em_tail_jet(
+        s0, k, order, p.em, regularized=regularized, phases=phases
+    )
     acc.add(tail0)
     err_cont = tail0_err
 
@@ -151,7 +167,9 @@ def _series_eval(
     converged = False
     for n in range(1, p.n_max + 1):
         terms = n
-        b_k, em_err = em_tail_jet(s0 + n, k, order, p.em, regularized=True)
+        b_k, em_err = em_tail_jet(
+            s0 + n, k, order, p.em, regularized=True, phases=phases
+        )
         term = a_n * b_k
         if regularized:
             term = s_minus_1 * term
@@ -176,7 +194,7 @@ def _series_eval(
         a_n = (-alpha / (n + 1)) * (a_n * (s_jet + (n - 1)))
 
     value = acc.jet()
-    err = 3.0 * last_norm + err_cont
+    err = 3.0 * last_norm + err_cont + _EPS * head_round
     if not (value.is_finite() and math.isfinite(err)):
         raise DomainError(
             f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"

@@ -28,7 +28,7 @@ from .hurwitz import (
     hurwitz_regularized_jet,
 )
 from .jets import Jet, KahanJetSum, pow_negs, require_finite
-from .zetacore import em_tail_jet, stieltjes_constants
+from .zetacore import PhaseTable, em_tail_jet, stieltjes_constants
 
 MAX_GENERALIZED_ORDER = 12
 
@@ -66,12 +66,17 @@ def _difference_jet(alpha: complex, order: int, p: SeriesParams) -> Jet:
         acc.add(-pow_negs(n, s_jet))
     # tail of the shifted series; all B_k(1 + n) with n >= 1 are regular
     a_n = Jet.constant(-alpha, order)
+    phases = PhaseTable(0.0, order)
     converged = False
     for n in range(1, p.n_max + 1):
-        b_k, _ = em_tail_jet(1.0 + n, k, order, p.em, regularized=True)
+        b_k, _ = em_tail_jet(1.0 + n, k, order, p.em, regularized=True, phases=phases)
         term = a_n * b_k
         if not term.is_finite():
-            break
+            raise Nonconvergence(
+                f"difference series overflowed at n={n} before it converged; "
+                f"k={k} is too small for alpha={alpha}",
+                result=None,
+            )
         acc.add(term)
         if term.norm() <= p.tol * max(acc.norm(), 5e-324) and n >= 4:
             converged = True

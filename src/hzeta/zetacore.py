@@ -19,11 +19,16 @@ term into plain M**(1-w); every summand is then an entire function of w
 and the formula is valid at w = 1 itself.
 
 em_tail_jet works on plain lists of Taylor coefficients in w and wraps
-the result in a Jet only when it returns.  The summands come from the
-power kernel jets.pow_neg_coeffs, which costs O(r) per summand because
-w is a linear jet.  The rising product is carried from one correction
+the result in a Jet only when it returns.  Its integer powers split as
+m**-w = m**-Re(w) * m**(-i Im w - h), where h = w - w0 is the jet
+variable.  The second factor, the phase m**(-i Im w) times
+(-log m)**j / j!, depends on w0 only through Im w0, so a PhaseTable
+holds it for one imaginary part and order, and every summand is a real
+magnitude times a table row.  The shifted series of the Hurwitz
+evaluator moves only Re w from term to term, so one table serves all
+of its tails.  The rising product is carried from one correction
 term to the next by the factor (w + 2j - 1)(w + 2j), whose jet has
-three nonzero coefficients, so that update is O(r) as well.  The one
+three nonzero coefficients, so that update is O(r).  The one
 O(r^2) product per correction term, (w)_{2j-1} times the boundary
 power, goes through jets.mul_coeffs.  The boundary search raises Nonconvergence rather than
 use a boundary that misses the target.
@@ -34,10 +39,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 from ._record import Record
-from .errors import NEAR_POLE_RADIUS, NearPole, Nonconvergence, PoleAtOne
+from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite
 
 # Bernoulli numbers B_2 .. B_30, exact rationals fixed at build time.
@@ -71,14 +76,14 @@ _MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
 
 class EulerMaclaurinParams(Record):
     """Summation policy: cutoff is a floor on the boundary M (the
-    direct-sum length), bernoulli_depth the number of B_{2j} correction
-    terms."""
+    direct-sum length, at least 4), bernoulli_depth the number of B_{2j}
+    correction terms."""
 
     __slots__ = ("cutoff", "bernoulli_depth")
 
     def __init__(self, cutoff: int = 4, bernoulli_depth: int = 10):
-        if cutoff < 2:
-            raise ValueError("cutoff must be >= 2")
+        if cutoff < 4:
+            raise ValueError(f"cutoff must be >= 4, got {cutoff}")
         if not 1 <= bernoulli_depth <= MAX_BERNOULLI_DEPTH:
             raise ValueError(
                 f"bernoulli_depth must be in 1..{MAX_BERNOULLI_DEPTH}"
@@ -140,7 +145,7 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     absw = abs(w0) + 2.0 * order
     pochmag = _poch_magnitude(w0, p.bernoulli_depth, order)
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
-    m = max(p.cutoff, start, 4)
+    m = max(p.cutoff, start)
     target = _TRUNCATION_TARGET * scale
     while not _boundary_ok(pochmag, sigma, float(m), p.bernoulli_depth, absw, target):
         m += max(1, m // 8)
@@ -153,15 +158,62 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     return m
 
 
+class PhaseTable:
+    """Rows m**(-i t - h) = m**(-i t) * (-log m)**j / j!, j = 0..order, for
+    integer m >= 1: the factor of m**-w that every w with Im w = t shares,
+    as coefficients in h = w - w0.
+
+    Row m is pow_neg_coeffs(m, [i t, 1, 0, ...]), so its phase carries the
+    extended-precision log of the power kernel.  Rows are computed on
+    request, from the first start asked for up to the largest stop, and
+    kept for the life of the table; a caller makes one table per
+    evaluation and passes it to each of that evaluation's tails, which
+    all start at the same shift.
+    """
+
+    __slots__ = ("t", "order", "_w", "_first", "_cols")
+
+    def __init__(self, t: float, order: int):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        self.t = float(t)
+        self.order = order
+        self._w = [complex(0.0, self.t)] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
+        self._first = None
+        # _cols[j][i] is coefficient j of row _first + i
+        self._cols = [[] for _ in range(order + 1)]
+
+    def columns(self, start: int, stop: int) -> list[list[complex]]:
+        """Coefficient j of the rows start..stop-1, as one list per j."""
+        if self._first is None:
+            self._first = start
+        elif start < self._first:
+            raise ValueError(
+                f"phase table starts at m = {self._first}; start={start} lies below it"
+            )
+        end = self._first + len(self._cols[0])
+        if stop > end:
+            rows = [pow_neg_coeffs(m, self._w) for m in range(end, stop)]
+            for col, new in zip(self._cols, zip(*rows)):
+                col.extend(new)
+        lo, hi = start - self._first, stop - self._first
+        return [col[lo:hi] for col in self._cols]
+
+
 def em_tail_jet(
     w0: complex,
     start: int,
     order: int = 0,
     p: EulerMaclaurinParams | None = None,
     regularized: bool = False,
+    phases: PhaseTable | None = None,
 ) -> tuple[Jet, float]:
     """Jet of sum_{m >= start} m**-w at w0 (or of (w-1) times it when
     regularized), together with an a-posteriori error estimate.
+
+    phases, when given, must be a PhaseTable for t = Im w0 and this order;
+    callers that evaluate many tails along one horizontal line share it.
+    Without it the call builds a table of its own.
 
     The estimate is twice the magnitude of the last Bernoulli correction
     plus a rounding allowance proportional to the largest summand.
@@ -177,19 +229,40 @@ def em_tail_jet(
             raise NearPole(
                 "s within 1e-8 of the pole; use the regularized form"
             )
+    if phases is None:
+        phases = PhaseTable(w0.imag, order)
+    elif phases.t != w0.imag or phases.order != order:
+        raise ValueError(
+            f"phase table for Im w = {phases.t}, order {phases.order} does not "
+            f"match w0={w0}, order {order}"
+        )
 
     boundary = choose_boundary(w0, start, order, p)
     # w and w - 1 as linear jets: [w0, 1, 0, ...]
     w = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     wm1 = [w0 - 1.0] + w[1:]
 
-    total = [0j] * (order + 1)
+    # m**-w = m**-Re(w) * row m, for m = start..boundary
+    cols = phases.columns(start, boundary + 1)
+    sigma = w0.real
+    try:
+        mags = [float(m) ** -sigma for m in range(start, boundary)]
+        edge_mag = float(boundary) ** -sigma
+        pole_mag = float(boundary) ** -wm1[0].real
+    except OverflowError:
+        raise DomainError(
+            f"a power m**-w with m <= {boundary} overflows binary64 at w={w0!r}"
+        ) from None
+
+    # mags stops one short of each column, so map leaves out row boundary
+    total = []
     peak = 0.0
-    for m in range(start, boundary):
-        term = pow_neg_coeffs(m, w)
-        peak = max(peak, max(map(abs, term)))
-        total = list(map(add, total, term))
-    pole = pow_neg_coeffs(boundary, wm1)
+    for col in cols:
+        terms = list(map(mul, mags, col))
+        peak = max(peak, max(map(abs, terms), default=0.0))
+        total.append(sum(terms, 0j))
+    edge = [col[-1] for col in cols]
+    pole = [pole_mag * c for c in edge]
     if regularized:
         total = list(map(add, mul_coeffs(wm1, total), pole))
     else:
@@ -198,7 +271,7 @@ def em_tail_jet(
         for _ in range(order):
             recip.append(-recip[-1] / wm1[0])
         total = list(map(add, total, mul_coeffs(pole, recip)))
-    corr_base = pow_neg_coeffs(boundary, w)
+    corr_base = [edge_mag * c for c in edge]
     if regularized:
         corr_base = mul_coeffs(wm1, corr_base)
     peak = max(peak, max(map(abs, total)))

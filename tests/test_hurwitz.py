@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import hzeta.hurwitz
 from hzeta import (
     DomainError,
     NearPole,
@@ -140,6 +141,37 @@ class TestErrors:
             hurwitz_jet(float("nan"), 0.5)
         with pytest.raises(ValueError):
             hurwitz_jet(2.0, complex(float("inf"), 0))
+
+
+class TestSharedPhaseTable:
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_one_tail_per_term_on_one_table(self, monkeypatch, regularized):
+        seen = []
+        original = hzeta.hurwitz.em_tail_jet
+
+        def counting(*args, phases=None, **kwargs):
+            seen.append(phases)
+            return original(*args, phases=phases, **kwargs)
+
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        evaluate = hurwitz_regularized_jet if regularized else hurwitz_jet
+        res = evaluate(0.5 + 20j, 1.5 - 0.5j, 2)
+        assert len(seen) == 1 + res.terms_used
+        assert seen[0] is not None
+        assert all(table is seen[0] for table in seen)
+
+
+class TestHeadRounding:
+    def test_estimate_covers_head_phase_error(self):
+        # the head summand alpha**-s is about 5e20 here, and its phase
+        # rounding, not the tails, sets the error
+        mpmath = pytest.importorskip("mpmath")
+        s, alpha = 4.358 + 35.548j, 0.289 + 2.809j
+        res = hurwitz_jet(s, alpha)
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(mpmath.mpc(s), mpmath.mpc(alpha)))
+        err = abs(res.value.value - want)
+        assert err <= res.err_estimate <= 1e-12 * abs(want)
 
 
 class TestAlphaDerivative:

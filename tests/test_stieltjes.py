@@ -3,14 +3,17 @@ import math
 
 import pytest
 
+import hzeta.stieltjes
 from hzeta import (
     DomainError,
+    Nonconvergence,
     dgamma_dalpha,
     generalized_stieltjes,
     generating_series_at_zero,
     hurwitz_jet,
     stieltjes_constants,
 )
+from hzeta.jets import Jet
 from hzeta.oracles import digamma_oracle, hurwitz_direct_sum, trigamma_oracle
 
 from conftest import assert_close, central_diff
@@ -70,6 +73,17 @@ class TestGeneralizedStieltjes:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             generalized_stieltjes(0.5, 13)
+
+    def test_overflow_is_reported_as_overflow(self, monkeypatch):
+        def infinite_tail(w0, start, order, p, regularized, phases):
+            return Jet((complex(math.inf, 0.0),) * (order + 1)), 0.0
+
+        monkeypatch.setattr(hzeta.stieltjes, "em_tail_jet", infinite_tail)
+        with pytest.raises(Nonconvergence, match="overflowed") as info:
+            generalized_stieltjes(0.5, 2)
+        message = str(info.value)
+        assert "n=1" in message and "k=2" in message and "alpha=(0.5+0j)" in message
+        assert "term cap" not in message
 
     @pytest.mark.parametrize("alpha", [0.5, 1.7, 2 + 1j])
     def test_laurent_reconstruction(self, alpha):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hzeta import (
+    DomainError,
     EulerMaclaurinParams,
     NearPole,
     Nonconvergence,
@@ -19,7 +20,8 @@ from hzeta.oracles import (
     hurwitz_closed_form_oracle,
     stieltjes_gamma1_oracle,
 )
-from hzeta.zetacore import DEFAULT_EM, choose_boundary, em_tail_jet
+from hzeta.jets import pow_neg_coeffs
+from hzeta.zetacore import DEFAULT_EM, PhaseTable, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
 
@@ -123,6 +125,8 @@ class TestEulerMaclaurinRobustness:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             EulerMaclaurinParams(cutoff=1)
+        with pytest.raises(ValueError, match="cutoff must be >= 4"):
+            EulerMaclaurinParams(cutoff=3)
         with pytest.raises(ValueError):
             EulerMaclaurinParams(bernoulli_depth=0)
         with pytest.raises(ValueError):
@@ -213,3 +217,56 @@ class TestBoundaryCap:
 
     def test_below_cap(self):
         assert choose_boundary(0.5 + 1e5j, 1, 0, DEFAULT_EM) <= 200000
+
+    def test_floor_is_cutoff_or_start(self):
+        # far right of the critical strip the target is met at once
+        assert choose_boundary(40.0, 1, 0, EulerMaclaurinParams(cutoff=4)) == 4
+        assert choose_boundary(40.0, 1, 0, EulerMaclaurinParams(cutoff=9)) == 9
+        assert choose_boundary(40.0, 7, 0, EulerMaclaurinParams(cutoff=4)) >= 7
+
+
+class TestPhaseTable:
+    def test_rows_are_unit_phase_power_jets(self):
+        table = PhaseTable(-3.5, 2)
+        cols = table.columns(3, 6)
+        for i, m in enumerate(range(3, 6)):
+            row = [col[i] for col in cols]
+            assert row == pow_neg_coeffs(m, [-3.5j, 1 + 0j, 0j])
+            assert abs(abs(row[0]) - 1.0) < 1e-15
+
+    def test_extends_past_earlier_requests(self):
+        table = PhaseTable(7.25, 1)
+        first = table.columns(5, 9)
+        whole = table.columns(5, 12)
+        assert whole == PhaseTable(7.25, 1).columns(5, 12)
+        assert [col[:4] for col in whole] == first
+        assert table.columns(6, 8) == [col[1:3] for col in first]
+        with pytest.raises(ValueError, match="starts at m = 5"):
+            table.columns(4, 12)
+
+    # Im w is fixed and Re w steps by one, as along the shifted series
+    @pytest.mark.parametrize("w0,start", [(0.7 + 35.5j, 3), (-6.5 - 12j, 1), (2.0, 5)])
+    @pytest.mark.parametrize("order", [0, 1, 6, 12])
+    def test_shared_table_matches_own_table(self, w0, start, order):
+        table = PhaseTable(complex(w0).imag, order)
+        for n in range(12):
+            w = w0 + n
+            shared, shared_err = em_tail_jet(w, start, order, regularized=True, phases=table)
+            own, own_err = em_tail_jet(w, start, order, regularized=True)
+            if order == 0:
+                assert shared == own and shared_err == own_err
+            else:
+                diff = max(abs(a - b) for a, b in zip(shared.coeffs, own.coeffs))
+                assert diff <= 1e-14 * own.norm()
+                assert shared_err == pytest.approx(own_err, rel=1e-12)
+
+    def test_overflowing_magnitude_is_a_domain_error(self):
+        # the boundary search stays in range, but 1150**100 does not
+        with pytest.raises(DomainError, match="overflows binary64"):
+            em_tail_jet(-100 + 3j, 1150)
+
+    def test_mismatched_table_raises(self):
+        with pytest.raises(ValueError, match="phase table"):
+            em_tail_jet(2.0 + 1j, 3, 0, phases=PhaseTable(2.0, 0))
+        with pytest.raises(ValueError, match="phase table"):
+            em_tail_jet(2.0 + 1j, 3, 2, phases=PhaseTable(1.0, 1))

@@ -17,6 +17,7 @@ from .hurwitz import (
     convergence_bound,
     hurwitz_alpha_derivative,
     hurwitz_jet,
+    hurwitz_jet_many,
     hurwitz_regularized_jet,
 )
 from .identities import (
@@ -68,6 +69,7 @@ __all__ = [
     "generating_series_at_zero",
     "hurwitz_alpha_derivative",
     "hurwitz_jet",
+    "hurwitz_jet_many",
     "hurwitz_regularized_jet",
     "jet_exp",
     "pochhammer_jet",

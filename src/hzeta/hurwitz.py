@@ -16,6 +16,10 @@ never appear numerically.
 Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
 d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
+
+The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha,
+so hurwitz_jet_many evaluates one s for many alphas and computes each
+tail once for all the alphas that share a shift k.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from ._record import Record
 from .errors import (
     NEAR_POLE_RADIUS,
     DomainError,
+    HZetaError,
     NearPole,
     Nonconvergence,
     PoleAtOne,
@@ -108,111 +113,212 @@ def _check_head_bases(alpha: complex, k: int) -> None:
             )
 
 
-def _series_eval(
-    s0: complex,
-    alpha: complex,
-    order: int,
-    p: SeriesParams,
-    regularized: bool,
-) -> EvalResult:
-    """Shared engine: the series for zeta(s, alpha), or for the entire
-    function (s - 1) zeta(s, alpha) when regularized."""
-    s0 = require_finite(complex(s0), "s")
-    alpha = require_finite(complex(alpha), "alpha")
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if not regularized:
-        if s0 == 1:
-            raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
-        if abs(s0 - 1) < NEAR_POLE_RADIUS:
-            raise NearPole(
-                "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
-                "meaningful there"
-            )
-    k = _resolve_k(s0, alpha, p)
-    _check_head_bases(alpha, k)
+class _Series:
+    """One alpha's share of a batch at one s0: its own head, coefficients
+    a_n, compensated sum, stopping rule and error budget.  The tails
+    B_k(s0 + n) come from the driver, shared by every alpha with the same
+    shift k."""
 
-    s_jet = Jet.variable(s0, order)
-    s_minus_1 = s_jet - 1.0
-    pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
-    acc = KahanJetSum(order)
-
-    # (n + alpha)**-s takes its magnitude and its phase from products of
-    # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
-    # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
-    # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
-    head_round = 0.0
-    for n in range(k):
-        term = pow_negs(n + alpha, s_jet)
-        if regularized:
-            term = s_minus_1 * term
-        acc.add(term)
-        head_round += term.norm() * (
-            4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
-        )
-
-    # every tail below lies on the line Im w = Im s0
-    phases = PhaseTable(s0.imag, order)
-    tail0, tail0_err = em_tail_jet(
-        s0, k, order, p.em, regularized=regularized, phases=phases
+    __slots__ = (
+        "s0", "alpha", "k", "p", "s_jet", "factor", "pole_scale", "acc", "a_n",
+        "head_round", "err_cont", "terms", "small", "last_norm",
     )
-    acc.add(tail0)
-    err_cont = tail0_err
 
-    # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
-    a_n = Jet.constant(-alpha, order)
-    terms = 0
-    consecutive_small = 0
-    last_norm = math.inf
-    converged = False
-    for n in range(1, p.n_max + 1):
-        terms = n
-        b_k, em_err = em_tail_jet(
-            s0 + n, k, order, p.em, regularized=True, phases=phases
-        )
+    def __init__(
+        self, s0: complex, alpha, order: int, p: SeriesParams,
+        regularized: bool, minus_zeta: bool,
+    ):
+        alpha = require_finite(complex(alpha), "alpha")
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
+        if not (regularized or minus_zeta):
+            if s0 == 1:
+                raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
+            if abs(s0 - 1) < NEAR_POLE_RADIUS:
+                raise NearPole(
+                    "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
+                    "meaningful there"
+                )
+        k = _resolve_k(s0, alpha, p)
+        _check_head_bases(alpha, k)
+
+        s_jet = Jet.variable(s0, order)
+        # every term of the regularized series carries the factor s - 1
+        factor = s_jet - 1.0 if regularized else None
+        acc = KahanJetSum(order)
+        # (n + alpha)**-s takes its magnitude and its phase from products of
+        # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
+        # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
+        # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
+        head = [(n + alpha, pow_negs(n + alpha, s_jet)) for n in range(k)]
+        if minus_zeta:
+            # zeta(s) = sum_{m < k} m**-s + zeta_k(s): its head is subtracted,
+            # and its tail cancels the n = 0 tail, which the driver skips
+            head += [(m, -pow_negs(m, s_jet)) for m in range(1, k)]
+        head_round = 0.0
+        for base, term in head:
+            if factor is not None:
+                term = factor * term
+            acc.add(term)
+            head_round += term.norm() * (
+                4.0 + order + 3.0 * abs(s0) * abs(cmath.log(base))
+            )
+
+        self.s0, self.alpha, self.k, self.p = s0, alpha, k, p
+        self.s_jet = s_jet
+        self.factor = factor
+        self.pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
+        self.acc = acc
+        # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
+        self.a_n = Jet.constant(-alpha, order)
+        self.head_round = head_round
+        self.err_cont = 0.0
+        self.terms = 0
+        self.small = 0
+        self.last_norm = math.inf
+
+    def add_tail0(self, tail0: Jet, err: float) -> None:
+        self.acc.add(tail0)
+        self.err_cont = err
+
+    def add_term(self, n: int, b_k: Jet, em_err: float) -> bool:
+        """Add a_n B_k(s0 + n); True once the stopping rule has fired."""
+        a_n, acc = self.a_n, self.acc
+        self.terms = n
         term = a_n * b_k
-        if regularized:
-            term = s_minus_1 * term
+        if self.factor is not None:
+            term = self.factor * term
         if not (term.is_finite() and a_n.is_finite()):
             raise Nonconvergence(
                 f"coefficient recurrence overflowed at n={n} before the "
-                f"series converged; k={k} is too small for alpha={alpha}",
+                f"series converged; k={self.k} is too small for alpha={self.alpha}",
                 result=None,
             )
         acc.add(term)
-        err_cont += a_n.norm() * em_err * pole_scale
-        last_norm = term.norm()
+        self.err_cont += a_n.norm() * em_err * self.pole_scale
+        last_norm = self.last_norm = term.norm()
         # <= so that exactly-zero terms count as small even when the
         # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
-        if last_norm <= p.tol * max(acc.norm(), 5e-324):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                converged = True
-                break
+        if last_norm <= self.p.tol * max(acc.norm(), 5e-324):
+            self.small += 1
+            if self.small >= 3:
+                return True
         else:
-            consecutive_small = 0
-        a_n = (-alpha / (n + 1)) * (a_n * (s_jet + (n - 1)))
+            self.small = 0
+        self.a_n = (-self.alpha / (n + 1)) * (a_n * (self.s_jet + (n - 1)))
+        return False
 
-    value = acc.jet()
-    err = 3.0 * last_norm + err_cont + _EPS * head_round
-    if not (value.is_finite() and math.isfinite(err)):
-        raise DomainError(
-            f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"
+    def result(self) -> EvalResult:
+        value = self.acc.jet()
+        err = 3.0 * self.last_norm + self.err_cont + _EPS * self.head_round
+        s0, alpha, k, p = self.s0, self.alpha, self.k, self.p
+        if not (value.is_finite() and math.isfinite(err)):
+            raise DomainError(
+                f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"
+            )
+        result = EvalResult(
+            value=value, err_estimate=err, k_used=k, terms_used=self.terms
         )
-    result = EvalResult(
-        value=value,
-        err_estimate=err,
-        k_used=k,
-        terms_used=terms,
-    )
-    if not converged:
-        raise Nonconvergence(
-            f"series hit the term cap n_max={p.n_max} with the last term at "
-            f"{last_norm:.3e} against tolerance {p.tol:.1e}; k={k}, "
-            f"alpha={alpha}, s={s0}",
-            result=result,
-        )
-    return result
+        if self.small < 3:
+            raise Nonconvergence(
+                f"series hit the term cap n_max={p.n_max} with the last term at "
+                f"{self.last_norm:.3e} against tolerance {p.tol:.1e}; k={k}, "
+                f"alpha={alpha}, s={s0}",
+                result=result,
+            )
+        return result
+
+
+# What an evaluation raises by design: bad arguments, domain errors, the
+# stopping rule's failures and binary64 overflow.  A batch holds these
+# per alpha; anything else is a defect and propagates at once.
+_EVAL_ERRORS = (HZetaError, ValueError, ArithmeticError)
+
+
+def _series_eval(
+    s0: complex,
+    alphas,
+    order: int,
+    p: SeriesParams,
+    regularized: bool = False,
+    minus_zeta: bool = False,
+) -> list:
+    """The one series driver: at one s0, the series for zeta(s, alpha),
+    for the entire (s - 1) zeta(s, alpha) when regularized, or for the
+    entire difference zeta(s, alpha) - zeta(s) when minus_zeta, for every
+    alpha of a batch.
+
+    Alphas are grouped by their shift k.  A group shares one PhaseTable
+    and one em_tail_jet call per tail: zeta_k(s0) for n = 0 (skipped by
+    minus_zeta) and B_k(s0 + n) for each series term n, until the last of
+    its alphas stops.  Since everything else is per alpha, each entry
+    equals that of a batch of one.  Returns, in input order, each
+    alpha's EvalResult or the exception its evaluation raised."""
+    s0 = require_finite(complex(s0), "s")
+    outcomes = [None] * len(alphas)
+    groups: dict[int, list] = {}
+    for i, alpha in enumerate(alphas):
+        try:
+            series = _Series(s0, alpha, order, p, regularized, minus_zeta)
+        except _EVAL_ERRORS as exc:
+            outcomes[i] = exc
+        else:
+            groups.setdefault(series.k, []).append((i, series))
+
+    for k, group in groups.items():
+        phases = PhaseTable(s0.imag, order)
+        active = group
+        try:
+            if not minus_zeta:
+                tail0, tail0_err = em_tail_jet(
+                    s0, k, order, p.em, regularized=regularized, phases=phases
+                )
+                for _, series in group:
+                    series.add_tail0(tail0, tail0_err)
+            for n in range(1, p.n_max + 1):
+                b_k, em_err = em_tail_jet(
+                    s0 + n, k, order, p.em, regularized=True, phases=phases
+                )
+                running = []
+                for i, series in active:
+                    try:
+                        if not series.add_term(n, b_k, em_err):
+                            running.append((i, series))
+                    except _EVAL_ERRORS as exc:
+                        outcomes[i] = exc
+                active = running
+                if not active:
+                    break
+        except _EVAL_ERRORS as exc:
+            # a shared tail failed: so does every alpha still waiting on it
+            for i, _ in active:
+                outcomes[i] = exc
+        for i, series in group:
+            if outcomes[i] is None:
+                try:
+                    outcomes[i] = series.result()
+                except _EVAL_ERRORS as exc:
+                    outcomes[i] = exc
+    return outcomes
+
+
+def _first_failure(outcomes: list) -> list:
+    """The outcomes, unless one is an exception: then the first one."""
+    for outcome in outcomes:
+        if isinstance(outcome, _EVAL_ERRORS):
+            raise outcome
+    return outcomes
+
+
+def hurwitz_jet_many(
+    s0: complex, alphas, r: int = 0, p: SeriesParams | None = None
+) -> list[EvalResult]:
+    """hurwitz_jet at one s0 for a sequence of alphas, one EvalResult each
+    and equal to its solo call.  Alphas with the same shift k share every
+    Euler-Maclaurin tail, so a central difference in alpha costs little
+    more than one evaluation.  When several alphas fail, the first one in
+    input order raises what its solo call raises."""
+    return _first_failure(_series_eval(s0, alphas, r, p or DEFAULT_PARAMS))
 
 
 def hurwitz_jet(
@@ -224,7 +330,7 @@ def hurwitz_jet(
     head base n + alpha vanishes, and Nonconvergence when the term cap is
     hit before the stopping rule fires.
     """
-    return _series_eval(s0, alpha, r, p or DEFAULT_PARAMS, regularized=False)
+    return hurwitz_jet_many(s0, (alpha,), r, p)[0]
 
 
 def hurwitz_regularized_jet(
@@ -233,7 +339,8 @@ def hurwitz_regularized_jet(
     """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0,
     valid at w0 = 1 where its value is 1.  Shifting by one variable this
     is also the generating function s zeta(s+1, alpha) about s = w0 - 1."""
-    return _series_eval(w0, alpha, r, p or DEFAULT_PARAMS, regularized=True)
+    outcomes = _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)
+    return _first_failure(outcomes)[0]
 
 
 def hurwitz_alpha_derivative(

@@ -23,6 +23,7 @@ from .hurwitz import (
     SeriesParams,
     hurwitz_alpha_derivative,
     hurwitz_jet,
+    hurwitz_jet_many,
     hurwitz_regularized_jet,
 )
 from .jets import require_finite
@@ -100,12 +101,20 @@ def dalpha_sderiv_at_zero(
     return -math.factorial(r) * table.gammas[r - 1]
 
 
-def _sderiv(s0: complex, alpha: complex, r: int, p: SeriesParams) -> complex:
-    return hurwitz_jet(s0, alpha, r, p).value.derivative(r)
+def _fd_sderiv(s0: complex, alpha: complex, r: int, p: SeriesParams, h: float) -> complex:
+    """Central difference in alpha of the r-th s-derivative, both sides
+    from one batch that shares its tails."""
+    plus, minus = hurwitz_jet_many(s0, (alpha + h, alpha - h), r, p)
+    return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
 
 
-def _fd_alpha(f, alpha: complex, h: float) -> complex:
-    return (f(alpha + h) - f(alpha - h)) / (2.0 * h)
+def _fd_gamma(alpha: complex, r: int, p: SeriesParams, h: float) -> complex:
+    """Central difference in alpha of gamma_r(alpha), both sides from one
+    batch."""
+    from .stieltjes import _generalized_stieltjes_many
+
+    plus, minus = _generalized_stieltjes_many((alpha + h, alpha - h), r, p)
+    return (plus.gammas[r] - minus.gammas[r]) / (2.0 * h)
 
 
 def verify_identity(
@@ -130,37 +139,31 @@ def verify_identity(
 
     try:
         if key == "RECURRENCE":
-            lhs = _fd_alpha(lambda a: _sderiv(s0, a, r, p), alpha, h)
+            lhs = _fd_sderiv(s0, alpha, r, p, h)
             rhs = dalpha_of_sderiv(s0, alpha, r, p)
             notes = f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
         elif key == "INTERCHANGE":
-            lhs = _fd_alpha(lambda a: _sderiv(s0, a, r, p), alpha, h)
+            lhs = _fd_sderiv(s0, alpha, r, p, h)
             # d^r/ds^r of -s*zeta(s+1,alpha), via the entire product jet
             g = hurwitz_regularized_jet(complex(s0) + 1, alpha, r, p)
             rhs = -g.value.derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} vs jet of -s*zeta(s+1,a)"
         elif key == "MIXED_PARTIALS":
-            lhs = _fd_alpha(lambda a: _sderiv(s0, a, r, p), alpha, h)
+            lhs = _fd_sderiv(s0, alpha, r, p, h)
             rhs = hurwitz_alpha_derivative(s0, alpha, 1, r, p).value.derivative(r)
             notes = f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial"
         elif key == "AT_ZERO":
-            lhs = _fd_alpha(lambda a: _sderiv(0.0, a, r, p), alpha, h)
+            lhs = _fd_sderiv(0.0, alpha, r, p, h)
             rhs = dalpha_sderiv_at_zero(alpha, r, p)
             notes = f"fd(h={h:g}) of sderiv r={r} at s=0 vs -r! gamma_(r-1)"
         elif key == "AT_ONE":
-            from .stieltjes import generalized_stieltjes
-
-            lhs = math.factorial(r) * _fd_alpha(
-                lambda a: generalized_stieltjes(a, r, p).gammas[r], alpha, h
-            )
+            lhs = math.factorial(r) * _fd_gamma(alpha, r, p, h)
             rhs = dalpha_of_sderiv(1.0, alpha, r, p)
             notes = f"r! * fd(h={h:g}) of gamma_{r}(alpha) vs defined value at s=1"
         else:  # GAMMA_DERIV
-            from .stieltjes import dgamma_dalpha, generalized_stieltjes
+            from .stieltjes import dgamma_dalpha
 
-            lhs = _fd_alpha(
-                lambda a: generalized_stieltjes(a, r, p).gammas[r], alpha, h
-            )
+            lhs = _fd_gamma(alpha, r, p, h)
             rhs = dgamma_dalpha(alpha, r, p)
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"
     except HZetaError as exc:

@@ -18,17 +18,15 @@ generating_series_at_zero exposes that second route.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import Nonconvergence
 from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
-    _check_head_bases,
-    _resolve_k,
+    _first_failure,
+    _series_eval,
     hurwitz_jet,
     hurwitz_regularized_jet,
 )
-from .jets import Jet, KahanJetSum, pow_negs, require_finite
-from .zetacore import PhaseTable, em_tail_jet, stieltjes_constants
+from .zetacore import stieltjes_constants
 
 MAX_GENERALIZED_ORDER = 12
 
@@ -53,41 +51,28 @@ class LaurentExpansion(Record):
         return out
 
 
-def _difference_jet(alpha: complex, order: int, p: SeriesParams) -> Jet:
-    """Jet at s = 1 of the entire function zeta(s, alpha) - zeta(s)."""
-    alpha = require_finite(complex(alpha), "alpha")
-    k = _resolve_k(1.0, alpha, p)
-    _check_head_bases(alpha, k)
-    s_jet = Jet.variable(1.0, order)
-    acc = KahanJetSum(order)
-    for n in range(k):
-        acc.add(pow_negs(n + alpha, s_jet))
-    for n in range(1, k):
-        acc.add(-pow_negs(n, s_jet))
-    # tail of the shifted series; all B_k(1 + n) with n >= 1 are regular
-    a_n = Jet.constant(-alpha, order)
-    phases = PhaseTable(0.0, order)
-    converged = False
-    for n in range(1, p.n_max + 1):
-        b_k, _ = em_tail_jet(1.0 + n, k, order, p.em, regularized=True, phases=phases)
-        term = a_n * b_k
-        if not term.is_finite():
-            raise Nonconvergence(
-                f"difference series overflowed at n={n} before it converged; "
-                f"k={k} is too small for alpha={alpha}",
-                result=None,
-            )
-        acc.add(term)
-        if term.norm() <= p.tol * max(acc.norm(), 5e-324) and n >= 4:
-            converged = True
-            break
-        a_n = (-alpha / (n + 1)) * (a_n * (s_jet + (n - 1)))
-    if not converged:
-        raise Nonconvergence(
-            f"difference series hit the term cap for alpha={alpha} with k={k}",
-            result=None,
-        )
-    return acc.jet()
+def _generalized_stieltjes_many(
+    alphas, r_max: int, p: SeriesParams
+) -> list[LaurentExpansion]:
+    """generalized_stieltjes for a sequence of alphas, each equal to its
+    solo call.  The difference series and the pole evaluations at s = 1
+    each run as one batch, so alphas with the same shift share their
+    tails.  When several alphas fail, the first one in input order raises
+    what its solo call raises."""
+    if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
+        raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
+    classical = stieltjes_constants(r_max, p.em).gammas
+    # zeta(s, alpha) - zeta(s) is entire; its jet at s = 1 holds D_r / r!
+    diffs = _series_eval(1.0, alphas, r_max, p, minus_zeta=True)
+    poles = _series_eval(1.0, alphas, 0, p, regularized=True)
+    out = []
+    for alpha, diff, pole in zip(alphas, diffs, poles):
+        diff, pole = _first_failure([diff, pole])
+        gammas = tuple(classical[r] + diff.value.coeffs[r] for r in range(r_max + 1))
+        out.append(LaurentExpansion(
+            pole_coeff=pole.value.value, gammas=gammas, alpha=complex(alpha), order=r_max
+        ))
+    return out
 
 
 def generalized_stieltjes(
@@ -98,15 +83,7 @@ def generalized_stieltjes(
     The pole coefficient is computed, not assumed: it is the value of the
     entire function (s-1) zeta(s, alpha) at s = 1.
     """
-    p = p or DEFAULT_PARAMS
-    if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
-        raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
-    alpha = require_finite(complex(alpha), "alpha")
-    classical = stieltjes_constants(r_max, p.em).gammas
-    diff = _difference_jet(alpha, r_max, p)
-    gammas = tuple(classical[r] + diff.coeffs[r] for r in range(r_max + 1))
-    pole = hurwitz_regularized_jet(1.0, alpha, 0, p).value.value
-    return LaurentExpansion(pole_coeff=pole, gammas=gammas, alpha=alpha, order=r_max)
+    return _generalized_stieltjes_many((alpha,), r_max, p or DEFAULT_PARAMS)[0]
 
 
 def generating_series_at_zero(

@@ -26,16 +26,20 @@ variable.  The second factor, the phase m**(-i Im w) times
 holds it for one imaginary part and order, and every summand is a real
 magnitude times a table row.  The shifted series of the Hurwitz
 evaluator moves only Re w from term to term, so one table serves all
-of its tails.  The rising product is carried from one correction
-term to the next by the factor (w + 2j - 1)(w + 2j), whose jet has
-three nonzero coefficients, so that update is O(r).  The one
-O(r^2) product per correction term, (w)_{2j-1} times the boundary
-power, goes through jets.mul_coeffs.  The boundary search raises Nonconvergence rather than
-use a boundary that misses the target.
+of its tails.  The Bernoulli corrections share the boundary power
+M**-w, so they are summed as sum_j c_j (w)_{2j-1}, with
+c_j = B_{2j}/(2j)! M**(1-2j), and multiplied by it once: the rising
+product is carried from one correction term to the next by the factor
+(w + 2j - 1)(w + 2j), whose jet has three nonzero coefficients, so each
+term is O(r) and a tail makes one O(r^2) product (jets.mul_coeffs) for
+the corrections, plus one more for the error estimate.  The boundary
+search raises Nonconvergence rather than use a boundary that misses the
+target, and a tail that is not finite in binary64 raises DomainError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -139,7 +143,9 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     truncation target relative to the leading magnitude start**(-Re w).
 
     Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
-    start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5."""
+    start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5.
+    Raises DomainError when the predicted correction overflows binary64,
+    which happens at strongly negative Re w (from about -100)."""
     w0 = complex(w0)
     sigma = w0.real
     absw = abs(w0) + 2.0 * order
@@ -147,14 +153,22 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
     m = max(p.cutoff, start)
     target = _TRUNCATION_TARGET * scale
-    while not _boundary_ok(pochmag, sigma, float(m), p.bernoulli_depth, absw, target):
-        m += max(1, m // 8)
-        if m > _MAX_BOUNDARY:
-            raise Nonconvergence(
-                f"Euler-Maclaurin boundary search passed its cap "
-                f"M = {_MAX_BOUNDARY} without meeting the truncation target "
-                f"for w0={w0}, start={start}, order={order}"
-            )
+    try:
+        while not _boundary_ok(
+            pochmag, sigma, float(m), p.bernoulli_depth, absw, target
+        ):
+            m += max(1, m // 8)
+            if m > _MAX_BOUNDARY:
+                raise Nonconvergence(
+                    f"Euler-Maclaurin boundary search passed its cap "
+                    f"M = {_MAX_BOUNDARY} without meeting the truncation target "
+                    f"for w0={w0}, start={start}, order={order}"
+                )
+    except OverflowError:
+        raise DomainError(
+            f"Euler-Maclaurin correction at boundary M = {m} overflows binary64 "
+            f"for w0={w0}, start={start}, order={order}"
+        ) from None
     return m
 
 
@@ -216,7 +230,8 @@ def em_tail_jet(
     Without it the call builds a table of its own.
 
     The estimate is twice the magnitude of the last Bernoulli correction
-    plus a rounding allowance proportional to the largest summand.
+    plus a rounding allowance proportional to the largest summand.  A
+    total or estimate that is not finite raises DomainError.
     """
     p = p or DEFAULT_EM
     w0 = require_finite(complex(w0), "s")
@@ -277,22 +292,27 @@ def em_tail_jet(
     peak = max(peak, max(map(abs, total)))
     total = list(map(add, total, [0.5 * c for c in corr_base]))
 
+    # sum_j c_j (w)_{2j-1} with c_j = B_2j/(2j)! M**(1-2j), times M**-w once
     poch = w
-    last = 0.0
+    corr = [0j] * (order + 1)
     for j in range(1, p.bernoulli_depth + 1):
+        if j > 1:
+            # (w)_{2j-1} = (w)_{2j-3} (w + 2j - 3)(w + 2j - 2)
+            a, b = w0 + (2 * j - 3), w0 + (2 * j - 2)
+            poch = _times_quadratic(poch, a * b, a + b)
         factor = _EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
-        term = [factor * c for c in mul_coeffs(poch, corr_base)]
-        total = list(map(add, total, term))
-        last = max(map(abs, term))
-        if last < 1e-30 * max(map(abs, total)):
-            break
-        # (w)_{2j+1} = (w)_{2j-1} (w + 2j - 1)(w + 2j)
-        a, b = w0 + (2 * j - 1), w0 + 2 * j
-        poch = _times_quadratic(poch, a * b, a + b)
+        corr = [x + factor * c for x, c in zip(corr, poch)]
+    total = list(map(add, total, mul_coeffs(corr, corr_base)))
+    last = max(abs(factor * c) for c in mul_coeffs(poch, corr_base))
 
     err = 2.0 * last + 8.0 * 2.220446049250313e-16 * peak * math.sqrt(
         max(boundary - start, 1)
     )
+    if not (math.isfinite(err) and all(map(cmath.isfinite, total))):
+        raise DomainError(
+            f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "
+            f"start={start}, M={boundary}"
+        )
     return Jet(tuple(total)), err
 
 

@@ -60,6 +60,15 @@ class TestEval:
         rec = json_lines(proc.stdout)[0]
         assert rec["error"]["code"] == "DOMAIN_ERROR"
 
+    def test_overflowing_tail_is_a_domain_error(self):
+        proc = run_cli("eval", "--s=-120", "--alpha", "0.5")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        rec = json_lines(proc.stdout)[0]
+        assert rec["status"] == "ERROR"
+        assert rec["error"]["code"] == "DOMAIN_ERROR"
+        assert "overflows binary64" in rec["error"]["message"]
+
     def test_nonconvergence_exit(self):
         proc = run_cli(
             "eval", "--s", "2", "--alpha", "0.97", "--k", "1", "--nmax", "50"

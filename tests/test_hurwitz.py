@@ -14,6 +14,7 @@ from hzeta import (
     convergence_bound,
     hurwitz_alpha_derivative,
     hurwitz_jet,
+    hurwitz_jet_many,
     hurwitz_regularized_jet,
 )
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
@@ -159,6 +160,103 @@ class TestSharedPhaseTable:
         assert len(seen) == 1 + res.terms_used
         assert seen[0] is not None
         assert all(table is seen[0] for table in seen)
+
+
+def _outcome(call, *args, **kwargs):
+    """The result of a call, or the exception it raised."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared against the batch
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+# shifts 2, 3, 2, 4 and 3 at s = 0.5 + 3j; at w = 1 they are 2, 3, 2, 4, 3
+BATCH_ALPHAS = (0.3, 1.7, 1.2, 2 + 1j, 1.5 - 0.5j)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("order", [0, 3, 12])
+    @pytest.mark.parametrize(
+        "s0,regularized", [(0.5 + 3j, False), (0.5 + 3j, True), (1.0, True)]
+    )
+    def test_batch_equals_solo(self, s0, regularized, order):
+        solo = hurwitz_regularized_jet if regularized else hurwitz_jet
+        p = hzeta.hurwitz.DEFAULT_PARAMS
+        batch = hzeta.hurwitz._series_eval(
+            s0, BATCH_ALPHAS, order, p, regularized=regularized
+        )
+        assert len({res.k_used for res in batch}) >= 2
+        for alpha, got in zip(BATCH_ALPHAS, batch):
+            assert got == solo(s0, alpha, order), f"alpha={alpha}"
+        if not regularized:
+            assert hurwitz_jet_many(s0, BATCH_ALPHAS, order) == batch
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_one_tail_call_per_group_and_term(self, monkeypatch, order):
+        calls = []
+        original = hzeta.hurwitz.em_tail_jet
+
+        def counting(w0, start, *args, **kwargs):
+            calls.append(start)
+            return original(w0, start, *args, **kwargs)
+
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        batch = hurwitz_jet_many(0.5 + 3j, BATCH_ALPHAS, order)
+        most_terms = {}
+        for res in batch:
+            most_terms[res.k_used] = max(most_terms.get(res.k_used, 0), res.terms_used)
+        assert len(most_terms) >= 2
+        assert len(calls) == sum(1 + n for n in most_terms.values())
+        for k, n in most_terms.items():
+            assert calls.count(k) == 1 + n
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            (0.5, 0.0, float("nan")),  # DomainError before ValueError
+            (float("nan"), 0.0, 0.5),  # ValueError before DomainError
+            (0.97, 3.5, 0.5),  # Nonconvergence at the cap before the setup error
+            (3.5, 0.97, 0.5),  # ValueError (k too small) first
+            (0.5, 0.97),  # the second alpha alone fails
+        ],
+    )
+    def test_first_failing_alpha_raises(self, alphas):
+        p = SeriesParams(k=1, n_max=50)
+        solo = [_outcome(hurwitz_jet, 2.0, a, 2, p) for a in alphas]
+        want = next(x for x in solo if isinstance(x, Exception))
+        with pytest.raises(type(want)) as info:
+            hurwitz_jet_many(2.0, alphas, 2, p)
+        assert str(info.value) == str(want)
+
+    def test_failures_stay_per_alpha(self):
+        # one alpha hits the term cap, one is excluded; the others finish
+        p = SeriesParams(k=1, n_max=50)
+        alphas = (0.97, 0.5, 0.0, 0.2)
+        batch = hzeta.hurwitz._series_eval(2.0, alphas, 1, p)
+        solo = [_outcome(hurwitz_jet, 2.0, alpha, 1, p) for alpha in alphas]
+        for got, want in zip(batch, solo):
+            _same_outcome(got, want)
+        assert isinstance(batch[0], Nonconvergence)
+        assert batch[0].result == solo[0].result and batch[0].result is not None
+        assert isinstance(batch[2], DomainError)
+
+    def test_common_errors_follow_the_first_alpha(self):
+        for s0, alphas in ((1.0, (0.5, float("nan"))), (1.0, (float("nan"), 0.5))):
+            want = _outcome(hurwitz_jet, s0, alphas[0])
+            with pytest.raises(type(want)) as info:
+                hurwitz_jet_many(s0, alphas)
+            assert str(info.value) == str(want)
+
+    def test_empty_batch(self):
+        assert hurwitz_jet_many(2.0, []) == []
+        assert hurwitz_jet_many(0.5 + 3j, (), 3) == []
 
 
 class TestHeadRounding:

@@ -265,6 +265,21 @@ class TestPhaseTable:
         with pytest.raises(DomainError, match="overflows binary64"):
             em_tail_jet(-100 + 3j, 1150)
 
+    @pytest.mark.parametrize("tail", [em_tail_jet, zeta_tail_jet])
+    def test_non_finite_tail_is_a_domain_error(self, tail):
+        # with M = start = 1000 the corrections (w)_{2j-1} M**-w overflow
+        with pytest.raises(DomainError, match="not finite") as info:
+            tail(-100, 1000)
+        message = str(info.value)
+        assert "w0=(-100+0j)" in message
+        assert "start=1000" in message and "M=1000" in message
+
+    def test_overflowing_boundary_search_is_a_domain_error(self):
+        # the predicted correction M**(1 - 2 depth - Re w) passes 1e308
+        with pytest.raises(DomainError, match="overflows binary64") as info:
+            em_tail_jet(-120, 1)
+        assert "w0=(-120+0j)" in str(info.value) and "start=1" in str(info.value)
+
     def test_mismatched_table_raises(self):
         with pytest.raises(ValueError, match="phase table"):
             em_tail_jet(2.0 + 1j, 3, 0, phases=PhaseTable(2.0, 0))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -33,27 +32,31 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NONCONVERGENCE = 3
 
-_ERROR_CODES = {
-    PoleAtOne: "POLE_AT_ONE",
-    NearPole: "NEAR_POLE",
-    DomainError: "DOMAIN_ERROR",
-    SingularJet: "DOMAIN_ERROR",
-    Nonconvergence: "NONCONVERGENCE",
+# error class -> (record code, exit code)
+_ERRORS = {
+    PoleAtOne: ("POLE_AT_ONE", EXIT_DOMAIN),
+    NearPole: ("NEAR_POLE", EXIT_DOMAIN),
+    DomainError: ("DOMAIN_ERROR", EXIT_DOMAIN),
+    SingularJet: ("DOMAIN_ERROR", EXIT_DOMAIN),
+    Nonconvergence: ("NONCONVERGENCE", EXIT_NONCONVERGENCE),
 }
 
-_ERROR_EXITS = {
-    "POLE_AT_ONE": EXIT_DOMAIN,
-    "NEAR_POLE": EXIT_DOMAIN,
-    "DOMAIN_ERROR": EXIT_DOMAIN,
-    "NONCONVERGENCE": EXIT_NONCONVERGENCE,
-}
-
-# residual tolerances per identity on the default grid
-_VERIFY_TOL = {name: 1e-5 for name in IDENTITY_NAMES}
+# residual tolerance of every identity
+_VERIFY_TOL = 1e-5
 
 _DEFAULT_S_GRID = (-2.5, -1.0, -0.3, 0.5, 2.0, 3 + 2j)
 _DEFAULT_ALPHA_GRID = (0.3, 1.0, 1.7, 2 + 2j)
 _DEFAULT_R_GRID = (0, 1, 2, 3)
+
+_COEFF_CSV_HEADER = [
+    "command", "s_re", "s_im", "alpha_re", "alpha_im", "order",
+    "value_re", "value_im", "err", "k", "terms", "status",
+]
+_VERIFY_CSV_HEADER = [
+    "command", "identity", "s_re", "s_im", "alpha_re", "alpha_im", "r",
+    "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_residual", "rel_residual",
+    "status",
+]
 
 
 # let values like -3.5,9 pass as arguments rather than flags
@@ -116,143 +119,60 @@ def _default_tol() -> float:
     raise ValueError(f"HZ_DEFAULT_TOL must be a positive finite number, got {env!r}")
 
 
-def _fmt17(x: float) -> str:
-    return format(x, ".17g")
+def _error_record(head: dict, exc: HZetaError) -> tuple[dict, int]:
+    """The record of a failed evaluation, and the exit code its error maps to."""
+    code, exit_code = _ERRORS[type(exc)]
+    error = {"code": code, "message": str(exc)}
+    return {**head, "status": "ERROR", "error": error}, exit_code
 
 
-def _complex_obj(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, separators=(", ", ": ")))
-
-
-def _emit_csv_rows(rows: list[list], header: list[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
-
-
-_EVAL_CSV_HEADER = [
-    "command", "s_re", "s_im", "alpha_re", "alpha_im", "order",
-    "value_re", "value_im", "err", "k", "terms", "status",
-]
-
-
-def _error_record(command: str, inputs: dict, exc: HZetaError) -> tuple[dict, int]:
-    code = _ERROR_CODES[type(exc)]
-    record = {
-        "command": command,
-        "inputs": inputs,
-        "status": "ERROR",
-        "error": {"code": code, "message": str(exc)},
-    }
-    return record, _ERROR_EXITS[code]
-
-
-def cmd_eval(args) -> int:
-    inputs = {
-        "s": _complex_obj(args.s),
-        "alpha": _complex_obj(args.alpha),
-        "order": args.order,
-        "k": "auto" if args.k is None else args.k,
-        "tol": args.tol,
-        "nmax": args.nmax,
-    }
-    for n in range(0, 64):
+def cmd_eval(args) -> tuple[list[dict], int]:
+    # round() takes no inf or nan; hurwitz_jet rejects a non-finite alpha
+    if math.isfinite(args.alpha.real):
+        n = max(0, round(-args.alpha.real))  # the nearest excluded point is -n
         if abs(n + args.alpha) < 1e-3:
             print(
                 f"warning: alpha is within 1e-3 of the excluded point {-n}; "
                 "the evaluation is ill-conditioned",
                 file=sys.stderr,
             )
-            break
+    head = {
+        "command": "eval",
+        "inputs": {
+            "s": args.s,
+            "alpha": args.alpha,
+            "order": args.order,
+            "k": "auto" if args.k is None else args.k,
+            "tol": args.tol,
+            "nmax": args.nmax,
+        },
+    }
     try:
         p = SeriesParams(k=args.k, n_max=args.nmax, tol=args.tol)
         res = hurwitz_jet(args.s, args.alpha, args.order, p)
     except HZetaError as exc:
-        record, code = _error_record("eval", inputs, exc)
-        if args.format == "json":
-            _emit_json(record)
-        else:
-            row = ["eval", _fmt17(args.s.real), _fmt17(args.s.imag),
-                   _fmt17(args.alpha.real), _fmt17(args.alpha.imag), args.order,
-                   "", "", "", "", "", "ERROR:" + record["error"]["code"]]
-            _emit_csv_rows([row], _EVAL_CSV_HEADER)
-        return code
-
-    record = {
-        "command": "eval",
-        "inputs": inputs,
-        "err_estimate": res.err_estimate,
-        "k_used": res.k_used,
-        "terms_used": res.terms_used,
-        "status": "OK",
-    }
+        record, code = _error_record(head, exc)
+        return [record], code
     if args.order == 0:
-        record["value"] = _complex_obj(res.value.value)
+        value = {"value": res.value.value}
     else:
-        record["jet"] = [_complex_obj(c) for c in res.value.coeffs]
-    if args.format == "json":
-        # keep key order: value/jet ahead of diagnostics
-        ordered = {"command": record["command"], "inputs": record["inputs"]}
-        for key in ("value", "jet"):
-            if key in record:
-                ordered[key] = record[key]
-        for key in ("err_estimate", "k_used", "terms_used", "status"):
-            ordered[key] = record[key]
-        _emit_json(ordered)
-    else:
-        rows = []
-        for j, c in enumerate(res.value.coeffs):
-            rows.append([
-                "eval", _fmt17(args.s.real), _fmt17(args.s.imag),
-                _fmt17(args.alpha.real), _fmt17(args.alpha.imag), j,
-                _fmt17(c.real), _fmt17(c.imag), _fmt17(res.err_estimate),
-                res.k_used, res.terms_used, "OK",
-            ])
-        _emit_csv_rows(rows, _EVAL_CSV_HEADER)
-    return EXIT_OK
+        value = {"jet": list(res.value.coeffs)}
+    record = {**head, **value, "err_estimate": res.err_estimate, "k_used": res.k_used,
+              "terms_used": res.terms_used, "status": "OK"}
+    return [record], EXIT_OK
 
 
-def cmd_laurent(args) -> int:
-    inputs = {"alpha": _complex_obj(args.alpha), "order": args.order}
+def cmd_laurent(args) -> tuple[list[dict], int]:
+    head = {"command": "laurent", "inputs": {"alpha": args.alpha, "order": args.order}}
     try:
         p = SeriesParams(tol=args.tol)
         expansion = generalized_stieltjes(args.alpha, args.order, p)
     except HZetaError as exc:
-        record, code = _error_record("laurent", inputs, exc)
-        if args.format == "json":
-            _emit_json(record)
-        else:
-            row = ["laurent", "", "", _fmt17(args.alpha.real),
-                   _fmt17(args.alpha.imag), args.order, "", "", "", "", "",
-                   "ERROR:" + record["error"]["code"]]
-            _emit_csv_rows([row], _EVAL_CSV_HEADER)
-        return code
-
-    if args.format == "json":
-        _emit_json({
-            "command": "laurent",
-            "inputs": inputs,
-            "pole_coeff": _complex_obj(expansion.pole_coeff),
-            "gammas": [_complex_obj(g) for g in expansion.gammas],
-            "status": "OK",
-        })
-    else:
-        rows = [["laurent", "", "", _fmt17(args.alpha.real),
-                 _fmt17(args.alpha.imag), -1, _fmt17(expansion.pole_coeff.real),
-                 _fmt17(expansion.pole_coeff.imag), "", "", "", "OK"]]
-        for r, g in enumerate(expansion.gammas):
-            rows.append(["laurent", "", "", _fmt17(args.alpha.real),
-                         _fmt17(args.alpha.imag), r, _fmt17(g.real),
-                         _fmt17(g.imag), "", "", "", "OK"])
-        _emit_csv_rows(rows, _EVAL_CSV_HEADER)
-    return EXIT_OK
+        record, code = _error_record(head, exc)
+        return [record], code
+    record = {**head, "pole_coeff": expansion.pole_coeff,
+              "gammas": list(expansion.gammas), "status": "OK"}
+    return [record], EXIT_OK
 
 
 def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
@@ -275,88 +195,114 @@ def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
 
 def _default_grid(identity: str) -> list[tuple[complex, complex, int]]:
     if identity in ("AT_ZERO", "AT_ONE", "GAMMA_DERIV"):
-        return [(0j, a, r) for a in _DEFAULT_ALPHA_GRID for r in _DEFAULT_R_GRID]
+        s_grid = (0j,)
+    else:
+        s_grid = _DEFAULT_S_GRID
     return [
-        (complex(s), a, r)
-        for s in _DEFAULT_S_GRID
+        (complex(s), complex(a), r)
+        for s in s_grid
         for a in _DEFAULT_ALPHA_GRID
         for r in _DEFAULT_R_GRID
     ]
 
 
-_VERIFY_CSV_HEADER = [
-    "command", "identity", "s_re", "s_im", "alpha_re", "alpha_im", "r",
-    "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_residual", "rel_residual",
-    "status",
-]
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[list[dict], int]:
     if args.identity == "all":
         names = list(IDENTITY_NAMES)
     else:
         name = args.identity.upper()
         names = ["MIXED_PARTIALS" if name == "MIXED" else name]
-    if args.grid == "default":
-        grids = {name: _default_grid(name) for name in names}
-    else:
-        points = _load_grid(args.grid)
-        grids = {name: points for name in names}
+    points = None if args.grid == "default" else _load_grid(args.grid)
 
-    rows = []
     records = []
     max_residual = 0.0
-    failures = 0
-    errors = 0
     for name in names:
-        tol = _VERIFY_TOL[name]
-        for s, alpha, r in grids[name]:
+        for s, alpha, r in _default_grid(name) if points is None else points:
+            head = {"command": "verify", "identity": name, "s": s, "alpha": alpha,
+                    "r": r}
             try:
                 rep = verify_identity(name, s, alpha, r, h=args.h)
             except HZetaError as exc:
-                errors += 1
-                records.append({
-                    "command": "verify", "identity": name,
-                    "s": _complex_obj(complex(s)), "alpha": _complex_obj(complex(alpha)),
-                    "r": r, "status": "ERROR",
-                    "error": {"code": _ERROR_CODES[type(exc)], "message": str(exc)},
-                })
+                records.append(_error_record(head, exc)[0])
                 continue
-            ok = rep.rel_residual <= tol
-            if not ok:
-                failures += 1
             max_residual = max(max_residual, rep.rel_residual)
             records.append({
-                "command": "verify", "identity": name,
-                "s": _complex_obj(complex(s)), "alpha": _complex_obj(complex(alpha)),
-                "r": r, "lhs": _complex_obj(rep.lhs), "rhs": _complex_obj(rep.rhs),
+                **head, "lhs": rep.lhs, "rhs": rep.rhs,
                 "abs_residual": rep.abs_residual, "rel_residual": rep.rel_residual,
-                "status": "OK" if ok else "FAIL",
+                "status": "OK" if rep.rel_residual <= _VERIFY_TOL else "FAIL",
             })
-            rows.append([
-                "verify", name, _fmt17(complex(s).real), _fmt17(complex(s).imag),
-                _fmt17(complex(alpha).real), _fmt17(complex(alpha).imag), r,
-                _fmt17(rep.lhs.real), _fmt17(rep.lhs.imag),
-                _fmt17(rep.rhs.real), _fmt17(rep.rhs.imag),
-                _fmt17(rep.abs_residual), _fmt17(rep.rel_residual),
-                "OK" if ok else "FAIL",
-            ])
-
-    if args.format == "json":
-        for record in records:
-            _emit_json(record)
-        _emit_json({
-            "command": "verify", "summary": True,
-            "points": len(records), "failures": failures, "errors": errors,
-            "max_rel_residual": max_residual,
-        })
-    else:
-        _emit_csv_rows(rows, _VERIFY_CSV_HEADER)
-        print(f"# max_rel_residual={_fmt17(max_residual)} failures={failures} "
-              f"errors={errors}", file=sys.stderr)
+    statuses = [record["status"] for record in records]
+    failures, errors = statuses.count("FAIL"), statuses.count("ERROR")
+    records.append({
+        "command": "verify", "summary": True, "points": len(statuses),
+        "failures": failures, "errors": errors, "max_rel_residual": max_residual,
+    })
     if errors:
-        return EXIT_DOMAIN
-    return EXIT_OK if failures == 0 else EXIT_NONCONVERGENCE
+        return records, EXIT_DOMAIN
+    return records, EXIT_OK if failures == 0 else EXIT_NONCONVERGENCE
+
+
+def _fmt17(x: float | None) -> str:
+    return "" if x is None else format(x, ".17g")
+
+
+def _re_im(z: complex | None) -> list[str]:
+    return ["", ""] if z is None else [_fmt17(z.real), _fmt17(z.imag)]
+
+
+def _coeff_pairs(record: dict) -> list[tuple[int, complex | None]]:
+    """The (order, value) pairs of an eval or laurent record, one per CSV
+    row: the pole of a Laurent expansion has order -1, and an error has
+    one row at the requested order with no value."""
+    if "error" in record:
+        return [(record["inputs"]["order"], None)]
+    if record["command"] == "laurent":
+        return [(-1, record["pole_coeff"]), *enumerate(record["gammas"])]
+    if "jet" in record:
+        return list(enumerate(record["jet"]))
+    return [(0, record["value"])]
+
+
+def _csv_rows(record: dict) -> list[list]:
+    """The CSV rows of a record: one for a verify pair, one per (order,
+    value) pair for eval and laurent."""
+    if "error" in record:
+        status = "ERROR:" + record["error"]["code"]
+    else:
+        status = record["status"]
+    if record["command"] == "verify":
+        return [[
+            "verify", record["identity"], *_re_im(record["s"]),
+            *_re_im(record["alpha"]), record["r"],
+            *_re_im(record.get("lhs")), *_re_im(record.get("rhs")),
+            _fmt17(record.get("abs_residual")), _fmt17(record.get("rel_residual")),
+            status,
+        ]]
+    inputs = record["inputs"]
+    head = [record["command"], *_re_im(inputs.get("s")), *_re_im(inputs["alpha"])]
+    tail = [_fmt17(record.get("err_estimate")), record.get("k_used"),
+            record.get("terms_used"), status]
+    return [head + [order, *_re_im(value)] + tail
+            for order, value in _coeff_pairs(record)]
+
+
+def _render(fmt: str, command: str, records: list[dict]) -> None:
+    """Print records as JSON Lines, or as CSV rows under the command's
+    header; in CSV the verify summary goes to stderr as a comment."""
+    if fmt == "json":
+        for record in records:
+            print(json.dumps(record, default=lambda z: {"re": z.real, "im": z.imag},
+                             separators=(", ", ": ")))
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(_VERIFY_CSV_HEADER if command == "verify" else _COEFF_CSV_HEADER)
+    for record in records:
+        if record.get("summary"):
+            print(f"# max_rel_residual={_fmt17(record['max_rel_residual'])} "
+                  f"failures={record['failures']} errors={record['errors']}",
+                  file=sys.stderr)
+        else:
+            writer.writerows(_csv_rows(record))
 
 
 def build_parser() -> _Parser:
@@ -406,15 +352,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command == "verify" and args.grid != "default":
-        if not os.path.exists(args.grid):
-            print(f"error: grid file not found: {args.grid}", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        return args.func(args)
+        records, code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _render(args.format, args.command, records)
+    return code
 
 
 if __name__ == "__main__":

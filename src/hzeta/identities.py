@@ -129,8 +129,10 @@ def verify_identity(
     differences in alpha, rhs from the closed form.  The name must be one
     of IDENTITY_NAMES."""
     p = p or DEFAULT_PARAMS
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(
+            f"finite-difference step h must be a positive finite number, got {h!r}"
+        )
     key = name.upper()
     if key not in IDENTITY_NAMES:
         raise ValueError(

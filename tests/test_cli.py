@@ -9,6 +9,7 @@ import pytest
 
 from hzeta import cli
 from hzeta.errors import SingularJet
+from hzeta.identities import verify_identity
 
 CLI = [sys.executable, "-m", "hzeta"]
 
@@ -26,6 +27,21 @@ def run_cli(*args, env_extra=None):
 
 def json_lines(stdout):
     return [json.loads(line) for line in stdout.strip().splitlines()]
+
+
+def run_main(monkeypatch, capsys, *args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def grid_file(tmp_path, points):
+    path = tmp_path / "grid.csv"
+    lines = ["s_re,s_im,alpha_re,alpha_im,r", *points]
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
 
 
 class TestEval:
@@ -93,12 +109,19 @@ class TestEval:
         assert run_cli("eval", "--s", "nope", "--alpha", "1").returncode == 1
         assert run_cli("eval", "--s", "1,2,3", "--alpha", "1").returncode == 1
         assert run_cli("eval", "--alpha", "1").returncode == 1
+        assert run_cli("eval", "--s", "2", "--alpha", "inf").returncode == 1
         assert run_cli("nonsense").returncode == 1
 
     def test_near_excluded_warning(self):
         proc = run_cli("eval", "--s", "2", "--alpha", "0.0005")
         assert proc.returncode == 0
         assert "ill-conditioned" in proc.stderr
+
+    def test_near_excluded_warning_far_from_origin(self):
+        # the head at k = 151 holds the base 100 + alpha = -0.0005
+        proc = run_cli("eval", "--s", "2", "--alpha=-100.0005")
+        assert proc.returncode == 0
+        assert "excluded point -100;" in proc.stderr
 
     def test_deterministic_roundtrip(self):
         first = run_cli("eval", "--s", "1.7,0.3", "--alpha", "2.4,-1", "--order", "1")
@@ -205,6 +228,44 @@ class TestVerify:
     def test_missing_grid_file(self):
         proc = run_cli("verify", "--identity", "at_zero", "--grid", "no_such.csv")
         assert proc.returncode == 1
+        assert "no_such.csv" in proc.stderr
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_bad_step_names_h(self, h):
+        proc = run_cli("verify", "--identity", "at_zero", "--h", h)
+        assert proc.returncode == 1
+        assert "step h must be a positive finite number" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_csv_error_rows(self, tmp_path):
+        grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "2,0,-1,0,0"])
+        proc = run_cli("verify", "--identity", "recurrence", "--grid", grid,
+                       "--format", "csv")
+        assert proc.returncode == 2
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [row["status"] for row in rows] == ["OK", "ERROR:DOMAIN_ERROR"]
+        assert rows[1]["alpha_re"] == "-1"
+        for col in ("lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_residual",
+                    "rel_residual"):
+            assert rows[0][col] != "" and rows[1][col] == ""
+        assert "errors=1" in proc.stderr
+
+    def test_all_calls_verify_identity_once_per_pair(self, tmp_path, monkeypatch,
+                                                      capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:4])
+            return verify_identity(*args, **kwargs)
+
+        grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "-0.5,2,1.3,0.4,0"])
+        monkeypatch.setattr(cli, "verify_identity", counting)
+        code, out, _ = run_main(monkeypatch, capsys, "verify", "--identity", "all",
+                                "--grid", grid)
+        assert code == 0
+        records = json_lines(out)
+        assert len(calls) == 6 * 2 == len(set(calls))
+        assert len(records) - 1 == records[-1]["points"] == len(calls)
 
     def test_bad_grid_columns(self, tmp_path):
         grid = tmp_path / "bad.csv"
@@ -246,3 +307,98 @@ class TestVerify:
         records = json_lines(capsys.readouterr().out)
         assert records[0]["error"]["code"] == "DOMAIN_ERROR"
         assert records[-1]["errors"] == len(records) - 1
+
+
+class TestRecordFormat:
+    """Key order of the JSON records, the CSV headers, and CSV cells that
+    carry the same numbers as the JSON fields."""
+
+    COEFF_HEADER = ("command,s_re,s_im,alpha_re,alpha_im,order,value_re,value_im,"
+                    "err,k,terms,status")
+    VERIFY_HEADER = ("command,identity,s_re,s_im,alpha_re,alpha_im,r,lhs_re,lhs_im,"
+                     "rhs_re,rhs_im,abs_residual,rel_residual,status")
+
+    def test_eval_keys(self, monkeypatch, capsys):
+        diagnostics = ["err_estimate", "k_used", "terms_used", "status"]
+        _, out, _ = run_main(monkeypatch, capsys, "eval", "--s", "2", "--alpha", "1")
+        rec = json_lines(out)[0]
+        assert list(rec) == ["command", "inputs", "value"] + diagnostics
+        assert list(rec["inputs"]) == ["s", "alpha", "order", "k", "tol", "nmax"]
+        assert list(rec["value"]) == ["re", "im"]
+        _, out, _ = run_main(monkeypatch, capsys, "eval", "--s", "2", "--alpha", "1",
+                             "--order", "2")
+        assert list(json_lines(out)[0]) == ["command", "inputs", "jet"] + diagnostics
+        _, out, _ = run_main(monkeypatch, capsys, "eval", "--s", "1", "--alpha", "0.5")
+        rec = json_lines(out)[0]
+        assert list(rec) == ["command", "inputs", "status", "error"]
+        assert list(rec["error"]) == ["code", "message"]
+
+    def test_laurent_keys(self, monkeypatch, capsys):
+        _, out, _ = run_main(monkeypatch, capsys, "laurent", "--alpha", "0.5")
+        rec = json_lines(out)[0]
+        assert list(rec) == ["command", "inputs", "pole_coeff", "gammas", "status"]
+        assert list(rec["inputs"]) == ["alpha", "order"]
+        _, out, _ = run_main(monkeypatch, capsys, "laurent", "--alpha", "-1")
+        assert list(json_lines(out)[0]) == ["command", "inputs", "status", "error"]
+
+    def test_verify_keys(self, tmp_path, monkeypatch, capsys):
+        grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "2,0,-1,0,0"])
+        _, out, _ = run_main(monkeypatch, capsys, "verify", "--identity", "recurrence",
+                             "--grid", grid)
+        pair, error, summary = json_lines(out)
+        head = ["command", "identity", "s", "alpha", "r"]
+        assert list(pair) == head + ["lhs", "rhs", "abs_residual", "rel_residual",
+                                     "status"]
+        assert list(error) == head + ["status", "error"]
+        assert list(summary) == ["command", "summary", "points", "failures", "errors",
+                                 "max_rel_residual"]
+
+    @pytest.mark.parametrize("args, header", [
+        (("eval", "--s", "2", "--alpha", "1"), COEFF_HEADER),
+        (("eval", "--s", "1", "--alpha", "1"), COEFF_HEADER),
+        (("laurent", "--alpha", "1"), COEFF_HEADER),
+        (("verify", "--identity", "at_zero", "--h", "1e-3"), VERIFY_HEADER),
+    ])
+    def test_csv_headers(self, args, header, monkeypatch, capsys):
+        _, out, _ = run_main(monkeypatch, capsys, *args, "--format", "csv")
+        assert out.splitlines()[0] == header
+
+    def test_laurent_csv_json_agree(self, monkeypatch, capsys):
+        args = ("laurent", "--alpha", "0.5,0.25", "--order", "3")
+        _, out, _ = run_main(monkeypatch, capsys, *args)
+        rec = json_lines(out)[0]
+        _, out, _ = run_main(monkeypatch, capsys, *args, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        values = [rec["pole_coeff"]] + rec["gammas"]
+        assert [int(row["order"]) for row in rows] == list(range(-1, 4))
+        for row, value in zip(rows, values):
+            assert float(row["value_re"]) == value["re"]
+            assert float(row["value_im"]) == value["im"]
+            assert float(row["alpha_re"]) == rec["inputs"]["alpha"]["re"]
+            assert float(row["alpha_im"]) == rec["inputs"]["alpha"]["im"]
+            assert row["s_re"] == row["s_im"] == row["err"] == ""
+            assert row["status"] == rec["status"]
+
+    def test_verify_csv_json_agree(self, tmp_path, monkeypatch, capsys):
+        grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "-0.5,2,1.3,0.4,2", "2,0,-1,0,0"])
+        args = ("verify", "--identity", "recurrence", "--grid", grid)
+        _, out, _ = run_main(monkeypatch, capsys, *args)
+        records = json_lines(out)[:-1]
+        _, out, err = run_main(monkeypatch, capsys, *args, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == len(records) == 3
+        for row, rec in zip(rows, records):
+            assert row["identity"] == rec["identity"]
+            assert int(row["r"]) == rec["r"]
+            for key in ("s", "alpha", "lhs", "rhs"):
+                if key in rec:
+                    assert float(row[key + "_re"]) == rec[key]["re"]
+                    assert float(row[key + "_im"]) == rec[key]["im"]
+            for key in ("abs_residual", "rel_residual"):
+                if key in rec:
+                    assert float(row[key]) == rec[key]
+            if "error" in rec:
+                assert row["status"] == "ERROR:" + rec["error"]["code"]
+            else:
+                assert row["status"] == rec["status"]
+        assert err.startswith("# max_rel_residual=")

@@ -103,8 +103,9 @@ class TestVerifyIdentity:
             verify_identity("BOGUS", 2.0, 0.5, 1)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            verify_identity("RECURRENCE", 2.0, 0.5, 1, h=0.0)
+        for h in (0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step h must be a positive finite"):
+                verify_identity("RECURRENCE", 2.0, 0.5, 1, h=h)
 
     def test_report_fields(self):
         rep = verify_identity("GAMMA_DERIV", 0.0, 0.5, 1)

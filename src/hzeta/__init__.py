@@ -33,13 +33,12 @@ from .stieltjes import (
     dgamma_dalpha,
     generalized_stieltjes,
     generating_series_at_zero,
+    stieltjes_constants,
 )
 from .zetacore import (
     EulerMaclaurinParams,
-    StieltjesTable,
     regularized_tail_jet,
     riemann_zeta_jet,
-    stieltjes_constants,
     zeta_tail_jet,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "PoleAtOne",
     "SeriesParams",
     "SingularJet",
-    "StieltjesTable",
     "choose_k",
     "convergence_bound",
     "dalpha_of_sderiv",

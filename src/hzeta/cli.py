@@ -216,6 +216,7 @@ def cmd_verify(args) -> tuple[list[dict], int]:
 
     records = []
     max_residual = 0.0
+    error_exit = None  # the exit code of the first errored pair
     for name in names:
         for s, alpha, r in _default_grid(name) if points is None else points:
             head = {"command": "verify", "identity": name, "s": s, "alpha": alpha,
@@ -223,7 +224,9 @@ def cmd_verify(args) -> tuple[list[dict], int]:
             try:
                 rep = verify_identity(name, s, alpha, r, h=args.h)
             except HZetaError as exc:
-                records.append(_error_record(head, exc)[0])
+                record, code = _error_record(head, exc)
+                records.append(record)
+                error_exit = error_exit or code
                 continue
             max_residual = max(max_residual, rep.rel_residual)
             records.append({
@@ -237,8 +240,8 @@ def cmd_verify(args) -> tuple[list[dict], int]:
         "command": "verify", "summary": True, "points": len(statuses),
         "failures": failures, "errors": errors, "max_rel_residual": max_residual,
     })
-    if errors:
-        return records, EXIT_DOMAIN
+    if error_exit:
+        return records, error_exit
     return records, EXIT_OK if failures == 0 else EXIT_NONCONVERGENCE
 
 

@@ -36,7 +36,7 @@ from .errors import (
     Nonconvergence,
     PoleAtOne,
 )
-from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite
+from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite, times_linear
 from .zetacore import DEFAULT_EM, EulerMaclaurinParams, PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
@@ -58,8 +58,8 @@ class SeriesParams(Record):
             raise ValueError("k must be >= 1")
         if n_max < 8:
             raise ValueError("n_max must be >= 8")
-        if not (tol > 0):
-            raise ValueError("tol must be positive")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be a positive finite number, got {tol!r}")
         self._init(k, n_max, tol, em)
 
 
@@ -120,18 +120,17 @@ class _Series:
     shift k."""
 
     __slots__ = (
-        "s0", "alpha", "k", "p", "s_jet", "factor", "pole_scale", "acc", "a_n",
+        "s0", "alpha", "k", "p", "factor", "pole_scale", "acc", "a_n",
         "head_round", "err_cont", "terms", "small", "last_norm",
     )
 
     def __init__(
-        self, s0: complex, alpha, order: int, p: SeriesParams,
-        regularized: bool, minus_zeta: bool,
+        self, s0: complex, alpha, order: int, p: SeriesParams, regularized: bool
     ):
         alpha = require_finite(complex(alpha), "alpha")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        if not (regularized or minus_zeta):
+        if not regularized:
             if s0 == 1:
                 raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
             if abs(s0 - 1) < NEAR_POLE_RADIUS:
@@ -144,28 +143,23 @@ class _Series:
 
         s_jet = Jet.variable(s0, order)
         # every term of the regularized series carries the factor s - 1
-        factor = s_jet - 1.0 if regularized else None
+        factor = s0 - 1.0 if regularized else None
         acc = KahanJetSum(order)
         # (n + alpha)**-s takes its magnitude and its phase from products of
         # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
         # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
         # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
-        head = [(n + alpha, pow_negs(n + alpha, s_jet)) for n in range(k)]
-        if minus_zeta:
-            # zeta(s) = sum_{m < k} m**-s + zeta_k(s): its head is subtracted,
-            # and its tail cancels the n = 0 tail, which the driver skips
-            head += [(m, -pow_negs(m, s_jet)) for m in range(1, k)]
         head_round = 0.0
-        for base, term in head:
+        for n in range(k):
+            term = pow_negs(n + alpha, s_jet)
             if factor is not None:
-                term = factor * term
+                term = Jet(tuple(times_linear(factor, term.coeffs)))
             acc.add(term)
             head_round += term.norm() * (
-                4.0 + order + 3.0 * abs(s0) * abs(cmath.log(base))
+                4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
             )
 
         self.s0, self.alpha, self.k, self.p = s0, alpha, k, p
-        self.s_jet = s_jet
         self.factor = factor
         self.pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
         self.acc = acc
@@ -187,7 +181,7 @@ class _Series:
         self.terms = n
         term = a_n * b_k
         if self.factor is not None:
-            term = self.factor * term
+            term = Jet(tuple(times_linear(self.factor, term.coeffs)))
         if not (term.is_finite() and a_n.is_finite()):
             raise Nonconvergence(
                 f"coefficient recurrence overflowed at n={n} before the "
@@ -205,7 +199,8 @@ class _Series:
                 return True
         else:
             self.small = 0
-        self.a_n = (-self.alpha / (n + 1)) * (a_n * (self.s_jet + (n - 1)))
+        step, c0 = -self.alpha / (n + 1), self.s0 + (n - 1)
+        self.a_n = Jet(tuple(step * c for c in times_linear(c0, a_n.coeffs)))
         return False
 
     def result(self) -> EvalResult:
@@ -241,25 +236,25 @@ def _series_eval(
     order: int,
     p: SeriesParams,
     regularized: bool = False,
-    minus_zeta: bool = False,
 ) -> list:
-    """The one series driver: at one s0, the series for zeta(s, alpha),
-    for the entire (s - 1) zeta(s, alpha) when regularized, or for the
-    entire difference zeta(s, alpha) - zeta(s) when minus_zeta, for every
-    alpha of a batch.
+    """The one series driver: at one s0, the series for zeta(s, alpha), or
+    for the entire (s - 1) zeta(s, alpha) when regularized, for every
+    alpha of a batch.  Regularized at s0 = 1 it yields the Laurent
+    expansion there: coefficient 0 is the pole's residue and coefficient
+    r + 1 is gamma_r(alpha).
 
     Alphas are grouped by their shift k.  A group shares one PhaseTable
-    and one em_tail_jet call per tail: zeta_k(s0) for n = 0 (skipped by
-    minus_zeta) and B_k(s0 + n) for each series term n, until the last of
-    its alphas stops.  Since everything else is per alpha, each entry
-    equals that of a batch of one.  Returns, in input order, each
-    alpha's EvalResult or the exception its evaluation raised."""
+    and one em_tail_jet call per tail: zeta_k(s0) for n = 0 and
+    B_k(s0 + n) for each series term n, until the last of its alphas
+    stops.  Since everything else is per alpha, each entry equals that
+    of a batch of one.  Returns, in input order, each alpha's EvalResult
+    or the exception its evaluation raised."""
     s0 = require_finite(complex(s0), "s")
     outcomes = [None] * len(alphas)
     groups: dict[int, list] = {}
     for i, alpha in enumerate(alphas):
         try:
-            series = _Series(s0, alpha, order, p, regularized, minus_zeta)
+            series = _Series(s0, alpha, order, p, regularized)
         except _EVAL_ERRORS as exc:
             outcomes[i] = exc
         else:
@@ -269,12 +264,11 @@ def _series_eval(
         phases = PhaseTable(s0.imag, order)
         active = group
         try:
-            if not minus_zeta:
-                tail0, tail0_err = em_tail_jet(
-                    s0, k, order, p.em, regularized=regularized, phases=phases
-                )
-                for _, series in group:
-                    series.add_tail0(tail0, tail0_err)
+            tail0, tail0_err = em_tail_jet(
+                s0, k, order, p.em, regularized=regularized, phases=phases
+            )
+            for _, series in group:
+                series.add_tail0(tail0, tail0_err)
             for n in range(1, p.n_max + 1):
                 b_k, em_err = em_tail_jet(
                     s0 + n, k, order, p.em, regularized=True, phases=phases

@@ -27,6 +27,7 @@ from .hurwitz import (
     hurwitz_regularized_jet,
 )
 from .jets import require_finite
+from .stieltjes import _generalized_stieltjes_many, dgamma_dalpha, generalized_stieltjes
 
 _REGULARIZED_RADIUS = 1e-8
 
@@ -95,8 +96,6 @@ def dalpha_sderiv_at_zero(
         raise ValueError("derivative order must be >= 0")
     if r == 0:
         return complex(-1.0)
-    from .stieltjes import generalized_stieltjes
-
     table = generalized_stieltjes(alpha, r - 1, p)
     return -math.factorial(r) * table.gammas[r - 1]
 
@@ -111,8 +110,6 @@ def _fd_sderiv(s0: complex, alpha: complex, r: int, p: SeriesParams, h: float) -
 def _fd_gamma(alpha: complex, r: int, p: SeriesParams, h: float) -> complex:
     """Central difference in alpha of gamma_r(alpha), both sides from one
     batch."""
-    from .stieltjes import _generalized_stieltjes_many
-
     plus, minus = _generalized_stieltjes_many((alpha + h, alpha - h), r, p)
     return (plus.gammas[r] - minus.gammas[r]) / (2.0 * h)
 
@@ -163,8 +160,6 @@ def verify_identity(
             rhs = dalpha_of_sderiv(1.0, alpha, r, p)
             notes = f"r! * fd(h={h:g}) of gamma_{r}(alpha) vs defined value at s=1"
         else:  # GAMMA_DERIV
-            from .stieltjes import dgamma_dalpha
-
             lhs = _fd_gamma(alpha, r, p, h)
             rhs = dgamma_dalpha(alpha, r, p)
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"

@@ -10,8 +10,9 @@ j! to recover raw derivatives.
 All values are immutable and every operation is a pure function, so jets
 may be shared freely between threads.
 
-The arithmetic itself lives in two list kernels, ``mul_coeffs`` (the
-truncated product) and ``pow_neg_coeffs`` (a power base**(-w) along a
+The arithmetic itself lives in three list kernels, ``mul_coeffs`` (the
+truncated product), ``times_linear`` (the product by a linear jet
+c0 + h, in O(r)) and ``pow_neg_coeffs`` (a power base**(-w) along a
 jet), which work on plain sequences of complex coefficients.  ``Jet``
 and ``pow_negs`` wrap them; hot loops such as the Euler-Maclaurin tail
 call them directly and build a single ``Jet`` at the end.
@@ -182,6 +183,12 @@ def mul_coeffs(a, b) -> list[complex]:
     if len(a) == 1:
         return [a[0] * b[0]]
     return [sum(map(operator.mul, a[: i + 1], b[i::-1])) for i in range(len(a))]
+
+
+def times_linear(c0: complex, x) -> list[complex]:
+    """Coefficients of (c0 + h) * x in O(r): the product by the linear jet
+    [c0, 1, 0, ...], equal to mul_coeffs of the two."""
+    return [c0 * x[0], *(c0 * b + a for a, b in zip(x, x[1:]))]
 
 
 def _exp_coeffs(e0: complex, a) -> list[complex]:

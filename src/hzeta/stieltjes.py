@@ -4,18 +4,22 @@ gamma_r(alpha) are the plain Laurent coefficients
 
     zeta(s, alpha) = 1/(s-1) + sum_{r >= 0} gamma_r(alpha) (s-1)**r
 
-assembled as gamma_r + (1/r!) D_r, where D_r is the r-th raw derivative
-at s = 1 of the entire difference zeta(s, alpha) - zeta(s).  The
-difference is summed termwise (head minus integer head plus the shifted
-series tail), never as a subtraction of two near-pole values, so no
-cancellation with the pole occurs.
+read off the jet at s = 1 of the entire function (s-1) zeta(s, alpha),
+which the regularized series evaluates with no pole in sight:
 
-The same coefficients reappear as the Taylor coefficients of
-s zeta(s+1, alpha) = 1 + sum_{r >= 1} gamma_{r-1}(alpha) s**r at s = 0;
-generating_series_at_zero exposes that second route.
+    (s-1) zeta(s, alpha) = 1 + sum_{r >= 0} gamma_r(alpha) (s-1)**(r+1).
+
+Its coefficient 0 is the pole's residue, computed rather than assumed,
+and coefficient r + 1 is gamma_r(alpha).  Shifting by one variable, the
+same coefficients are the Taylor coefficients of s zeta(s+1, alpha) at
+s = 0, the paper's closing power series; generating_series_at_zero
+returns them in that form.  The classical constants gamma_r = gamma_r(1)
+come from the Euler-Maclaurin tail at w = 1 alone.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ._record import Record
 from .hurwitz import (
@@ -26,9 +30,10 @@ from .hurwitz import (
     hurwitz_jet,
     hurwitz_regularized_jet,
 )
-from .zetacore import stieltjes_constants
+from .zetacore import DEFAULT_EM, EulerMaclaurinParams, em_tail_jet
 
 MAX_GENERALIZED_ORDER = 12
+_STIELTJES_MAX = 20
 
 
 class LaurentExpansion(Record):
@@ -51,39 +56,56 @@ class LaurentExpansion(Record):
         return out
 
 
+def _expansion(alpha: complex, coeffs, r_max: int) -> LaurentExpansion:
+    """The Laurent expansion held by the coefficients of (s-1) zeta(s, alpha)
+    at s = 1, up to gamma_R."""
+    return LaurentExpansion(
+        pole_coeff=coeffs[0], gammas=tuple(coeffs[1 : r_max + 2]),
+        alpha=complex(alpha), order=r_max,
+    )
+
+
 def _generalized_stieltjes_many(
     alphas, r_max: int, p: SeriesParams
 ) -> list[LaurentExpansion]:
     """generalized_stieltjes for a sequence of alphas, each equal to its
-    solo call.  The difference series and the pole evaluations at s = 1
-    each run as one batch, so alphas with the same shift share their
-    tails.  When several alphas fail, the first one in input order raises
-    what its solo call raises."""
+    solo call: one regularized batch at s = 1, in which alphas with the
+    same shift share their tails.  When several alphas fail, the first
+    one in input order raises what its solo call raises."""
     if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
         raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
-    classical = stieltjes_constants(r_max, p.em).gammas
-    # zeta(s, alpha) - zeta(s) is entire; its jet at s = 1 holds D_r / r!
-    diffs = _series_eval(1.0, alphas, r_max, p, minus_zeta=True)
-    poles = _series_eval(1.0, alphas, 0, p, regularized=True)
-    out = []
-    for alpha, diff, pole in zip(alphas, diffs, poles):
-        diff, pole = _first_failure([diff, pole])
-        gammas = tuple(classical[r] + diff.value.coeffs[r] for r in range(r_max + 1))
-        out.append(LaurentExpansion(
-            pole_coeff=pole.value.value, gammas=gammas, alpha=complex(alpha), order=r_max
-        ))
-    return out
+    outcomes = _series_eval(1.0, alphas, r_max + 1, p, regularized=True)
+    return [
+        _expansion(alpha, res.value.coeffs, r_max)
+        for alpha, res in zip(alphas, _first_failure(outcomes))
+    ]
 
 
 def generalized_stieltjes(
     alpha: complex, r_max: int, p: SeriesParams | None = None
 ) -> LaurentExpansion:
-    """gamma_0(alpha) .. gamma_R(alpha) via the difference route at s = 1.
-
-    The pole coefficient is computed, not assumed: it is the value of the
-    entire function (s-1) zeta(s, alpha) at s = 1.
-    """
+    """gamma_0(alpha) .. gamma_R(alpha), and the pole coefficient, from the
+    jet of (s-1) zeta(s, alpha) at s = 1."""
     return _generalized_stieltjes_many((alpha,), r_max, p or DEFAULT_PARAMS)[0]
+
+
+@lru_cache(maxsize=8)
+def _stieltjes_cached(p: EulerMaclaurinParams) -> tuple[complex, ...]:
+    # One fixed-order evaluation per parameter set; slicing it keeps the
+    # prefix of lower-R requests bitwise stable.
+    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, p, regularized=True)[0].coeffs
+
+
+def stieltjes_constants(
+    r_max: int, p: EulerMaclaurinParams | None = None
+) -> LaurentExpansion:
+    """Classical Stieltjes constants gamma_0 .. gamma_R, the expansion at
+    alpha = 1, from the jet of (w-1) zeta(w) at w = 1.  They are plain
+    Laurent coefficients: gamma_1 carries the opposite sign of the
+    (-1)**r/r! normalized tables."""
+    if not 0 <= r_max <= _STIELTJES_MAX:
+        raise ValueError(f"R must be in 0..{_STIELTJES_MAX} for binary64 accuracy")
+    return _expansion(1.0, _stieltjes_cached(p or DEFAULT_EM), r_max)
 
 
 def generating_series_at_zero(
@@ -92,11 +114,9 @@ def generating_series_at_zero(
     """Taylor coefficients of the entire function s zeta(s+1, alpha) at
     s = 0, up to order R+1.  Coefficient 0 is 1 and coefficient r equals
     gamma_{r-1}(alpha) for r >= 1."""
-    p = p or DEFAULT_PARAMS
     if r_max < 0:
         raise ValueError("R must be >= 0")
-    res = hurwitz_regularized_jet(1.0, alpha, r_max + 1, p)
-    return list(res.value.coeffs)
+    return list(hurwitz_regularized_jet(1.0, alpha, r_max + 1, p).value.coeffs)
 
 
 def dgamma_dalpha(

@@ -14,9 +14,10 @@ boundaries keep the summands small, which is what limits accuracy at
 negative Re w, while the prediction keeps the asymptotic truncation
 under control at large |Im w|.
 
-The regularized variant multiplies through by (w - 1), turning the pole
-term into plain M**(1-w); every summand is then an entire function of w
-and the formula is valid at w = 1 itself.
+The regularized variant multiplies through by (w - 1), in O(r) by
+jets.times_linear, turning the pole term into plain M**(1-w); every
+summand is then an entire function of w and the formula is valid at
+w = 1 itself.
 
 em_tail_jet works on plain lists of Taylor coefficients in w and wraps
 the result in a Jet only when it returns.  Its integer powers split as
@@ -42,12 +43,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul
 
 from ._record import Record
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
-from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite
+from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
 
 # Bernoulli numbers B_2 .. B_30, exact rationals fixed at build time.
 _BERNOULLI_EVEN = {
@@ -96,20 +96,6 @@ class EulerMaclaurinParams(Record):
 
 
 DEFAULT_EM = EulerMaclaurinParams()
-
-
-class StieltjesTable(Record):
-    """Laurent coefficients gamma_0 .. gamma_R of zeta at s = 1,
-    in the plain-coefficient convention zeta(s) = 1/(s-1) + sum gamma_r (s-1)**r."""
-
-    __slots__ = ("gammas",)
-
-    def __init__(self, gammas: tuple[complex, ...]):
-        self._init(gammas)
-
-    @property
-    def order(self) -> int:
-        return len(self.gammas) - 1
 
 
 def _poch_magnitude(w0: complex, depth: int, order: int) -> float:
@@ -253,9 +239,7 @@ def em_tail_jet(
         )
 
     boundary = choose_boundary(w0, start, order, p)
-    # w and w - 1 as linear jets: [w0, 1, 0, ...]
-    w = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
-    wm1 = [w0 - 1.0] + w[1:]
+    wm1 = w0 - 1.0
 
     # m**-w = m**-Re(w) * row m, for m = start..boundary
     cols = phases.columns(start, boundary + 1)
@@ -263,7 +247,7 @@ def em_tail_jet(
     try:
         mags = [float(m) ** -sigma for m in range(start, boundary)]
         edge_mag = float(boundary) ** -sigma
-        pole_mag = float(boundary) ** -wm1[0].real
+        pole_mag = float(boundary) ** -wm1.real
     except OverflowError:
         raise DomainError(
             f"a power m**-w with m <= {boundary} overflows binary64 at w={w0!r}"
@@ -279,21 +263,21 @@ def em_tail_jet(
     edge = [col[-1] for col in cols]
     pole = [pole_mag * c for c in edge]
     if regularized:
-        total = list(map(add, mul_coeffs(wm1, total), pole))
+        total = list(map(add, times_linear(wm1, total), pole))
     else:
         # 1/(w - 1) by the reciprocal recurrence of a linear jet
-        recip = [1.0 / wm1[0]]
+        recip = [1.0 / wm1]
         for _ in range(order):
-            recip.append(-recip[-1] / wm1[0])
+            recip.append(-recip[-1] / wm1)
         total = list(map(add, total, mul_coeffs(pole, recip)))
     corr_base = [edge_mag * c for c in edge]
     if regularized:
-        corr_base = mul_coeffs(wm1, corr_base)
+        corr_base = times_linear(wm1, corr_base)
     peak = max(peak, max(map(abs, total)))
     total = list(map(add, total, [0.5 * c for c in corr_base]))
 
     # sum_j c_j (w)_{2j-1} with c_j = B_2j/(2j)! M**(1-2j), times M**-w once
-    poch = w
+    poch = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     corr = [0j] * (order + 1)
     for j in range(1, p.bernoulli_depth + 1):
         if j > 1:
@@ -351,26 +335,3 @@ def regularized_tail_jet(
     w0 = 1 included."""
     jet, _ = em_tail_jet(w0, k, order, p, regularized=True)
     return jet
-
-
-_STIELTJES_MAX = 20
-
-
-@lru_cache(maxsize=8)
-def _stieltjes_cached(p: EulerMaclaurinParams) -> tuple[complex, ...]:
-    # One fixed-order evaluation per parameter set; slicing it keeps the
-    # prefix of lower-R requests bitwise stable.
-    jet, _ = em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, p, regularized=True)
-    # (w-1)*zeta(w) = 1 + sum_r gamma_r (w-1)**(r+1)
-    return tuple(jet.coeffs[r + 1] for r in range(_STIELTJES_MAX + 1))
-
-
-def stieltjes_constants(
-    r_max: int, p: EulerMaclaurinParams | None = None
-) -> StieltjesTable:
-    """Classical Stieltjes constants gamma_0 .. gamma_R as plain Laurent
-    coefficients of zeta at s = 1 (gamma_1 carries the opposite sign of
-    the (-1)**r/r! normalized tables)."""
-    if not 0 <= r_max <= _STIELTJES_MAX:
-        raise ValueError(f"R must be in 0..{_STIELTJES_MAX} for binary64 accuracy")
-    return StieltjesTable(_stieltjes_cached(p or DEFAULT_EM)[: r_max + 1])

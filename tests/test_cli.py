@@ -160,6 +160,15 @@ class TestEval:
         rec = json_lines(proc.stdout)[0]
         assert rec["inputs"]["tol"] == 1e-6
 
+    @pytest.mark.parametrize("command", [("eval", "--s", "2"), ("laurent",)])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tol(self, monkeypatch, capsys, command, value):
+        code, out, err = run_main(monkeypatch, capsys, *command, "--alpha", "0.5",
+                                  f"--tol={value}")
+        assert code == cli.EXIT_USAGE
+        assert f"tol must be a positive finite number, got {value}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("value", ["1e-6x", "-1e-6", "0", "nan", "inf"])
     def test_env_tol_malformed(self, value):
         proc = run_cli(
@@ -249,6 +258,16 @@ class TestVerify:
                     "rel_residual"):
             assert rows[0][col] != "" and rows[1][col] == ""
         assert "errors=1" in proc.stderr
+
+    def test_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the boundary search gives up at |Im s| = 4e5, as eval does there
+        grid = grid_file(tmp_path, ["0.5,400000,1,0,0"])
+        code, out, _ = run_main(monkeypatch, capsys, "verify", "--identity",
+                                "recurrence", "--grid", grid)
+        assert code == cli.EXIT_NONCONVERGENCE
+        record, summary = json_lines(out)
+        assert record["error"]["code"] == "NONCONVERGENCE"
+        assert summary["errors"] == 1
 
     def test_all_calls_verify_identity_once_per_pair(self, tmp_path, monkeypatch,
                                                       capsys):

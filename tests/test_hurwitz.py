@@ -134,6 +134,10 @@ class TestErrors:
             SeriesParams(n_max=4)
         with pytest.raises(ValueError):
             SeriesParams(tol=0.0)
+        with pytest.raises(ValueError, match="tol must be a positive finite number, got inf"):
+            SeriesParams(tol=math.inf)
+        with pytest.raises(ValueError, match="tol must be a positive finite number, got nan"):
+            SeriesParams(tol=math.nan)
         with pytest.raises(ValueError):
             SeriesParams(k=0)
 

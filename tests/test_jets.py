@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hzeta import Jet, SingularJet, jet_exp, pochhammer_jet, pow_negs
 from hzeta.errors import DomainError
+from hzeta.jets import mul_coeffs, times_linear
 
 from conftest import assert_close, naive_pow
 
@@ -84,7 +85,7 @@ class TestArithmetic:
 
 class TestKernelPins:
     """Jet.__mul__ and pow_negs at orders 0 and 12 on cases worked out by
-    hand."""
+    hand, and times_linear against the full product it replaces."""
 
     def test_mul_order0(self):
         assert (Jet((2 + 1j,)) * Jet((3 - 1j,))).coeffs == (7 + 1j,)
@@ -104,6 +105,19 @@ class TestKernelPins:
         assert (one_plus * one_minus).coeffs == (1, 0, -1) + (0,) * 10
         h6 = Jet((0,) * 6 + (1,) + (0,) * 6)
         assert (h6 * h6).coeffs == (0,) * 12 + (1,)
+
+    @pytest.mark.parametrize("order", [0, 1, 12])
+    @pytest.mark.parametrize("c0", [2 - 0.5j, -0.0 - 0.0j, complex(0.0, -0.0), -3.25])
+    def test_times_linear_is_the_linear_product(self, order, c0):
+        linear = [c0] + [1] * min(order, 1) + [0] * (order - 1)
+        xs = (
+            [complex(k - 6, 0.5 * k) for k in range(order + 1)],
+            [complex(-0.0, -0.0)] * (order + 1),
+            [complex((-1) ** k * 0.0, -(k % 3)) for k in range(order + 1)],
+        )
+        for x in xs:
+            assert times_linear(c0, x) == mul_coeffs(linear, x), x
+            assert times_linear(c0, tuple(x)) == mul_coeffs(linear, x), x
 
     def test_pow_negs_order0(self):
         assert pow_negs(2, Jet.variable(2.0, 0)).coeffs == (0.25,)

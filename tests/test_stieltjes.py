@@ -7,6 +7,7 @@ import hzeta.hurwitz
 import hzeta.stieltjes
 from hzeta import (
     DomainError,
+    LaurentExpansion,
     Nonconvergence,
     dgamma_dalpha,
     generalized_stieltjes,
@@ -26,6 +27,9 @@ class TestGeneralizedStieltjes:
     def test_alpha_one_matches_classical(self):
         table = stieltjes_constants(6)
         expansion = generalized_stieltjes(1.0, 6)
+        assert isinstance(table, LaurentExpansion)
+        assert (table.alpha, table.order, len(table.gammas)) == (1, 6, 7)
+        assert abs(table.pole_coeff - 1.0) < 1e-15
         for r in range(7):
             assert_close(
                 expansion.gammas[r], table.gammas[r], 1e-12, label=f"r={r}"
@@ -132,7 +136,7 @@ class TestGeneratingSeries:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_two_routes_agree(self, alpha):
         # Taylor coefficients of s*zeta(s+1,alpha) at 0 against the
-        # Laurent coefficients from the difference route at s = 1
+        # Laurent coefficients at s = 1
         r_max = 5
         series = generating_series_at_zero(alpha, r_max)
         laurent = generalized_stieltjes(alpha, r_max)

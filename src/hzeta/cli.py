@@ -213,27 +213,40 @@ def cmd_verify(args) -> tuple[list[dict], int]:
         name = args.identity.upper()
         names = ["MIXED_PARTIALS" if name == "MIXED" else name]
     points = None if args.grid == "default" else _load_grid(args.grid)
+    pairs = [(name, point) for name in names
+             for point in (_default_grid(name) if points is None else points)]
+
+    # Run the pairs point by point, so that the identities of one point share
+    # its evaluations (see identities._point); report them identity by identity.
+    first: dict[tuple, int] = {}  # each point's first pair
+    for i, (_, point) in enumerate(pairs):
+        first.setdefault(point, i)
+    outcomes = [None] * len(pairs)
+    for i in sorted(range(len(pairs)), key=lambda i: first[pairs[i][1]]):
+        name, (s, alpha, r) = pairs[i]
+        try:
+            outcomes[i] = verify_identity(name, s, alpha, r, h=args.h)
+        except (HZetaError, ValueError) as exc:
+            outcomes[i] = exc
 
     records = []
     max_residual = 0.0
     error_exit = None  # the exit code of the first errored pair
-    for name in names:
-        for s, alpha, r in _default_grid(name) if points is None else points:
-            head = {"command": "verify", "identity": name, "s": s, "alpha": alpha,
-                    "r": r}
-            try:
-                rep = verify_identity(name, s, alpha, r, h=args.h)
-            except HZetaError as exc:
-                record, code = _error_record(head, exc)
-                records.append(record)
-                error_exit = error_exit or code
-                continue
-            max_residual = max(max_residual, rep.rel_residual)
-            records.append({
-                **head, "lhs": rep.lhs, "rhs": rep.rhs,
-                "abs_residual": rep.abs_residual, "rel_residual": rep.rel_residual,
-                "status": "OK" if rep.rel_residual <= _VERIFY_TOL else "FAIL",
-            })
+    for (name, (s, alpha, r)), rep in zip(pairs, outcomes):
+        if isinstance(rep, ValueError):
+            raise rep
+        head = {"command": "verify", "identity": name, "s": s, "alpha": alpha, "r": r}
+        if isinstance(rep, HZetaError):
+            record, code = _error_record(head, rep)
+            records.append(record)
+            error_exit = error_exit or code
+            continue
+        max_residual = max(max_residual, rep.rel_residual)
+        records.append({
+            **head, "lhs": rep.lhs, "rhs": rep.rhs,
+            "abs_residual": rep.abs_residual, "rel_residual": rep.rel_residual,
+            "status": "OK" if rep.rel_residual <= _VERIFY_TOL else "FAIL",
+        })
     statuses = [record["status"] for record in records]
     failures, errors = statuses.count("FAIL"), statuses.count("ERROR")
     records.append({

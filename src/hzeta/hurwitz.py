@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 
 from ._record import Record
 from .errors import (
@@ -230,12 +231,27 @@ class _Series:
 _EVAL_ERRORS = (HZetaError, ValueError, ArithmeticError)
 
 
+def _exact(z: complex) -> tuple:
+    """z as a dict key that tells -0.0 from 0.0, which == does not."""
+    return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def _memo_tail(tails: dict, w0: complex, k: int, order: int, em: EulerMaclaurinParams,
+               regularized: bool, phases: PhaseTable) -> tuple[Jet, float]:
+    key = (_exact(w0), k, order, regularized)
+    tail = tails.get(key)
+    if tail is None:
+        tail = tails[key] = em_tail_jet(w0, k, order, em, regularized, phases=phases)
+    return tail
+
+
 def _series_eval(
     s0: complex,
     alphas,
     order: int,
     p: SeriesParams,
     regularized: bool = False,
+    tails: dict | None = None,
 ) -> list:
     """The one series driver: at one s0, the series for zeta(s, alpha), or
     for the entire (s - 1) zeta(s, alpha) when regularized, for every
@@ -248,8 +264,15 @@ def _series_eval(
     B_k(s0 + n) for each series term n, until the last of its alphas
     stops.  Since everything else is per alpha, each entry equals that
     of a batch of one.  Returns, in input order, each alpha's EvalResult
-    or the exception its evaluation raised."""
+    or the exception its evaluation raised.
+
+    A memo tails (one per EulerMaclaurinParams) keeps every tail, keyed by
+    (w0, k, order, regularized) with w0 exact to the sign of a zero, and
+    serves it again: evaluations that share a memo share their tails
+    bitwise, as B_k(s0 + 1 + n) at s0 + 1 is term n + 1 at s0."""
     s0 = require_finite(complex(s0), "s")
+    # a lone evaluation never asks for a tail twice: a memo would only cost
+    tail = em_tail_jet if tails is None else partial(_memo_tail, tails)
     outcomes = [None] * len(alphas)
     groups: dict[int, list] = {}
     for i, alpha in enumerate(alphas):
@@ -264,15 +287,11 @@ def _series_eval(
         phases = PhaseTable(s0.imag, order)
         active = group
         try:
-            tail0, tail0_err = em_tail_jet(
-                s0, k, order, p.em, regularized=regularized, phases=phases
-            )
+            tail0, tail0_err = tail(s0, k, order, p.em, regularized, phases=phases)
             for _, series in group:
                 series.add_tail0(tail0, tail0_err)
             for n in range(1, p.n_max + 1):
-                b_k, em_err = em_tail_jet(
-                    s0 + n, k, order, p.em, regularized=True, phases=phases
-                )
+                b_k, em_err = tail(s0 + n, k, order, p.em, True, phases=phases)
                 running = []
                 for i, series in active:
                     try:
@@ -337,27 +356,22 @@ def hurwitz_regularized_jet(
     return _first_failure(outcomes)[0]
 
 
-def hurwitz_alpha_derivative(
-    s0: complex,
-    alpha: complex,
-    m: int,
-    r: int = 0,
-    p: SeriesParams | None = None,
-) -> EvalResult:
-    """Order-r jet (in s) of the m-th alpha-derivative of zeta(s, alpha),
-    computed analytically as (-1)**m s(s+1)...(s+m-1) zeta(s+m, alpha)."""
+def _public_jet(alpha: complex, r: int, p: SeriesParams | None):
+    """jet(w0, regularized=False): the order-r EvalResult at w0 of zeta(w, alpha),
+    or of (w - 1) zeta(w, alpha), the closed forms' evaluations outside verify."""
+    return lambda w0, regularized=False: (
+        hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, r, p)
+
+
+def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:
     if m < 0:
         raise ValueError("alpha-derivative order must be >= 0")
     if m == 0:
-        return hurwitz_jet(s0, alpha, r, p)
+        return jet(s0)
     s0 = require_finite(complex(s0), "s")
-    if s0 + m == 1 or abs(s0 + m - 1) < NEAR_POLE_RADIUS:
-        raise PoleAtOne(
-            f"the alpha-derivative shifts the pole to s = {1 - m}; "
-            f"s={s0} lies on it"
-        )
-    inner = hurwitz_jet(s0 + m, alpha, r, p)
-    prefactor = pochhammer_jet(Jet.variable(s0, r), m)
+    near = abs(s0 + m - 1) < NEAR_POLE_RADIUS
+    inner = jet(s0 + m, near)
+    prefactor = pochhammer_jet(Jet.variable(s0, r), m - 1 if near else m)
     sign = -1.0 if m % 2 else 1.0
     value = sign * (prefactor * inner.value)
     return EvalResult(
@@ -366,6 +380,20 @@ def hurwitz_alpha_derivative(
         k_used=inner.k_used,
         terms_used=inner.terms_used,
     )
+
+
+def hurwitz_alpha_derivative(
+    s0: complex,
+    alpha: complex,
+    m: int,
+    r: int = 0,
+    p: SeriesParams | None = None,
+) -> EvalResult:
+    """Order-r jet (in s) of the m-th alpha-derivative of zeta(s, alpha),
+    computed analytically as (-1)**m s(s+1)...(s+m-1) zeta(s+m, alpha),
+    an entire function: within 1e-8 of s = 1 - m the factor s + m - 1
+    stays inside the regularized jet of (w - 1) zeta(w, alpha) at s + m."""
+    return _alpha_derivative(s0, m, r, _public_jet(alpha, r, p))
 
 
 def convergence_bound(s0: complex, alpha: complex, k: int) -> float:

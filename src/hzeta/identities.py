@@ -11,25 +11,30 @@ a 0 * pole product; it is evaluated instead as the r-th derivative of
 the entire function -s zeta(s+1, alpha), never as a product of a zero
 and an infinity.  The finite-difference route differentiates the s-jet
 numerically in alpha and is what verify_identity compares against.
+
+verify_identity keeps the evaluations of its last point (s0, alpha, r, p, h),
+keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized), and
+one memo of their Euler-Maclaurin tails (see hurwitz._series_eval): the jets
+at s0 + 1, 1 and 2 reuse the tails of the central differences in alpha at s0
+and 0.  No report depends on the order of the calls.
 """
 
 from __future__ import annotations
 
 import math
 from ._record import Record
-from .errors import HZetaError
+from .errors import NEAR_POLE_RADIUS, HZetaError
 from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
-    hurwitz_alpha_derivative,
-    hurwitz_jet,
-    hurwitz_jet_many,
-    hurwitz_regularized_jet,
+    _alpha_derivative,
+    _exact,
+    _first_failure,
+    _public_jet,
+    _series_eval,
 )
 from .jets import require_finite
-from .stieltjes import _generalized_stieltjes_many, dgamma_dalpha, generalized_stieltjes
-
-_REGULARIZED_RADIUS = 1e-8
+from .stieltjes import _check_laurent_order, _dgamma_dalpha
 
 IDENTITY_NAMES = (
     "INTERCHANGE",
@@ -55,10 +60,19 @@ class IdentityReport(Record):
         self._init(lhs, rhs, abs_residual, rel_residual, method_notes)
 
 
-def _report(lhs: complex, rhs: complex, notes: str) -> IdentityReport:
-    abs_res = abs(lhs - rhs)
-    rel_res = abs_res / max(1.0, abs(lhs), abs(rhs))
-    return IdentityReport(lhs, rhs, abs_res, rel_res, notes)
+def _dalpha_of_sderiv(s0: complex, r: int, jet) -> complex:
+    s0 = require_finite(complex(s0), "s")
+    if r < 0:
+        raise ValueError("derivative order must be >= 0")
+    if abs(s0) < NEAR_POLE_RADIUS:
+        # r-th raw derivative of -s*zeta(s+1,alpha) at s0, via the jet of
+        # (w-1)*zeta(w,alpha) at w0 = s0 + 1
+        return -jet(s0 + 1, True).value.derivative(r)
+    zeta1 = jet(s0 + 1).value
+    value = -s0 * zeta1.derivative(r)
+    if r > 0:
+        value -= r * zeta1.derivative(r - 1)
+    return value
 
 
 def dalpha_of_sderiv(
@@ -71,20 +85,17 @@ def dalpha_of_sderiv(
     same expression (the defined value there).  s0 at or next to 0 takes
     the regularized route through the entire function -s zeta(s+1, alpha).
     """
-    p = p or DEFAULT_PARAMS
-    s0 = require_finite(complex(s0), "s")
+    return _dalpha_of_sderiv(s0, r, _public_jet(alpha, r, p))
+
+
+def _dalpha_sderiv_at_zero(r: int, jet) -> complex:
     if r < 0:
         raise ValueError("derivative order must be >= 0")
-    if abs(s0) < _REGULARIZED_RADIUS:
-        # r-th raw derivative of -s*zeta(s+1,alpha) at s0, via the jet of
-        # (w-1)*zeta(w,alpha) at w0 = s0 + 1
-        g = hurwitz_regularized_jet(s0 + 1, alpha, r, p)
-        return -g.value.derivative(r)
-    jet = hurwitz_jet(s0 + 1, alpha, r, p).value
-    value = -s0 * jet.derivative(r)
-    if r > 0:
-        value -= r * jet.derivative(r - 1)
-    return value
+    if r == 0:
+        return complex(-1.0)
+    _check_laurent_order(r - 1)
+    # gamma_{r-1}(alpha) is coefficient r of (s - 1) zeta(s, alpha) at s = 1
+    return -math.factorial(r) * jet(1.0, True).value.coeffs[r]
 
 
 def dalpha_sderiv_at_zero(
@@ -92,26 +103,11 @@ def dalpha_sderiv_at_zero(
 ) -> complex:
     """Closed form of d/d alpha zeta^(r)(0, alpha): -r! gamma_{r-1}(alpha),
     with gamma_{-1}(alpha) taken as the constant 1."""
-    if r < 0:
-        raise ValueError("derivative order must be >= 0")
-    if r == 0:
-        return complex(-1.0)
-    table = generalized_stieltjes(alpha, r - 1, p)
-    return -math.factorial(r) * table.gammas[r - 1]
+    return _dalpha_sderiv_at_zero(r, _public_jet(alpha, r, p))
 
 
-def _fd_sderiv(s0: complex, alpha: complex, r: int, p: SeriesParams, h: float) -> complex:
-    """Central difference in alpha of the r-th s-derivative, both sides
-    from one batch that shares its tails."""
-    plus, minus = hurwitz_jet_many(s0, (alpha + h, alpha - h), r, p)
-    return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
-
-
-def _fd_gamma(alpha: complex, r: int, p: SeriesParams, h: float) -> complex:
-    """Central difference in alpha of gamma_r(alpha), both sides from one
-    batch."""
-    plus, minus = _generalized_stieltjes_many((alpha + h, alpha - h), r, p)
-    return (plus.gammas[r] - minus.gammas[r]) / (2.0 * h)
+# the last point's key, its evaluations and their tails memo
+_point: tuple = (None, {}, {})
 
 
 def verify_identity(
@@ -125,6 +121,7 @@ def verify_identity(
     """Check one identity at one point: lhs from central finite
     differences in alpha, rhs from the closed form.  The name must be one
     of IDENTITY_NAMES."""
+    global _point
     p = p or DEFAULT_PARAMS
     if not 0 < h < math.inf:
         raise ValueError(
@@ -135,36 +132,61 @@ def verify_identity(
         raise ValueError(
             f"unknown identity {name!r}; expected one of {', '.join(IDENTITY_NAMES)}"
         )
+    point_key = (_exact(complex(s0)), _exact(complex(alpha)), r, p, h)
+    point = _point
+    if point[0] != point_key:
+        point = _point = (point_key, {}, {})
+    _, evals, tails = point
+
+    def batch(w0: complex, alphas: tuple, order: int, regularized: bool = False) -> list:
+        # alphas is (alpha,) or (alpha + h, alpha - h)
+        at = (_exact(complex(w0)), len(alphas), order, regularized)
+        if at not in evals:
+            evals[at] = _series_eval(w0, alphas, order, p, regularized, tails)
+        return _first_failure(evals[at])
+
+    def jet(w0: complex, regularized: bool = False):
+        return batch(w0, (alpha,), r, regularized)[0]
+
+    def fd_sderiv(w0: complex) -> complex:
+        plus, minus = batch(w0, (alpha + h, alpha - h), r)
+        return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
+
+    def fd_gamma() -> complex:
+        _check_laurent_order(r)
+        plus, minus = batch(1.0, (alpha + h, alpha - h), r + 1, True)
+        return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
 
     try:
         if key == "RECURRENCE":
-            lhs = _fd_sderiv(s0, alpha, r, p, h)
-            rhs = dalpha_of_sderiv(s0, alpha, r, p)
+            lhs = fd_sderiv(s0)
+            rhs = _dalpha_of_sderiv(s0, r, jet)
             notes = f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
         elif key == "INTERCHANGE":
-            lhs = _fd_sderiv(s0, alpha, r, p, h)
+            lhs = fd_sderiv(s0)
             # d^r/ds^r of -s*zeta(s+1,alpha), via the entire product jet
-            g = hurwitz_regularized_jet(complex(s0) + 1, alpha, r, p)
-            rhs = -g.value.derivative(r)
+            rhs = -jet(complex(s0) + 1, True).value.derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} vs jet of -s*zeta(s+1,a)"
         elif key == "MIXED_PARTIALS":
-            lhs = _fd_sderiv(s0, alpha, r, p, h)
-            rhs = hurwitz_alpha_derivative(s0, alpha, 1, r, p).value.derivative(r)
+            lhs = fd_sderiv(s0)
+            rhs = _alpha_derivative(s0, 1, r, jet).value.derivative(r)
             notes = f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial"
         elif key == "AT_ZERO":
-            lhs = _fd_sderiv(0.0, alpha, r, p, h)
-            rhs = dalpha_sderiv_at_zero(alpha, r, p)
+            lhs = fd_sderiv(0.0)
+            rhs = _dalpha_sderiv_at_zero(r, jet)
             notes = f"fd(h={h:g}) of sderiv r={r} at s=0 vs -r! gamma_(r-1)"
         elif key == "AT_ONE":
-            lhs = math.factorial(r) * _fd_gamma(alpha, r, p, h)
-            rhs = dalpha_of_sderiv(1.0, alpha, r, p)
+            lhs = math.factorial(r) * fd_gamma()
+            rhs = _dalpha_of_sderiv(1.0, r, jet)
             notes = f"r! * fd(h={h:g}) of gamma_{r}(alpha) vs defined value at s=1"
         else:  # GAMMA_DERIV
-            lhs = _fd_gamma(alpha, r, p, h)
-            rhs = dgamma_dalpha(alpha, r, p)
+            lhs = fd_gamma()
+            rhs = _dgamma_dalpha(r, jet)
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"
     except HZetaError as exc:
         raise type(exc)(
             f"{key} at s={s0}, alpha={alpha}, r={r}: {exc}"
         ) from exc
-    return _report(lhs, rhs, notes)
+    abs_res = abs(lhs - rhs)
+    rel_res = abs_res / max(1.0, abs(lhs), abs(rhs))
+    return IdentityReport(lhs, rhs, abs_res, rel_res, notes)

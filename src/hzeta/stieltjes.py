@@ -26,8 +26,8 @@ from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
     _first_failure,
+    _public_jet,
     _series_eval,
-    hurwitz_jet,
     hurwitz_regularized_jet,
 )
 from .zetacore import DEFAULT_EM, EulerMaclaurinParams, em_tail_jet
@@ -65,6 +65,11 @@ def _expansion(alpha: complex, coeffs, r_max: int) -> LaurentExpansion:
     )
 
 
+def _check_laurent_order(r_max: int) -> None:
+    if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
+        raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
+
+
 def _generalized_stieltjes_many(
     alphas, r_max: int, p: SeriesParams
 ) -> list[LaurentExpansion]:
@@ -72,8 +77,7 @@ def _generalized_stieltjes_many(
     solo call: one regularized batch at s = 1, in which alphas with the
     same shift share their tails.  When several alphas fail, the first
     one in input order raises what its solo call raises."""
-    if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
-        raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
+    _check_laurent_order(r_max)
     outcomes = _series_eval(1.0, alphas, r_max + 1, p, regularized=True)
     return [
         _expansion(alpha, res.value.coeffs, r_max)
@@ -119,16 +123,19 @@ def generating_series_at_zero(
     return list(hurwitz_regularized_jet(1.0, alpha, r_max + 1, p).value.coeffs)
 
 
+def _dgamma_dalpha(r: int, jet) -> complex:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    zeta2 = jet(2.0).value
+    if r == 0:
+        return -zeta2.value
+    # Taylor-normalized coefficients are exactly the factorial-scaled derivatives
+    return -(zeta2.coeffs[r - 1] + zeta2.coeffs[r])
+
+
 def dgamma_dalpha(
     alpha: complex, r: int = 0, p: SeriesParams | None = None
 ) -> complex:
     """d/d alpha gamma_r(alpha): -zeta(2, alpha) for r = 0, and
     -zeta^(r-1)(2, alpha)/(r-1)! - zeta^(r)(2, alpha)/r! for r >= 1."""
-    p = p or DEFAULT_PARAMS
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    jet = hurwitz_jet(2.0, alpha, r, p).value
-    if r == 0:
-        return -jet.value
-    # Taylor-normalized coefficients are exactly the factorial-scaled derivatives
-    return -(jet.coeffs[r - 1] + jet.coeffs[r])
+    return _dgamma_dalpha(r, _public_jet(alpha, r, p))

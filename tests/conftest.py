@@ -57,6 +57,20 @@ def measured_tail_sum(s0: complex, alpha: complex, r: int = 0) -> float:
     return abs(tail.value)
 
 
+def cauchy_laurent(alpha, r_max, nodes=48):
+    """Pole coefficient and gamma_0 .. gamma_R of zeta(s, alpha) at s = 1,
+    independently of the series: the Taylor coefficients of the entire
+    function w zeta(1 + w, alpha), by the trapezoid rule on |w| = 1 applied
+    to the Euler-Maclaurin oracle."""
+    from hzeta.oracles import hurwitz_em_oracle
+
+    ws = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
+    values = [w * hurwitz_em_oracle(1 + w, alpha).value for w in ws]
+    return [
+        sum(v * w**-m for v, w in zip(values, ws)) / nodes for m in range(r_max + 2)
+    ]
+
+
 def naive_pow(base: complex, s: complex) -> complex:
     """Reference base**-s through cmath, independent of the jet code."""
     return cmath.exp(-s * cmath.log(base))

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line (run with -s to see them on success)."""
 
-import cmath
 import functools
 import json
 import math
@@ -32,7 +31,7 @@ from hzeta.oracles import (
     stieltjes_gamma1_oracle,
 )
 
-from conftest import central_diff, measured_tail_sum
+from conftest import cauchy_laurent, central_diff, measured_tail_sum
 
 ALPHA_GRID = (0.3, 0.5, 1.0, 1.7, 2 + 1j)
 
@@ -135,18 +134,6 @@ def test_recurrence():
             worst = max(worst, rep.rel_residual)
             assert rep.rel_residual <= 1e-5, f"s=1 alpha={alpha} r={r}"
     print(f"  worst residual {worst:.2e}")
-
-
-def cauchy_laurent(alpha, r_max, nodes=48):
-    """Pole coefficient and gamma_0 .. gamma_R of zeta(s, alpha) at s = 1,
-    independently of the series: the Taylor coefficients of the entire
-    function w zeta(1 + w, alpha), by the trapezoid rule on |w| = 1 applied
-    to the Euler-Maclaurin oracle."""
-    ws = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
-    values = [w * hurwitz_em_oracle(1 + w, alpha).value for w in ws]
-    return [
-        sum(v * w**-m for v, w in zip(values, ws)) / nodes for m in range(r_max + 2)
-    ]
 
 
 @criterion(5, "Laurent and generating-series routes for gamma_r(alpha) are consistent")

@@ -286,6 +286,33 @@ class TestVerify:
         assert len(calls) == 6 * 2 == len(set(calls))
         assert len(records) - 1 == records[-1]["points"] == len(calls)
 
+    def test_runs_point_by_point_reports_identity_by_identity(self, tmp_path,
+                                                              monkeypatch, capsys):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args[0], args[1]))
+            return verify_identity(*args, **kwargs)
+
+        grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "-0.5,2,1.3,0.4,0"])
+        monkeypatch.setattr(cli, "verify_identity", recording)
+        code, out, _ = run_main(monkeypatch, capsys, "verify", "--identity", "all",
+                                "--grid", grid)
+        assert code == 0
+        names = list(cli.IDENTITY_NAMES)
+        assert calls == [(name, s) for s in (1.6, -0.5 + 2j) for name in names]
+        records = json_lines(out)[:-1]
+        assert [(r["identity"], r["s"]["re"]) for r in records] == [
+            (name, s) for name in names for s in (1.6, -0.5)
+        ]
+
+    def test_usage_error_of_the_first_pair_in_report_order(self, tmp_path):
+        # point-major, AT_ONE at r = 13 (past R = 12) would come first
+        grid = grid_file(tmp_path, ["0.5,0,0.3,0,13", "0.5,0,nan,0,0"])
+        proc = run_cli("verify", "--identity", "all", "--grid", grid)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "alpha" in proc.stderr and "R must be" not in proc.stderr
+
     def test_bad_grid_columns(self, tmp_path):
         grid = tmp_path / "bad.csv"
         grid.write_text("x,y\n1,2\n")

@@ -18,6 +18,7 @@ from hzeta import (
     hurwitz_regularized_jet,
 )
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
+from hzeta.zetacore import DEFAULT_EM
 
 from conftest import assert_close, central_diff, measured_tail_sum
 
@@ -166,6 +167,42 @@ class TestSharedPhaseTable:
         assert all(table is seen[0] for table in seen)
 
 
+class TestTailMemo:
+    def test_keys_tell_the_sign_of_zero(self, monkeypatch):
+        def named(w0, *args, **kwargs):
+            return repr(w0), 0.0
+
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", named)
+        tails = {}
+        points = (2 + 0j, complex(2, -0.0), complex(-0.0, 1.0), 1j)
+        for _ in range(2):
+            got = [hzeta.hurwitz._memo_tail(tails, w, 2, 0, DEFAULT_EM, True, None)[0]
+                   for w in points]
+            assert got == [repr(w) for w in points]
+        assert len(tails) == 4
+
+    def test_memo_serves_a_shifted_evaluation(self, monkeypatch):
+        calls = []
+        original = hzeta.hurwitz.em_tail_jet
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        p, tails = SeriesParams(), {}
+        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, (0.7,), 2, p, False, tails)
+        before = len(calls)
+        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, (0.7,), 2, p, True, tails)
+        # the regularized series at s0 + 1 computes only the tails past the
+        # last term at s0; the earlier ones were terms of the series at s0
+        served = calls[:before]
+        assert all(w.real > max(c.real for c in served) for w in calls[before:])
+        assert len(calls) - before < at_s1[0].terms_used // 4
+        assert at_s0 == [hurwitz_jet(0.5 + 1j, 0.7, 2)]
+        assert at_s1 == [hurwitz_regularized_jet(1.5 + 1j, 0.7, 2)]
+
+
 def _outcome(call, *args, **kwargs):
     """The result of a call, or the exception it raised."""
     try:
@@ -299,10 +336,37 @@ class TestAlphaDerivative:
         assert_close(got, fd, 1e-5, label="m=2 of jet coefficient 1")
 
     def test_pole_shift(self):
-        with pytest.raises(PoleAtOne):
-            hurwitz_alpha_derivative(0.0, 0.5, 1)
-        with pytest.raises(PoleAtOne):
-            hurwitz_alpha_derivative(-1.0, 0.5, 2)
+        # (s)_m cancels the pole of zeta(s + m) at s = 1 - m: the function
+        # is entire there, with value -(m - 1)! for every alpha
+        assert_close(hurwitz_alpha_derivative(0.0, 0.5, 1).value.value, -1.0, 1e-12)
+        assert_close(hurwitz_alpha_derivative(-1.0, 0.5, 2).value.value, -1.0, 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2 + 1j])
+    def test_value_at_shifted_pole(self, m, alpha):
+        res = hurwitz_alpha_derivative(1 - m, alpha, m)
+        want = -math.factorial(m - 1)
+        assert abs(res.value.value - want) <= max(res.err_estimate, 1e-12 * abs(want))
+
+    @pytest.mark.parametrize("m,alpha", [(1, 0.7), (1, 1.3 + 0.4j), (2, 0.7)])
+    def test_jet_at_shifted_pole_against_mpmath(self, m, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        r = 2
+        res = hurwitz_alpha_derivative(1 - m, alpha, m, r=r)
+        with mpmath.workdps(20):
+            point = (mpmath.mpf(1 - m), mpmath.mpc(alpha))
+            for j in range(r + 1):
+                want = complex(mpmath.diff(lambda s, a: mpmath.zeta(s, a), point, (j, m)))
+                got = res.value.derivative(j)
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), f"j={j}"
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_continuous_into_shifted_pole(self, m):
+        at = hurwitz_alpha_derivative(1 - m, 0.7 + 0.2j, m, r=2).value.coeffs
+        near = hurwitz_alpha_derivative(1 - m + 1e-9, 0.7 + 0.2j, m, r=2).value.coeffs
+        # a step of 1e-9 moves coefficient j by about 1e-9 (j + 1) c_{j+1}
+        for a, b in zip(at, near):
+            assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("r1,r2", [(1, 1), (1, 2), (2, 1)])
     def test_mixed_partials_commute(self, r1, r2):

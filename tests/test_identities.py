@@ -1,8 +1,19 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import hzeta.hurwitz
+import hzeta.identities as identities
 from hzeta import (
+    IDENTITY_NAMES,
+    DomainError,
+    Nonconvergence,
+    SeriesParams,
+    cli,
     dalpha_of_sderiv,
     dalpha_sderiv_at_zero,
     dgamma_dalpha,
@@ -125,3 +136,96 @@ class TestRecurrenceGrid:
             assert rep.rel_residual <= 1e-5, (
                 f"s={s0} alpha={alpha} r={r}: {rep.rel_residual:.2e}"
             )
+
+
+# Points that share s and alpha but not r, the sign of a zero, h or p, so an
+# inexact cache key would hand one of them another's evaluations.
+SHARED_POINTS = (
+    (2 + 0j, 0.7, 1, None, 1e-4),
+    (complex(2, -0.0), 0.7, 1, None, 1e-4),
+    (2 + 0j, 0.7, 2, None, 1e-4),
+    (2 + 0j, 0.7, 1, None, 1e-3),
+    (2 + 0j, 0.7, 1, SeriesParams(tol=1e-10), 1e-4),
+    (0j, 1.3 + 0.4j, 0, None, 1e-4),
+    (complex(0.0, -0.0), 1.3 + 0.4j, 0, None, 1e-4),
+)
+
+FRESH_REPORTS = """
+import sys
+import hzeta.identities as identities
+from hzeta import IDENTITY_NAMES, SeriesParams
+from test_identities import SHARED_POINTS
+for point in SHARED_POINTS:
+    for name in IDENTITY_NAMES:
+        identities._point = (None, {}, {})
+        s0, alpha, r, p, h = point
+        print(repr(identities.verify_identity(name, s0, alpha, r, p, h)))
+"""
+
+
+class TestSharedEvaluations:
+    def test_one_point_tail_count(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        em_tail_jet = hzeta.hurwitz.em_tail_jet
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return em_tail_jet(*args, **kwargs)
+
+        grid = tmp_path / "grid.csv"
+        grid.write_text("s_re,s_im,alpha_re,alpha_im,r\n0.5,1,1.3,0.4,2\n")
+        monkeypatch.setattr(identities, "_point", (None, {}, {}))
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
+        assert cli.main(["verify", "--identity", "all", "--grid", str(grid)]) == 0
+        capsys.readouterr()
+        # 468 when each identity evaluates on its own
+        assert 0 < len(calls) <= 130
+
+    def test_any_call_order_matches_fresh_reports(self, monkeypatch):
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ)
+        paths = (tests_dir, env.get("PYTHONPATH"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        proc = subprocess.run([sys.executable, "-c", FRESH_REPORTS], capture_output=True,
+                              text=True, env=env, timeout=300, check=True)
+        fresh = proc.stdout.splitlines()
+        # (2+0j) == (2-0j), so the pairs go by their index
+        pairs = list(enumerate((name, *point) for point in SHARED_POINTS
+                               for name in IDENTITY_NAMES))
+        assert len(fresh) == len(pairs)
+        # shuffled, then round-robin over the points
+        random.Random(8).shuffle(pairs)
+        interleaved = sorted(pairs, key=lambda pair: IDENTITY_NAMES.index(pair[1][0]))
+        for i, args in pairs + interleaved:
+            rep = verify_identity(*args)
+            assert repr(rep) == fresh[i], args
+            assert rep == eval(fresh[i], vars(identities))
+
+    def test_cache_holds_one_point(self):
+        for s0 in (0.5, 1.5, 2.5):
+            verify_identity("RECURRENCE", s0, 0.7, 1)
+            key, evals, tails = identities._point
+            assert key[0][0] == s0
+            # the difference at s0 and the jet at s0 + 1, over one set of tails
+            assert len(evals) == 2 and tails
+        verify_identity("INTERCHANGE", 2.5, 0.7, 1)
+        assert identities._point[0][0][0] == 2.5 and len(identities._point[1]) == 3
+
+    @pytest.mark.parametrize("s0,alpha,code,failing", [
+        # AT_ZERO evaluates only at alpha +- h here
+        (0.5 + 1j, -1.0, DomainError, 5),
+        # only the identities at s0 fail, not those at s = 0, 1, 2
+        (0.5 + 400000j, 1.0, Nonconvergence, 3),
+    ])
+    def test_shared_error_names_its_pair(self, s0, alpha, code, failing):
+        names = list(IDENTITY_NAMES)
+        random.Random(3).shuffle(names)
+        raised = []
+        for name in names * 2:
+            try:
+                verify_identity(name, s0, alpha, 0)
+            except code as exc:
+                raised.append(name)
+                assert str(exc).startswith(f"{name} at s={s0}, alpha={alpha}, r=0: ")
+        assert len(raised) == 2 * failing

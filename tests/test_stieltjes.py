@@ -18,7 +18,7 @@ from hzeta import (
 from hzeta.jets import Jet
 from hzeta.oracles import digamma_oracle, hurwitz_direct_sum, trigamma_oracle
 
-from conftest import assert_close, central_diff
+from conftest import assert_close, cauchy_laurent, central_diff
 
 ALPHAS = (0.3, 0.5, 1.0, 1.7, 2 + 1j)
 
@@ -144,6 +144,10 @@ class TestGeneratingSeries:
             assert_close(
                 laurent.gammas[r], series[r + 1], 1e-9, label=f"alpha={alpha} r={r}"
             )
+        # both read one regularized jet; the Cauchy integral of the
+        # Euler-Maclaurin oracle is a route of its own
+        for m, (a, z) in enumerate(zip(series, cauchy_laurent(alpha, r_max))):
+            assert abs(a - z) <= 1e-10 * max(1.0, abs(z)), f"alpha={alpha} m={m}"
 
 
 class TestDgammaDalpha:

@@ -36,7 +36,6 @@ from .stieltjes import (
     stieltjes_constants,
 )
 from .zetacore import (
-    EulerMaclaurinParams,
     regularized_tail_jet,
     riemann_zeta_jet,
     zeta_tail_jet,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "EulerMaclaurinParams",
     "EvalResult",
     "HZetaError",
     "IDENTITY_NAMES",

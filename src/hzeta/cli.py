@@ -73,6 +73,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -175,21 +176,32 @@ def cmd_laurent(args) -> tuple[list[dict], int]:
     return [record], EXIT_OK
 
 
+_GRID_COLUMNS = ("s_re", "s_im", "alpha_re", "alpha_im", "r")
+
+
 def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
+    """The (s, alpha, r) points of a grid file.  A missing, empty or
+    unparsable cell raises ValueError naming the file and the line."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"s_re", "s_im", "alpha_re", "alpha_im", "r"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        if reader.fieldnames is None or not set(_GRID_COLUMNS) <= set(reader.fieldnames):
             raise ValueError(
-                f"grid file needs columns {sorted(required)}, got {reader.fieldnames}"
+                f"grid file needs columns {sorted(_GRID_COLUMNS)}, "
+                f"got {reader.fieldnames}"
             )
         for row in reader:
-            points.append((
-                complex(float(row["s_re"]), float(row["s_im"])),
-                complex(float(row["alpha_re"]), float(row["alpha_im"])),
-                int(row["r"]),
-            ))
+            where = f"grid file {path}, line {reader.line_num}"
+            cells = [row[name] for name in _GRID_COLUMNS]
+            for name, cell in zip(_GRID_COLUMNS, cells):
+                if not cell:  # None when the row is short
+                    raise ValueError(f"{where}: no value in column {name}")
+            try:
+                s_re, s_im, alpha_re, alpha_im = map(float, cells[:4])
+                r = int(cells[4])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            points.append((complex(s_re, s_im), complex(alpha_re, alpha_im), r))
     return points
 
 

@@ -38,7 +38,7 @@ from .errors import (
     PoleAtOne,
 )
 from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite, times_linear
-from .zetacore import DEFAULT_EM, EulerMaclaurinParams, PhaseTable, em_tail_jet
+from .zetacore import PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 
@@ -46,22 +46,16 @@ _ZERO_BASE_RADIUS = 1e-12
 class SeriesParams(Record):
     """Evaluation policy.  k = None selects the shift automatically."""
 
-    __slots__ = ("k", "n_max", "tol", "em")
+    __slots__ = ("k", "n_max", "tol")
 
-    def __init__(
-        self,
-        k: int | None = None,
-        n_max: int = 400,
-        tol: float = 1e-12,
-        em: EulerMaclaurinParams = DEFAULT_EM,
-    ):
+    def __init__(self, k: int | None = None, n_max: int = 400, tol: float = 1e-12):
         if k is not None and k < 1:
             raise ValueError("k must be >= 1")
         if n_max < 8:
             raise ValueError("n_max must be >= 8")
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-        self._init(k, n_max, tol, em)
+        self._init(k, n_max, tol)
 
 
 DEFAULT_PARAMS = SeriesParams()
@@ -236,12 +230,13 @@ def _exact(z: complex) -> tuple:
     return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
 
 
-def _memo_tail(tails: dict, w0: complex, k: int, order: int, em: EulerMaclaurinParams,
+def _memo_tail(tails: dict, w0: complex, k: int, order: int, *,
                regularized: bool, phases: PhaseTable) -> tuple[Jet, float]:
     key = (_exact(w0), k, order, regularized)
     tail = tails.get(key)
     if tail is None:
-        tail = tails[key] = em_tail_jet(w0, k, order, em, regularized, phases=phases)
+        tail = tails[key] = em_tail_jet(w0, k, order, regularized=regularized,
+                                        phases=phases)
     return tail
 
 
@@ -266,7 +261,7 @@ def _series_eval(
     of a batch of one.  Returns, in input order, each alpha's EvalResult
     or the exception its evaluation raised.
 
-    A memo tails (one per EulerMaclaurinParams) keeps every tail, keyed by
+    A memo tails keeps every tail, keyed by all of its inputs,
     (w0, k, order, regularized) with w0 exact to the sign of a zero, and
     serves it again: evaluations that share a memo share their tails
     bitwise, as B_k(s0 + 1 + n) at s0 + 1 is term n + 1 at s0."""
@@ -287,11 +282,11 @@ def _series_eval(
         phases = PhaseTable(s0.imag, order)
         active = group
         try:
-            tail0, tail0_err = tail(s0, k, order, p.em, regularized, phases=phases)
+            tail0, tail0_err = tail(s0, k, order, regularized=regularized, phases=phases)
             for _, series in group:
                 series.add_tail0(tail0, tail0_err)
             for n in range(1, p.n_max + 1):
-                b_k, em_err = tail(s0 + n, k, order, p.em, True, phases=phases)
+                b_k, em_err = tail(s0 + n, k, order, regularized=True, phases=phases)
                 running = []
                 for i, series in active:
                     try:

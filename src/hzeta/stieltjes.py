@@ -30,7 +30,7 @@ from .hurwitz import (
     _series_eval,
     hurwitz_regularized_jet,
 )
-from .zetacore import DEFAULT_EM, EulerMaclaurinParams, em_tail_jet
+from .zetacore import em_tail_jet
 
 MAX_GENERALIZED_ORDER = 12
 _STIELTJES_MAX = 20
@@ -70,46 +70,33 @@ def _check_laurent_order(r_max: int) -> None:
         raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
 
 
-def _generalized_stieltjes_many(
-    alphas, r_max: int, p: SeriesParams
-) -> list[LaurentExpansion]:
-    """generalized_stieltjes for a sequence of alphas, each equal to its
-    solo call: one regularized batch at s = 1, in which alphas with the
-    same shift share their tails.  When several alphas fail, the first
-    one in input order raises what its solo call raises."""
-    _check_laurent_order(r_max)
-    outcomes = _series_eval(1.0, alphas, r_max + 1, p, regularized=True)
-    return [
-        _expansion(alpha, res.value.coeffs, r_max)
-        for alpha, res in zip(alphas, _first_failure(outcomes))
-    ]
-
-
 def generalized_stieltjes(
     alpha: complex, r_max: int, p: SeriesParams | None = None
 ) -> LaurentExpansion:
     """gamma_0(alpha) .. gamma_R(alpha), and the pole coefficient, from the
     jet of (s-1) zeta(s, alpha) at s = 1."""
-    return _generalized_stieltjes_many((alpha,), r_max, p or DEFAULT_PARAMS)[0]
+    _check_laurent_order(r_max)
+    outcomes = _series_eval(
+        1.0, (alpha,), r_max + 1, p or DEFAULT_PARAMS, regularized=True
+    )
+    return _expansion(alpha, _first_failure(outcomes)[0].value.coeffs, r_max)
 
 
-@lru_cache(maxsize=8)
-def _stieltjes_cached(p: EulerMaclaurinParams) -> tuple[complex, ...]:
-    # One fixed-order evaluation per parameter set; slicing it keeps the
-    # prefix of lower-R requests bitwise stable.
-    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, p, regularized=True)[0].coeffs
+@lru_cache(maxsize=1)
+def _stieltjes_cached() -> tuple[complex, ...]:
+    # One fixed-order evaluation; slicing it keeps the prefix of lower-R
+    # requests bitwise stable.
+    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, regularized=True)[0].coeffs
 
 
-def stieltjes_constants(
-    r_max: int, p: EulerMaclaurinParams | None = None
-) -> LaurentExpansion:
+def stieltjes_constants(r_max: int) -> LaurentExpansion:
     """Classical Stieltjes constants gamma_0 .. gamma_R, the expansion at
     alpha = 1, from the jet of (w-1) zeta(w) at w = 1.  They are plain
     Laurent coefficients: gamma_1 carries the opposite sign of the
     (-1)**r/r! normalized tables."""
     if not 0 <= r_max <= _STIELTJES_MAX:
         raise ValueError(f"R must be in 0..{_STIELTJES_MAX} for binary64 accuracy")
-    return _expansion(1.0, _stieltjes_cached(p or DEFAULT_EM), r_max)
+    return _expansion(1.0, _stieltjes_cached(), r_max)
 
 
 def generating_series_at_zero(

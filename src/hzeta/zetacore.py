@@ -12,7 +12,10 @@ chosen adaptively: the smallest M whose predicted last correction term
 sits below 1e-15 of the leading magnitude start**(-Re w).  Small
 boundaries keep the summands small, which is what limits accuracy at
 negative Re w, while the prediction keeps the asymptotic truncation
-under control at large |Im w|.
+under control at large |Im w|.  The policy is fixed: M is at least 4
+(_CUTOFF) and at most _MAX_BOUNDARY, and j runs to 10 (_DEPTH).  So a tail
+is a function of (w0, start, order, regularized) alone, the key of the
+tails memo in hurwitz._series_eval.
 
 The regularized variant multiplies through by (w - 1), in O(r) by
 jets.times_linear, turning the pole term into plain M**(1-w); every
@@ -42,68 +45,38 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from operator import add, mul
 
-from ._record import Record
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
 
-# Bernoulli numbers B_2 .. B_30, exact rationals fixed at build time.
-_BERNOULLI_EVEN = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-    26: Fraction(8553103, 6),
-    28: Fraction(-23749461029, 870),
-    30: Fraction(8615841276005, 14322),
-}
-
-# B_{2j} / (2j)! as binary64, j = 1..15
+# B_{2j} / (2j)! for j = 1.._DEPTH, each rounded once to binary64 from the
+# exact rational: the factors of the Bernoulli corrections
 _EM_FACTOR = {
-    j: float(_BERNOULLI_EVEN[2 * j] / math.factorial(2 * j)) for j in range(1, 16)
+    1: 0.08333333333333333,
+    2: -0.001388888888888889,
+    3: 3.306878306878307e-05,
+    4: -8.267195767195768e-07,
+    5: 2.08767569878681e-08,
+    6: -5.284190138687493e-10,
+    7: 1.3382536530684679e-11,
+    8: -3.3896802963225827e-13,
+    9: 8.586062056277845e-15,
+    10: -2.174868698558062e-16,
 }
 
-MAX_BERNOULLI_DEPTH = 15
+_CUTOFF = 4  # floor on the boundary M, the direct-sum length
+_DEPTH = 10  # number of B_{2j} correction terms
 _TRUNCATION_TARGET = 1e-15
 _MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
 
 
-class EulerMaclaurinParams(Record):
-    """Summation policy: cutoff is a floor on the boundary M (the
-    direct-sum length, at least 4), bernoulli_depth the number of B_{2j}
-    correction terms."""
-
-    __slots__ = ("cutoff", "bernoulli_depth")
-
-    def __init__(self, cutoff: int = 4, bernoulli_depth: int = 10):
-        if cutoff < 4:
-            raise ValueError(f"cutoff must be >= 4, got {cutoff}")
-        if not 1 <= bernoulli_depth <= MAX_BERNOULLI_DEPTH:
-            raise ValueError(
-                f"bernoulli_depth must be in 1..{MAX_BERNOULLI_DEPTH}"
-            )
-        self._init(cutoff, bernoulli_depth)
-
-
-DEFAULT_EM = EulerMaclaurinParams()
-
-
-def _poch_magnitude(w0: complex, depth: int, order: int) -> float:
-    # |(w)_{2*depth-1}| with each factor padded by the jet order, so the
+def _poch_magnitude(w0: complex, order: int) -> float:
+    # |(w)_{2*_DEPTH-1}| with each factor padded by the jet order, so the
     # bound stays valid for derivative coefficients when a factor is
     # near zero (terminating-series case at negative integer w).
     p = 1.0
-    for j in range(2 * depth - 1):
+    for j in range(2 * _DEPTH - 1):
         p *= abs(w0 + j) + order
         if p > 1e280:
             return 1e280
@@ -111,21 +84,21 @@ def _poch_magnitude(w0: complex, depth: int, order: int) -> float:
 
 
 def _boundary_ok(
-    pochmag: float, sigma: float, boundary: float, depth: int, absw: float, target: float
+    pochmag: float, sigma: float, boundary: float, absw: float, target: float
 ) -> bool:
-    last = abs(_EM_FACTOR[depth]) * pochmag * boundary ** (1.0 - 2.0 * depth - sigma)
+    last = abs(_EM_FACTOR[_DEPTH]) * pochmag * boundary ** (1.0 - 2.0 * _DEPTH - sigma)
     if last > target:
         return False
     ratio = (
-        (absw + 2 * depth - 1)
-        * (absw + 2 * depth)
+        (absw + 2 * _DEPTH - 1)
+        * (absw + 2 * _DEPTH)
         / (4.0 * math.pi**2 * boundary * boundary)
     )
     return ratio <= 0.9 or last * 100.0 <= target
 
 
-def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams) -> int:
-    """Smallest EM boundary M >= max(cutoff, start) meeting the
+def choose_boundary(w0: complex, start: int, order: int) -> int:
+    """Smallest EM boundary M >= max(_CUTOFF, start) meeting the
     truncation target relative to the leading magnitude start**(-Re w).
 
     Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
@@ -135,14 +108,12 @@ def choose_boundary(w0: complex, start: int, order: int, p: EulerMaclaurinParams
     w0 = complex(w0)
     sigma = w0.real
     absw = abs(w0) + 2.0 * order
-    pochmag = _poch_magnitude(w0, p.bernoulli_depth, order)
+    pochmag = _poch_magnitude(w0, order)
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
-    m = max(p.cutoff, start)
+    m = max(_CUTOFF, start)
     target = _TRUNCATION_TARGET * scale
     try:
-        while not _boundary_ok(
-            pochmag, sigma, float(m), p.bernoulli_depth, absw, target
-        ):
+        while not _boundary_ok(pochmag, sigma, float(m), absw, target):
             m += max(1, m // 8)
             if m > _MAX_BOUNDARY:
                 raise Nonconvergence(
@@ -204,7 +175,7 @@ def em_tail_jet(
     w0: complex,
     start: int,
     order: int = 0,
-    p: EulerMaclaurinParams | None = None,
+    *,
     regularized: bool = False,
     phases: PhaseTable | None = None,
 ) -> tuple[Jet, float]:
@@ -219,7 +190,6 @@ def em_tail_jet(
     plus a rounding allowance proportional to the largest summand.  A
     total or estimate that is not finite raises DomainError.
     """
-    p = p or DEFAULT_EM
     w0 = require_finite(complex(w0), "s")
     if start < 1:
         raise ValueError("start must be >= 1")
@@ -238,7 +208,7 @@ def em_tail_jet(
             f"match w0={w0}, order {order}"
         )
 
-    boundary = choose_boundary(w0, start, order, p)
+    boundary = choose_boundary(w0, start, order)
     wm1 = w0 - 1.0
 
     # m**-w = m**-Re(w) * row m, for m = start..boundary
@@ -279,7 +249,7 @@ def em_tail_jet(
     # sum_j c_j (w)_{2j-1} with c_j = B_2j/(2j)! M**(1-2j), times M**-w once
     poch = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     corr = [0j] * (order + 1)
-    for j in range(1, p.bernoulli_depth + 1):
+    for j in range(1, _DEPTH + 1):
         if j > 1:
             # (w)_{2j-1} = (w)_{2j-3} (w + 2j - 3)(w + 2j - 2)
             a, b = w0 + (2 * j - 3), w0 + (2 * j - 2)
@@ -310,28 +280,22 @@ def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex
     return out
 
 
-def riemann_zeta_jet(
-    s0: complex, order: int = 0, p: EulerMaclaurinParams | None = None
-) -> Jet:
+def riemann_zeta_jet(s0: complex, order: int = 0) -> Jet:
     """Jet of the Riemann zeta function at s0 (s0 != 1)."""
-    jet, _ = em_tail_jet(s0, 1, order, p, regularized=False)
+    jet, _ = em_tail_jet(s0, 1, order)
     return jet
 
 
-def zeta_tail_jet(
-    s0: complex, k: int, order: int = 0, p: EulerMaclaurinParams | None = None
-) -> Jet:
+def zeta_tail_jet(s0: complex, k: int, order: int = 0) -> Jet:
     """Jet of zeta(s) minus its first k-1 Dirichlet terms, i.e. the
     continuation of sum_{m >= k} m**-s.  Summed directly from m = k, which
     preserves relative accuracy when the tail is small."""
-    jet, _ = em_tail_jet(s0, k, order, p, regularized=False)
+    jet, _ = em_tail_jet(s0, k, order)
     return jet
 
 
-def regularized_tail_jet(
-    w0: complex, k: int, order: int = 0, p: EulerMaclaurinParams | None = None
-) -> Jet:
+def regularized_tail_jet(w0: complex, k: int, order: int = 0) -> Jet:
     """Jet of the entire function (w-1) * sum_{m >= k} m**-w, valid at
     w0 = 1 included."""
-    jet, _ = em_tail_jet(w0, k, order, p, regularized=True)
+    jet, _ = em_tail_jet(w0, k, order, regularized=True)
     return jet

@@ -112,6 +112,19 @@ class TestEval:
         assert run_cli("eval", "--s", "2", "--alpha", "inf").returncode == 1
         assert run_cli("nonsense").returncode == 1
 
+    @pytest.mark.parametrize("args,command,message", [
+        (("eval", "--s", "2", "--alpha", "x"), "eval",
+         "argument --alpha: could not convert string to float: 'x'"),
+        (("laurent", "--alpha", "1", "--order", "13"), "laurent",
+         "argument --order: invalid choice: 13"),
+    ])
+    def test_flag_errors_name_the_flag(self, monkeypatch, capsys, args, command, message):
+        code, out, err = run_main(monkeypatch, capsys, *args)
+        assert code == 1 and out == ""
+        usage, error = err.splitlines()[0], err.splitlines()[-1]
+        assert usage.startswith(f"usage: hzeta {command} ")
+        assert error.startswith(f"hzeta {command}: error: {message}")
+
     def test_near_excluded_warning(self):
         proc = run_cli("eval", "--s", "2", "--alpha", "0.0005")
         assert proc.returncode == 0
@@ -313,6 +326,20 @@ class TestVerify:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "alpha" in proc.stderr and "R must be" not in proc.stderr
 
+    @pytest.mark.parametrize("row,problem", [
+        ("0.5,0,1,0", "no value in column r"),  # short row
+        ("0.5,,1,0,1", "no value in column s_im"),  # empty cell
+        ("0.5,0,1,0,1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("0.5,0,one,0,1", "could not convert string to float: 'one'"),
+    ])
+    def test_bad_grid_cell_names_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                               row, problem):
+        grid = grid_file(tmp_path, ["0.5,0,1,0,1", row])
+        code, out, err = run_main(monkeypatch, capsys,
+                                  "verify", "--identity", "recurrence", "--grid", grid)
+        assert code == 1 and out == ""
+        assert err == f"error: grid file {grid}, line 3: {problem}\n"
+
     def test_bad_grid_columns(self, tmp_path):
         grid = tmp_path / "bad.csv"
         grid.write_text("x,y\n1,2\n")
@@ -448,3 +475,13 @@ class TestRecordFormat:
             else:
                 assert row["status"] == rec["status"]
         assert err.startswith("# max_rel_residual=")
+
+
+def test_import_loads_neither_fractions_nor_numpy():
+    # a fresh interpreter, so that no other test's imports count
+    probe = ("import sys, hzeta.cli; "
+             "print(sorted({'fractions', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,7 +18,6 @@ from hzeta import (
     hurwitz_regularized_jet,
 )
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
-from hzeta.zetacore import DEFAULT_EM
 
 from conftest import assert_close, central_diff, measured_tail_sum
 
@@ -176,7 +175,8 @@ class TestTailMemo:
         tails = {}
         points = (2 + 0j, complex(2, -0.0), complex(-0.0, 1.0), 1j)
         for _ in range(2):
-            got = [hzeta.hurwitz._memo_tail(tails, w, 2, 0, DEFAULT_EM, True, None)[0]
+            got = [hzeta.hurwitz._memo_tail(tails, w, 2, 0, regularized=True,
+                                            phases=None)[0]
                    for w in points]
             assert got == [repr(w) for w in points]
         assert len(tails) == 4

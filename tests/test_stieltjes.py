@@ -4,7 +4,6 @@ import math
 import pytest
 
 import hzeta.hurwitz
-import hzeta.stieltjes
 from hzeta import (
     DomainError,
     LaurentExpansion,
@@ -80,7 +79,7 @@ class TestGeneralizedStieltjes:
             generalized_stieltjes(0.5, 13)
 
     def test_overflow_is_reported_as_overflow(self, monkeypatch):
-        def infinite_tail(w0, start, order, p, regularized, phases):
+        def infinite_tail(w0, start, order, *, regularized, phases):
             return Jet((complex(math.inf, 0.0),) * (order + 1)), 0.0
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_tail)
@@ -89,26 +88,6 @@ class TestGeneralizedStieltjes:
         message = str(info.value)
         assert "n=1" in message and "k=2" in message and "alpha=(0.5+0j)" in message
         assert "term cap" not in message
-
-    @pytest.mark.parametrize("r_max", [0, 3, 12])
-    def test_batch_equals_solo(self, r_max):
-        # shifts 2, 3, 2 and 4 at s = 1: two alphas share their tails
-        alphas = (0.5, 1.7, 0.8, 2 + 1j)
-        batch = hzeta.stieltjes._generalized_stieltjes_many(
-            alphas, r_max, hzeta.hurwitz.DEFAULT_PARAMS
-        )
-        for alpha, got in zip(alphas, batch):
-            assert got == generalized_stieltjes(alpha, r_max), f"alpha={alpha}"
-
-    def test_batch_raises_first_failure(self):
-        p = hzeta.hurwitz.DEFAULT_PARAMS
-        with pytest.raises(DomainError) as info:
-            hzeta.stieltjes._generalized_stieltjes_many((0.5, -1.0, math.nan), 2, p)
-        with pytest.raises(DomainError) as solo:
-            generalized_stieltjes(-1.0, 2)
-        assert str(info.value) == str(solo.value)
-        with pytest.raises(ValueError, match="non-finite alpha"):
-            hzeta.stieltjes._generalized_stieltjes_many((math.nan, -1.0), 2, p)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.7, 2 + 1j])
     def test_laurent_reconstruction(self, alpha):

@@ -6,7 +6,6 @@ import pytest
 
 from hzeta import (
     DomainError,
-    EulerMaclaurinParams,
     NearPole,
     Nonconvergence,
     PoleAtOne,
@@ -20,8 +19,9 @@ from hzeta.oracles import (
     hurwitz_closed_form_oracle,
     stieltjes_gamma1_oracle,
 )
+from hzeta import oracles, zetacore
 from hzeta.jets import pow_neg_coeffs
-from hzeta.zetacore import DEFAULT_EM, PhaseTable, choose_boundary, em_tail_jet
+from hzeta.zetacore import PhaseTable, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
 
@@ -114,23 +114,34 @@ class TestEulerMaclaurinRobustness:
     @pytest.mark.parametrize("sigma", [-3, -2, -1, 0, 2, 3, 4])
     @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
     def test_doubling_cutoff_within_error(self, sigma, t):
+        # zeta(s) as the direct head m < start plus the tail from start,
+        # which sums directly from start: doubling start doubles the
+        # direct part, and the two must agree within the tails' estimates
+        # plus the rounding of the heads
         s = complex(sigma, t)
-        small, err_small = em_tail_jet(s, 1, 0, EulerMaclaurinParams(cutoff=24))
-        big, err_big = em_tail_jet(s, 1, 0, EulerMaclaurinParams(cutoff=48))
-        diff = abs(small.value - big.value)
-        assert diff <= err_small + err_big, (
+
+        def head_and_tail(start):
+            head = [m ** -s for m in range(1, start)]
+            tail, err = em_tail_jet(s, start, 0)
+            return sum(head) + tail.value, err, sum(map(abs, head))
+
+        small, err_small, mag_small = head_and_tail(24)
+        big, err_big, mag_big = head_and_tail(48)
+        diff = abs(small - big)
+        assert diff <= err_small + err_big + 4e-16 * (mag_small + mag_big), (
             f"s={s}: diff {diff:.3e} vs estimates {err_small:.3e}, {err_big:.3e}"
         )
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            EulerMaclaurinParams(cutoff=1)
-        with pytest.raises(ValueError, match="cutoff must be >= 4"):
-            EulerMaclaurinParams(cutoff=3)
-        with pytest.raises(ValueError):
-            EulerMaclaurinParams(bernoulli_depth=0)
-        with pytest.raises(ValueError):
-            EulerMaclaurinParams(bernoulli_depth=16)
+    def test_correction_factors_match_oracle(self):
+        # the literals against the oracle's own exact rationals, rounded once
+        assert sorted(zetacore._EM_FACTOR) == list(range(1, zetacore._DEPTH + 1))
+        for j in range(1, 11):
+            assert zetacore._EM_FACTOR[j] == oracles._EM_FACTOR[j], f"j={j}"
+
+    def test_flags_are_keyword_only(self):
+        # a fourth positional argument cannot land in regularized
+        with pytest.raises(TypeError):
+            em_tail_jet(2.0, 1, 0, True)
 
 
 class TestStieltjesConstants:
@@ -216,13 +227,12 @@ class TestBoundaryCap:
         assert "start=1" in message and "order=0" in message
 
     def test_below_cap(self):
-        assert choose_boundary(0.5 + 1e5j, 1, 0, DEFAULT_EM) <= 200000
+        assert choose_boundary(0.5 + 1e5j, 1, 0) <= 200000
 
     def test_floor_is_cutoff_or_start(self):
         # far right of the critical strip the target is met at once
-        assert choose_boundary(40.0, 1, 0, EulerMaclaurinParams(cutoff=4)) == 4
-        assert choose_boundary(40.0, 1, 0, EulerMaclaurinParams(cutoff=9)) == 9
-        assert choose_boundary(40.0, 7, 0, EulerMaclaurinParams(cutoff=4)) >= 7
+        assert choose_boundary(40.0, 1, 0) == 4
+        assert choose_boundary(40.0, 7, 0) >= 7
 
 
 class TestPhaseTable:

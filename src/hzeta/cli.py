@@ -180,8 +180,9 @@ _GRID_COLUMNS = ("s_re", "s_im", "alpha_re", "alpha_im", "r")
 
 
 def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
-    """The (s, alpha, r) points of a grid file.  A missing, empty or
-    unparsable cell raises ValueError naming the file and the line."""
+    """The (s, alpha, r) points of a grid file.  A missing, empty,
+    unparsable, non-finite or negative cell, or a cell past the header's
+    columns, raises ValueError naming the file and the line."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -192,15 +193,27 @@ def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
             )
         for row in reader:
             where = f"grid file {path}, line {reader.line_num}"
+            if None in row:  # DictReader's key for the cells past the header
+                raise ValueError(
+                    f"{where}: {len(reader.fieldnames) + len(row[None])} cells, "
+                    f"but the header has {len(reader.fieldnames)} columns"
+                )
             cells = [row[name] for name in _GRID_COLUMNS]
             for name, cell in zip(_GRID_COLUMNS, cells):
                 if not cell:  # None when the row is short
                     raise ValueError(f"{where}: no value in column {name}")
             try:
-                s_re, s_im, alpha_re, alpha_im = map(float, cells[:4])
+                s_re, s_im, alpha_re, alpha_im = floats = [float(c) for c in cells[:4]]
                 r = int(cells[4])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            for name, cell, value in zip(_GRID_COLUMNS, cells, floats):
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}, column {name}: non-finite value {cell}")
+            if r < 0:
+                raise ValueError(
+                    f"{where}, column r: derivative order must be >= 0, got {r}"
+                )
             points.append((complex(s_re, s_im), complex(alpha_re, alpha_im), r))
     return points
 

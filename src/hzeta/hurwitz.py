@@ -13,6 +13,12 @@ cofactor once and for all, so every term of the tail is an entire
 function of s and the removable singularities at s = 0, -1, -2, ...
 never appear numerically.
 
+The automatic shift keeps |alpha|/k <= 2/3 and damps the series peak
+exp(|alpha| |s| / k) for large |s|.  Where Re s >= 0 it also keeps
+|alpha|/k < 4/7, trading series terms for cheaper head terms that cost
+no accuracy there; where Re s < 0 the head's summands grow like
+n**-Re s, and the shift stays at the first rule.
+
 Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
 d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
@@ -80,6 +86,8 @@ def choose_k(alpha: complex) -> int:
 
 
 _PEAK_EXPONENT = 7.0
+# where Re s >= 0 the automatic shift also keeps |alpha|/k below 4/7
+_RIGHT_HALF_SHIFT = 1.75
 _EPS = 2.220446049250313e-16
 
 
@@ -96,7 +104,15 @@ def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
     # large |Im s| the peak must be capped too or cancellation eats the
     # result; |alpha||s|/k <= 7 keeps the blow-up under ~1e3.
     damped = math.ceil(abs(alpha) * abs(s0) / _PEAK_EXPONENT) + 1
-    return max(choose_k(alpha), damped)
+    k = max(choose_k(alpha), damped)
+    if s0.real < 0:
+        return k
+    # Re s >= 0: past k every n + alpha lies in the right half-plane, where
+    # the bound |n + alpha|**-Re s * exp(|Im s| |arg(n + alpha)|) on a head
+    # summand falls with n, so a longer head costs no accuracy, and a head
+    # term (one O(r) power) is far cheaper than a series term (an
+    # Euler-Maclaurin tail and an O(r**2) product).
+    return max(k, math.ceil(_RIGHT_HALF_SHIFT * abs(alpha)) + 1)
 
 
 def _check_head_bases(alpha: complex, k: int) -> None:

@@ -53,7 +53,7 @@ class TestEval:
         assert "error" not in rec
         assert abs(rec["value"]["re"] - 1.6449340668) < 1e-9
         assert rec["value"]["im"] == 0.0
-        assert rec["k_used"] == 2
+        assert rec["k_used"] == 3  # ceil(1.75 |alpha|) + 1 at Re s >= 0
 
     def test_bernoulli_case(self):
         proc = run_cli("eval", "--s", "0", "--alpha", "0.3")
@@ -331,6 +331,7 @@ class TestVerify:
         ("0.5,,1,0,1", "no value in column s_im"),  # empty cell
         ("0.5,0,1,0,1.5", "invalid literal for int() with base 10: '1.5'"),
         ("0.5,0,one,0,1", "could not convert string to float: 'one'"),
+        ("0.5,0,1,0,1,7", "6 cells, but the header has 5 columns"),  # extra cell
     ])
     def test_bad_grid_cell_names_file_and_line(self, tmp_path, monkeypatch, capsys,
                                                row, problem):
@@ -339,6 +340,26 @@ class TestVerify:
                                   "verify", "--identity", "recurrence", "--grid", grid)
         assert code == 1 and out == ""
         assert err == f"error: grid file {grid}, line 3: {problem}\n"
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0.5,0,1,0,-1", "column r: derivative order must be >= 0, got -1"),
+        ("0.5,0,nan,0,1", "column alpha_re: non-finite value nan"),
+        ("0.5,-inf,1,0,1", "column s_im: non-finite value -inf"),
+    ])
+    def test_bad_grid_value_names_file_line_and_column(self, tmp_path, monkeypatch,
+                                                       capsys, row, problem):
+        grid = grid_file(tmp_path, ["0.5,0,1,0,1", row])
+        code, out, err = run_main(monkeypatch, capsys,
+                                  "verify", "--identity", "recurrence", "--grid", grid)
+        assert code == 1 and out == ""
+        assert err == f"error: grid file {grid}, line 3, {problem}\n"
+
+    def test_extra_header_columns_are_allowed(self, tmp_path, monkeypatch, capsys):
+        grid = tmp_path / "g.csv"
+        grid.write_text("s_re,s_im,alpha_re,alpha_im,r,note\n0.5,0,1,0,1,first\n")
+        code, _, _ = run_main(monkeypatch, capsys,
+                              "verify", "--identity", "recurrence", "--grid", str(grid))
+        assert code == 0
 
     def test_bad_grid_columns(self, tmp_path):
         grid = tmp_path / "bad.csv"

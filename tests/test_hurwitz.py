@@ -12,6 +12,7 @@ from hzeta import (
     SeriesParams,
     choose_k,
     convergence_bound,
+    generalized_stieltjes,
     hurwitz_alpha_derivative,
     hurwitz_jet,
     hurwitz_jet_many,
@@ -61,7 +62,8 @@ class TestHurwitzJet:
 
     def test_result_metadata(self):
         res = hurwitz_jet(2.5, 4.0)
-        assert res.k_used == choose_k(4.0)
+        # Re s >= 0: ceil(1.75 |alpha|) + 1, above choose_k(4.0) = 7
+        assert res.k_used == 8
         assert 0 < res.terms_used <= 400
         assert 0 <= res.err_estimate < 1e-9
 
@@ -218,8 +220,9 @@ def _same_outcome(got, want):
         assert got == want
 
 
-# shifts 2, 3, 2, 4 and 3 at s = 0.5 + 3j; at w = 1 they are 2, 3, 2, 4, 3
-BATCH_ALPHAS = (0.3, 1.7, 1.2, 2 + 1j, 1.5 - 0.5j)
+# shifts 2, 4, 4, 5 and 4 at s = 0.5 + 3j and at w = 1: 1.7 and 1.7j, of
+# equal modulus, share a shift under any rule in |alpha|, here with 1.5-0.5j
+BATCH_ALPHAS = (0.3, 1.7, 1.7j, 2 + 1j, 1.5 - 0.5j)
 
 
 class TestBatch:
@@ -233,7 +236,8 @@ class TestBatch:
         batch = hzeta.hurwitz._series_eval(
             s0, BATCH_ALPHAS, order, p, regularized=regularized
         )
-        assert len({res.k_used for res in batch}) >= 2
+        shifts = [res.k_used for res in batch]
+        assert 2 <= len(set(shifts)) < len(shifts)
         for alpha, got in zip(BATCH_ALPHAS, batch):
             assert got == solo(s0, alpha, order), f"alpha={alpha}"
         if not regularized:
@@ -253,7 +257,7 @@ class TestBatch:
         most_terms = {}
         for res in batch:
             most_terms[res.k_used] = max(most_terms.get(res.k_used, 0), res.terms_used)
-        assert len(most_terms) >= 2
+        assert 2 <= len(most_terms) < len(batch)
         assert len(calls) == sum(1 + n for n in most_terms.values())
         for k, n in most_terms.items():
             assert calls.count(k) == 1 + n
@@ -467,3 +471,92 @@ class TestOracleAgreement:
                     diff = abs(got.value.coeffs[j] - want.coeffs[j])
                     scale = 1.0 + max(abs(got.value.coeffs[j]), abs(want.coeffs[j]))
                     assert diff <= 1e-9 * scale, f"s={s} a={a} j={j}: {diff/scale:.2e}"
+
+
+def _shift_before_right_half_rule(s0: complex, alpha: complex) -> int:
+    """The automatic shift as it is for Re s < 0: the alpha disc and the
+    damping rule |alpha||s|/k <= 7."""
+    return max(choose_k(alpha), math.ceil(abs(alpha) * abs(s0) / 7.0) + 1)
+
+
+def _digits(got, want) -> float:
+    """Correct digits of a jet against its reference, relative to its largest
+    coefficient, capped at 12: the series stops once its terms fall below
+    tol = 1e-12 of that norm, so past 12 digits the count tells where the
+    stop fell, not what the shift cost."""
+    err = max(abs(g - w) for g, w in zip(got, want))
+    scale = max(1.0, max(abs(w) for w in want))
+    return 12.0 if err == 0 else min(12.0, -math.log10(err / scale))
+
+
+class TestRightHalfPlaneShift:
+    """Where Re s >= 0 the automatic shift is at least ceil(1.75 |alpha|) + 1:
+    the longer head must cost no accuracy against the shift of Re s < 0,
+    passed explicitly."""
+
+    def test_rule(self):
+        for s0, alpha in ((0.0, 1.7), (2.0, 1.0), (-0.0 + 3j, 2 + 1j), (0.5 + 90j, 4.0)):
+            old = _shift_before_right_half_rule(s0, alpha)
+            want = max(old, math.ceil(1.75 * abs(alpha)) + 1)
+            assert hurwitz_jet(s0, alpha).k_used == want
+
+    @pytest.mark.parametrize(
+        "s0,alpha",
+        [(-1e-300, 1.7), (-0.5 + 3j, 2 + 1j), (-4.0 - 60j, -3.2 + 2.5j),
+         (-7.9 + 1j, 5.5j), (-2.0, 0.3)],
+    )
+    def test_left_half_plane_is_unchanged(self, s0, alpha):
+        want = _shift_before_right_half_rule(s0, alpha)
+        assert hurwitz_jet(s0, alpha).k_used == want
+
+    def test_accuracy_against_mpmath(self):
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(61)
+        changed = 0
+        for i in range(12):
+            # every other point at |Im s| <= 10, where the damping rule
+            # leaves the new shift room to differ
+            t_max = 10.0 if i % 2 else 100.0
+            s0 = complex(rng.uniform(0.0, 4.0), rng.uniform(-t_max, t_max))
+            alpha = 6.0 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            with mpmath.workdps(20):
+                ms, ma = mpmath.mpc(s0), mpmath.mpc(alpha)
+                want = [complex(mpmath.zeta(ms, ma, j) / mpmath.factorial(j))
+                        for j in range(13)]
+            before = SeriesParams(k=_shift_before_right_half_rule(s0, alpha))
+            changed += hurwitz_jet(s0, alpha).k_used != before.k
+            for r in (0, 3, 12):
+                got = hurwitz_jet(s0, alpha, r)
+                where = f"s={s0}, alpha={alpha}, r={r}, k={got.k_used}"
+                for j, (g, w) in enumerate(zip(got.value.coeffs, want)):
+                    assert abs(g - w) <= got.err_estimate, f"{where}, coefficient {j}"
+                old = hurwitz_jet(s0, alpha, r, before).value.coeffs
+                assert _digits(got.value.coeffs, want) >= _digits(old, want), where
+        assert changed >= 4
+
+    def test_stieltjes_against_mpmath(self):
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(62)
+        nodes = 48  # trapezoid rule on |s - 1| = 1, converged far below 1e-20
+        for _ in range(4):
+            alpha = 6.0 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            with mpmath.workdps(20):
+                ma = mpmath.mpc(alpha)
+                ws = [mpmath.expjpi(mpmath.mpf(2 * i) / nodes) for i in range(nodes)]
+                values = [w * mpmath.zeta(1 + w, ma) for w in ws]
+                want = [complex(mpmath.fsum(v / w**m for v, w in zip(values, ws)) / nodes)
+                        for m in range(14)]
+            got = generalized_stieltjes(alpha, 12)
+            # the same route as the regularized jet, which carries the estimate
+            jet = hurwitz_regularized_jet(1.0, alpha, 13)
+            assert (got.pole_coeff, *got.gammas) == jet.value.coeffs
+            for j, (g, w) in enumerate(zip(jet.value.coeffs, want)):
+                assert abs(g - w) <= jet.err_estimate, f"alpha={alpha}, coefficient {j}"
+            before = SeriesParams(k=_shift_before_right_half_rule(1.0, alpha))
+            old = generalized_stieltjes(alpha, 12, before)
+            assert _digits(jet.value.coeffs, want) >= _digits(
+                (old.pole_coeff, *old.gammas), want), f"alpha={alpha}, k={jet.k_used}"

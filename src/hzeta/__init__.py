@@ -2,14 +2,7 @@
 with s-derivative jets, alpha-derivatives, generalized Stieltjes
 constants, identity verification, and an independent oracle suite."""
 
-from .errors import (
-    DomainError,
-    HZetaError,
-    NearPole,
-    Nonconvergence,
-    PoleAtOne,
-    SingularJet,
-)
+from .errors import DomainError, HZetaError, NearPole, Nonconvergence, PoleAtOne
 from .hurwitz import (
     EvalResult,
     SeriesParams,
@@ -27,21 +20,15 @@ from .identities import (
     dalpha_sderiv_at_zero,
     verify_identity,
 )
-from .jets import Jet, jet_exp, pochhammer_jet, pow_negs
+from .jets import Jet
 from .stieltjes import (
     LaurentExpansion,
     dgamma_dalpha,
     generalized_stieltjes,
-    generating_series_at_zero,
     stieltjes_constants,
 )
-from .zetacore import (
-    regularized_tail_jet,
-    riemann_zeta_jet,
-    zeta_tail_jet,
-)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DomainError",
@@ -55,24 +42,16 @@ __all__ = [
     "Nonconvergence",
     "PoleAtOne",
     "SeriesParams",
-    "SingularJet",
     "choose_k",
     "convergence_bound",
     "dalpha_of_sderiv",
     "dalpha_sderiv_at_zero",
     "dgamma_dalpha",
     "generalized_stieltjes",
-    "generating_series_at_zero",
     "hurwitz_alpha_derivative",
     "hurwitz_jet",
     "hurwitz_jet_many",
     "hurwitz_regularized_jet",
-    "jet_exp",
-    "pochhammer_jet",
-    "pow_negs",
-    "regularized_tail_jet",
-    "riemann_zeta_jet",
     "stieltjes_constants",
     "verify_identity",
-    "zeta_tail_jet",
 ]

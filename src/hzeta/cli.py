@@ -21,7 +21,6 @@ from .errors import (
     NearPole,
     Nonconvergence,
     PoleAtOne,
-    SingularJet,
 )
 from .hurwitz import SeriesParams, hurwitz_jet
 from .identities import IDENTITY_NAMES, verify_identity
@@ -37,7 +36,6 @@ _ERRORS = {
     PoleAtOne: ("POLE_AT_ONE", EXIT_DOMAIN),
     NearPole: ("NEAR_POLE", EXIT_DOMAIN),
     DomainError: ("DOMAIN_ERROR", EXIT_DOMAIN),
-    SingularJet: ("DOMAIN_ERROR", EXIT_DOMAIN),
     Nonconvergence: ("NONCONVERGENCE", EXIT_NONCONVERGENCE),
 }
 

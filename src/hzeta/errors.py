@@ -20,10 +20,6 @@ class NearPole(HZetaError):
     (s - 1) * zeta(s, alpha) is meaningful there in binary64."""
 
 
-class SingularJet(HZetaError):
-    """Reciprocal of a jet whose leading coefficient is zero."""
-
-
 class Nonconvergence(HZetaError):
     """The series hit its term cap with terms still above tolerance, or
     the Euler-Maclaurin boundary search hit its cap.

@@ -47,6 +47,10 @@ from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite, ti
 from .zetacore import PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
+# Within this distance d of its removable singularity a closed form takes the
+# regularized jet: the product route multiplies d = w - 1 into the pole's
+# 1/d**(j+1) in coefficient j of zeta(w), losing |d|**-j to cancellation.
+_REGULARIZED_RADIUS = 1.0
 
 
 class SeriesParams(Record):
@@ -360,9 +364,9 @@ def hurwitz_jet(
 def hurwitz_regularized_jet(
     w0: complex, alpha: complex, r: int = 0, p: SeriesParams | None = None
 ) -> EvalResult:
-    """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0,
-    valid at w0 = 1 where its value is 1.  Shifting by one variable this
-    is also the generating function s zeta(s+1, alpha) about s = w0 - 1."""
+    """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0, valid
+    at w0 = 1 where its value is 1 and coefficient j >= 1 is gamma_{j-1}(alpha):
+    the generating function s zeta(s+1, alpha) about s = w0 - 1."""
     outcomes = _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)
     return _first_failure(outcomes)[0]
 
@@ -380,7 +384,7 @@ def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:
     if m == 0:
         return jet(s0)
     s0 = require_finite(complex(s0), "s")
-    near = abs(s0 + m - 1) < NEAR_POLE_RADIUS
+    near = abs(s0 + m - 1) < _REGULARIZED_RADIUS
     inner = jet(s0 + m, near)
     prefactor = pochhammer_jet(Jet.variable(s0, r), m - 1 if near else m)
     sign = -1.0 if m % 2 else 1.0
@@ -402,7 +406,7 @@ def hurwitz_alpha_derivative(
 ) -> EvalResult:
     """Order-r jet (in s) of the m-th alpha-derivative of zeta(s, alpha),
     computed analytically as (-1)**m s(s+1)...(s+m-1) zeta(s+m, alpha),
-    an entire function: within 1e-8 of s = 1 - m the factor s + m - 1
+    an entire function: within distance 1 of s = 1 - m the factor s + m - 1
     stays inside the regularized jet of (w - 1) zeta(w, alpha) at s + m."""
     return _alpha_derivative(s0, m, r, _public_jet(alpha, r, p))
 

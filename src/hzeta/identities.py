@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from ._record import Record
-from .errors import NEAR_POLE_RADIUS, HZetaError
+from .errors import HZetaError
 from .hurwitz import (
+    _REGULARIZED_RADIUS,
     DEFAULT_PARAMS,
     SeriesParams,
     _alpha_derivative,
@@ -64,7 +65,7 @@ def _dalpha_of_sderiv(s0: complex, r: int, jet) -> complex:
     s0 = require_finite(complex(s0), "s")
     if r < 0:
         raise ValueError("derivative order must be >= 0")
-    if abs(s0) < NEAR_POLE_RADIUS:
+    if abs(s0) < _REGULARIZED_RADIUS:
         # r-th raw derivative of -s*zeta(s+1,alpha) at s0, via the jet of
         # (w-1)*zeta(w,alpha) at w0 = s0 + 1
         return -jet(s0 + 1, True).value.derivative(r)
@@ -82,8 +83,8 @@ def dalpha_of_sderiv(
 
     Generic s0: -r zeta^(r-1)(s0+1, alpha) - s0 zeta^(r)(s0+1, alpha),
     both derivatives from one jet at s0 + 1.  s0 = 1 is covered by the
-    same expression (the defined value there).  s0 at or next to 0 takes
-    the regularized route through the entire function -s zeta(s+1, alpha).
+    same expression (the defined value there).  s0 within distance 1 of 0
+    takes the regularized route through the entire function -s zeta(s+1, alpha).
     """
     return _dalpha_of_sderiv(s0, r, _public_jet(alpha, r, p))
 

@@ -20,12 +20,11 @@ call them directly and build a single ``Jet`` at the end.
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import math
 import operator
 from ._record import Record
-from .errors import DomainError, SingularJet
+from .errors import DomainError
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -146,12 +145,6 @@ class Jet(Record):
             return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
         return self + (-complex(other))
 
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
-    def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_order(other)
@@ -160,22 +153,6 @@ class Jet(Record):
         return Jet(tuple(z * c for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet":
-        """Truncated Taylor reciprocal; requires a nonzero leading coefficient."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise SingularJet("reciprocal of a jet with zero leading coefficient")
-        n = len(a)
-        r = [1.0 / a[0]] + [0j] * (n - 1)
-        for k in range(1, n):
-            r[k] = -sum(a[j] * r[k - j] for j in range(1, k + 1)) / a[0]
-        return Jet(tuple(r))
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / complex(other))
 
 
 def mul_coeffs(a, b) -> list[complex]:
@@ -200,11 +177,6 @@ def _exp_coeffs(e0: complex, a) -> list[complex]:
     for k in range(1, len(a)):
         e.append(sum((ja * e[k - j] for j, ja in terms if j <= k), 0j) / k)
     return e
-
-
-def jet_exp(a: Jet) -> Jet:
-    """exp of a jet via the standard convolution recurrence."""
-    return Jet(tuple(_exp_coeffs(cmath.exp(a.coeffs[0]), a.coeffs)))
 
 
 def pow_neg_coeffs(base: complex, s) -> list[complex]:

@@ -115,6 +115,15 @@ def _oracle_boundary(s0: complex, alpha: complex, order: int, depth: int) -> int
     return m
 
 
+def _linear_reciprocal(c0: complex, order: int) -> Jet:
+    """Jet of 1/(c0 + h): coefficient j is (-1)**j / c0**(j+1), each one
+    from the last by a division."""
+    out = [1.0 / c0]
+    for _ in range(order):
+        out.append(-out[-1] / c0)
+    return Jet(tuple(out))
+
+
 def hurwitz_em_oracle(
     s0: complex,
     alpha: complex,
@@ -146,7 +155,7 @@ def hurwitz_em_oracle(
 
     b = m_head + alpha
     s_minus_1 = s_jet - 1.0
-    total = total + pow_negs(b, s_minus_1) * s_minus_1.reciprocal()
+    total = total + pow_negs(b, s_minus_1) * _linear_reciprocal(s_minus_1.value, r)
     pb = pow_negs(b, s_jet)
     total = total + 0.5 * pb
 

@@ -12,7 +12,7 @@ which the regularized series evaluates with no pole in sight:
 Its coefficient 0 is the pole's residue, computed rather than assumed,
 and coefficient r + 1 is gamma_r(alpha).  Shifting by one variable, the
 same coefficients are the Taylor coefficients of s zeta(s+1, alpha) at
-s = 0, the paper's closing power series; generating_series_at_zero
+s = 0, the paper's closing power series: hurwitz_regularized_jet at w = 1
 returns them in that form.  The classical constants gamma_r = gamma_r(1)
 come from the Euler-Maclaurin tail at w = 1 alone.
 """
@@ -28,7 +28,6 @@ from .hurwitz import (
     _first_failure,
     _public_jet,
     _series_eval,
-    hurwitz_regularized_jet,
 )
 from .zetacore import em_tail_jet
 
@@ -97,17 +96,6 @@ def stieltjes_constants(r_max: int) -> LaurentExpansion:
     if not 0 <= r_max <= _STIELTJES_MAX:
         raise ValueError(f"R must be in 0..{_STIELTJES_MAX} for binary64 accuracy")
     return _expansion(1.0, _stieltjes_cached(), r_max)
-
-
-def generating_series_at_zero(
-    alpha: complex, r_max: int, p: SeriesParams | None = None
-) -> list[complex]:
-    """Taylor coefficients of the entire function s zeta(s+1, alpha) at
-    s = 0, up to order R+1.  Coefficient 0 is 1 and coefficient r equals
-    gamma_{r-1}(alpha) for r >= 1."""
-    if r_max < 0:
-        raise ValueError("R must be >= 0")
-    return list(hurwitz_regularized_jet(1.0, alpha, r_max + 1, p).value.coeffs)
 
 
 def _dgamma_dalpha(r: int, jet) -> complex:

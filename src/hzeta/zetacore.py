@@ -278,24 +278,3 @@ def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex
         out.append(c[0] * q1 + c[1] * q0)
         out.extend(c[i - 2] + c[i - 1] * q1 + c[i] * q0 for i in range(2, len(c)))
     return out
-
-
-def riemann_zeta_jet(s0: complex, order: int = 0) -> Jet:
-    """Jet of the Riemann zeta function at s0 (s0 != 1)."""
-    jet, _ = em_tail_jet(s0, 1, order)
-    return jet
-
-
-def zeta_tail_jet(s0: complex, k: int, order: int = 0) -> Jet:
-    """Jet of zeta(s) minus its first k-1 Dirichlet terms, i.e. the
-    continuation of sum_{m >= k} m**-s.  Summed directly from m = k, which
-    preserves relative accuracy when the tail is small."""
-    jet, _ = em_tail_jet(s0, k, order)
-    return jet
-
-
-def regularized_tail_jet(w0: complex, k: int, order: int = 0) -> Jet:
-    """Jet of the entire function (w-1) * sum_{m >= k} m**-w, valid at
-    w0 = 1 included."""
-    jet, _ = em_tail_jet(w0, k, order, regularized=True)
-    return jet

@@ -42,8 +42,8 @@ def central_diff(f, x: complex, h: float, order: int = 1) -> complex:
 def measured_tail_sum(s0: complex, alpha: complex, r: int = 0) -> float:
     """|sum of the n >= 1 tail terms| actually accumulated by the series,
     for comparison against convergence_bound."""
-    from hzeta import hurwitz_jet, pow_negs
-    from hzeta.jets import Jet, KahanJetSum
+    from hzeta import hurwitz_jet
+    from hzeta.jets import Jet, KahanJetSum, pow_negs
     from hzeta.zetacore import em_tail_jet
 
     res = hurwitz_jet(s0, alpha, r)

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from hzeta import cli
-from hzeta.errors import SingularJet
 from hzeta.identities import verify_identity
 
 CLI = [sys.executable, "-m", "hzeta"]
@@ -390,17 +389,6 @@ class TestVerify:
         monkeypatch.setattr(cli, "verify_identity", broken)
         with pytest.raises(RuntimeError, match="bug in the evaluator"):
             cli.main(["verify", "--identity", "at_zero"])
-
-    def test_singular_jet_is_domain_error(self, monkeypatch, capsys):
-        def singular(*args, **kwargs):
-            raise SingularJet("reciprocal of a jet with zero leading coefficient")
-
-        monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
-        monkeypatch.setattr(cli, "verify_identity", singular)
-        assert cli.main(["verify", "--identity", "at_zero"]) == cli.EXIT_DOMAIN
-        records = json_lines(capsys.readouterr().out)
-        assert records[0]["error"]["code"] == "DOMAIN_ERROR"
-        assert records[-1]["errors"] == len(records) - 1
 
 
 class TestRecordFormat:

@@ -1,0 +1,70 @@
+"""tools/fingerprint.py: the same outputs give the same hash, and a one-ulp
+change to one coefficient gives another, in every group."""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import fingerprint  # noqa: E402
+from hzeta import EvalResult, Jet  # noqa: E402
+
+
+def few_ops(group):
+    ops = fingerprint.workloads.POOLS[group](1)
+    if group == "verify_all":
+        return [ops[0][:2]]  # one grid of two points
+    if group == "cli_oneshot":
+        return ops[:2]  # an order-0 eval in JSON and in CSV
+    return ops[:3]  # jets_deep: two jets and a Stieltjes table
+
+
+def group_hash(group):
+    return fingerprint.digest(fingerprint.group_lines(group, 1, few_ops(group)))
+
+
+def one_ulp_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+@pytest.mark.parametrize("group", fingerprint.GROUPS)
+def test_two_runs_hash_the_same(group):
+    assert group_hash(group) == group_hash(group)
+
+
+@pytest.mark.parametrize("group", ["sweep_values", "jets_deep"])
+def test_one_ulp_in_a_library_result_changes_the_hash(group, monkeypatch):
+    before = group_hash(group)
+    hurwitz_jet = fingerprint.hzeta.hurwitz_jet
+
+    def nudged(*args):
+        res = hurwitz_jet(*args)
+        c = res.value.coeffs
+        value = Jet((complex(one_ulp_up(c[0].real), c[0].imag),) + c[1:])
+        return EvalResult(value, res.err_estimate, res.k_used, res.terms_used)
+
+    monkeypatch.setattr(fingerprint.hzeta, "hurwitz_jet", nudged)
+    assert group_hash(group) != before
+
+
+@pytest.mark.parametrize("group", ["cli_oneshot", "verify_all"])
+def test_one_ulp_in_a_printed_coefficient_changes_the_hash(group, monkeypatch):
+    before = group_hash(group)
+    run_cli = fingerprint.run_cli
+
+    def nudged(args):
+        out, err, code = run_cli(args)
+        if args[-1] != "json":
+            return out, err, code
+        lines = out.splitlines()
+        rec = json.loads(lines[0])
+        field = rec["value"] if "value" in rec else rec["lhs"]
+        field["re"] = one_ulp_up(field["re"])
+        return "\n".join([json.dumps(rec), *lines[1:]]) + "\n", err, code
+
+    monkeypatch.setattr(fingerprint, "run_cli", nudged)
+    assert group_hash(group) != before

@@ -12,6 +12,7 @@ from hzeta import (
     SeriesParams,
     choose_k,
     convergence_bound,
+    dalpha_of_sderiv,
     generalized_stieltjes,
     hurwitz_alpha_derivative,
     hurwitz_jet,
@@ -363,6 +364,40 @@ class TestAlphaDerivative:
                 want = complex(mpmath.diff(lambda s, a: mpmath.zeta(s, a), point, (j, m)))
                 got = res.value.derivative(j)
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), f"j={j}"
+
+    @pytest.mark.parametrize("d", [2e-8, 1e-6, 1e-4, 0.1, 0.99])
+    def test_next_to_shifted_pole_against_mpmath(self, d):
+        # at distance d from s = 1 - m the product route lost about d**-j
+        # digits in coefficient j; the regularized route keeps them all
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(f"shifted pole {d}")
+        r = 4
+        for m in (1, 2, 3):
+            alpha = complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+            s0 = 1 - m + d * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            got = hurwitz_alpha_derivative(s0, alpha, m, r)
+            with mpmath.workdps(60):
+                s, a = mpmath.mpc(s0), mpmath.mpc(alpha)
+                # (-1)**m (s)_m and zeta(s + m, alpha) as Taylor coefficients at s0
+                poly = [mpmath.mpf((-1) ** m)]
+                for i in range(m):
+                    poly = [(s + i) * poly[0]] + [
+                        (s + i) * poly[k] + poly[k - 1] for k in range(1, len(poly))
+                    ] + [poly[-1]]
+                zeta = [mpmath.zeta(s + m, a, j) / mpmath.factorial(j) for j in range(r + 1)]
+                want = [complex(mpmath.fsum(poly[i] * zeta[j - i] for i in range(min(j, m) + 1)))
+                        for j in range(r + 1)]
+            where = f"m={m}, s={s0}, alpha={alpha}"
+            assert got.err_estimate <= 1e-11 * got.value.norm(), where
+            for j, (g, w) in enumerate(zip(got.value.coeffs, want)):
+                assert abs(g - w) <= got.err_estimate, f"{where}, coefficient {j}"
+            if m == 1:
+                # d/d alpha zeta^(r)(s0, alpha) is r! times coefficient r
+                closed = dalpha_of_sderiv(s0, alpha, r)
+                scale = math.factorial(r)
+                assert abs(closed - scale * want[r]) <= scale * got.err_estimate, where
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_continuous_into_shifted_pole(self, m):

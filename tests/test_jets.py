@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzeta import Jet, SingularJet, jet_exp, pochhammer_jet, pow_negs
+from hzeta import Jet
 from hzeta.errors import DomainError
-from hzeta.jets import mul_coeffs, times_linear
+from hzeta.jets import mul_coeffs, pochhammer_jet, pow_negs, times_linear
 
 from conftest import assert_close, naive_pow
 
@@ -80,7 +80,6 @@ class TestArithmetic:
         b = Jet.constant(-2.1 + 0.9j, 0)
         assert (a * b).coeffs[0] == (1.3 - 0.4j) * (-2.1 + 0.9j)
         assert (a + b).coeffs[0] == (1.3 - 0.4j) + (-2.1 + 0.9j)
-        assert a.reciprocal().coeffs[0] == 1.0 / (1.3 - 0.4j)
 
 
 class TestKernelPins:
@@ -142,30 +141,6 @@ class TestKernelPins:
             assert abs(c - want) < 1e-15
 
 
-class TestReciprocal:
-    def test_identity(self):
-        assert Jet((1, 0, 0)).reciprocal().coeffs == (1 + 0j, 0j, 0j)
-
-    def test_constant(self):
-        assert Jet((2, 0)).reciprocal().coeffs == (0.5 + 0j, 0j)
-
-    def test_geometric(self):
-        # 1/(1+s) = 1 - s + s**2
-        rec = Jet((1, 1, 0)).reciprocal()
-        assert rec.coeffs == (1 + 0j, -1 + 0j, 1 + 0j)
-
-    def test_roundtrip(self):
-        a = Jet((1.5 - 0.5j, 0.3, -0.2 + 1j, 0.7))
-        prod = a * a.reciprocal()
-        assert abs(prod.coeffs[0] - 1) < 1e-15
-        for c in prod.coeffs[1:]:
-            assert abs(c) < 1e-14
-
-    def test_singular(self):
-        with pytest.raises(SingularJet):
-            Jet((0, 1)).reciprocal()
-
-
 class TestPowNegs:
     def test_base_one_is_constant(self):
         jet = pow_negs(1.0, Jet.variable(0.7 + 2j, 3))
@@ -211,20 +186,6 @@ class TestPowNegs:
 
 
 class TestHelpers:
-    def test_jet_exp_matches_series(self):
-        a = Jet((0.3 - 0.2j, 1.1, -0.4, 0.25))
-        e = jet_exp(a)
-        s = Jet.variable(0.0, 3)
-        composed = Jet.constant(1.0, 3)
-        term = Jet.constant(1.0, 3)
-        shifted = Jet((0j,) + a.coeffs[1:])
-        for n in range(1, 8):
-            term = term * shifted * (1.0 / n)
-            composed = composed + term
-        composed = cmath.exp(a.coeffs[0]) * composed
-        for x, y in zip(e.coeffs, composed.coeffs):
-            assert abs(x - y) < 1e-14
-
     def test_pochhammer(self):
         s = Jet.variable(2.0, 1)
         p = pochhammer_jet(s, 3)  # s(s+1)(s+2) = 24 at 2, derivative 26

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hzeta import DomainError, NearPole, PoleAtOne, hurwitz_jet
+from hzeta import DomainError, Jet, NearPole, PoleAtOne, hurwitz_jet, oracles
 from hzeta.oracles import (
     BernoulliPoly,
     bernoulli_poly,
@@ -83,6 +83,15 @@ class TestEmOracle:
     def test_excluded(self):
         with pytest.raises(DomainError):
             hurwitz_em_oracle(2.0, -2.0)
+
+    def test_linear_reciprocal(self):
+        # 1/(1 + h) = 1 - h + h**2, and (c0 + h) times 1/(c0 + h) is 1
+        assert oracles._linear_reciprocal(1.0, 2).coeffs == (1, -1, 1)
+        c0 = 0.5 - 1.5j
+        prod = Jet((c0, 1, 0, 0)) * oracles._linear_reciprocal(c0, 3)
+        assert abs(prod.coeffs[0] - 1) < 1e-15
+        for c in prod.coeffs[1:]:
+            assert abs(c) < 1e-15
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("alpha", grid_alphas())

@@ -10,8 +10,8 @@ from hzeta import (
     Nonconvergence,
     dgamma_dalpha,
     generalized_stieltjes,
-    generating_series_at_zero,
     hurwitz_jet,
+    hurwitz_regularized_jet,
     stieltjes_constants,
 )
 from hzeta.jets import Jet
@@ -98,35 +98,37 @@ class TestGeneralizedStieltjes:
             assert_close(expansion.evaluate(s), want, 1e-8, label=f"s={s}")
 
 
+def generating_series(alpha, r_max):
+    """Taylor coefficients of s zeta(s+1, alpha) at s = 0, orders 0..R+1:
+    the paper's power series, as the regularized jet at w = 1."""
+    return hurwitz_regularized_jet(1.0, alpha, r_max + 1).value.coeffs
+
+
 class TestGeneratingSeries:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_leading_coefficient_is_one(self, alpha):
-        coeffs = generating_series_at_zero(alpha, 2)
+        coeffs = generating_series(alpha, 2)
         assert abs(coeffs[0] - 1.0) < 1e-12
 
     def test_first_coefficient_alpha_one(self, euler_gamma):
-        coeffs = generating_series_at_zero(1.0, 1)
+        coeffs = generating_series(1.0, 1)
         assert_close(coeffs[1], euler_gamma, 1e-11)
 
     def test_first_coefficient_half(self, euler_gamma):
-        coeffs = generating_series_at_zero(0.5, 1)
+        coeffs = generating_series(0.5, 1)
         assert_close(coeffs[1], euler_gamma + 2 * math.log(2), 1e-11)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_two_routes_agree(self, alpha):
-        # Taylor coefficients of s*zeta(s+1,alpha) at 0 against the
-        # Laurent coefficients at s = 1
+        # the series' Taylor coefficients of s*zeta(s+1,alpha) at 0 against
+        # the Cauchy integral of the Euler-Maclaurin oracle, a route of its own
         r_max = 5
-        series = generating_series_at_zero(alpha, r_max)
-        laurent = generalized_stieltjes(alpha, r_max)
-        for r in range(r_max + 1):
-            assert_close(
-                laurent.gammas[r], series[r + 1], 1e-9, label=f"alpha={alpha} r={r}"
-            )
-        # both read one regularized jet; the Cauchy integral of the
-        # Euler-Maclaurin oracle is a route of its own
+        series = generating_series(alpha, r_max)
         for m, (a, z) in enumerate(zip(series, cauchy_laurent(alpha, r_max))):
             assert abs(a - z) <= 1e-10 * max(1.0, abs(z)), f"alpha={alpha} m={m}"
+        # generalized_stieltjes reads gamma_r as coefficient r + 1 of the same jet
+        laurent = generalized_stieltjes(alpha, r_max)
+        assert (laurent.pole_coeff, *laurent.gammas) == series
 
 
 class TestDgammaDalpha:

@@ -9,10 +9,7 @@ from hzeta import (
     NearPole,
     Nonconvergence,
     PoleAtOne,
-    regularized_tail_jet,
-    riemann_zeta_jet,
     stieltjes_constants,
-    zeta_tail_jet,
 )
 from hzeta.oracles import (
     euler_mascheroni_oracle,
@@ -36,31 +33,31 @@ def zeta_direct(sigma: float, start: int = 1, terms: int = 10**6) -> float:
 class TestRiemannZeta:
     def test_at_two(self):
         want = zeta_direct(2.0)
-        got = riemann_zeta_jet(2.0).value
+        got = em_tail_jet(2.0, 1)[0].value
         assert_close(got, want, 1e-12, label="zeta(2)")
         assert abs(got - math.pi**2 / 6) < 1e-13
 
     def test_at_zero(self):
         want = hurwitz_closed_form_oracle(0, 1.0)  # -1/2
-        assert_close(riemann_zeta_jet(0.0).value, want, 1e-13, relative=False)
+        assert_close(em_tail_jet(0.0, 1)[0].value, want, 1e-13, relative=False)
 
     def test_at_minus_one(self):
         want = hurwitz_closed_form_oracle(1, 1.0)  # -1/12
-        assert_close(riemann_zeta_jet(-1.0).value, want, 1e-13, relative=False)
+        assert_close(em_tail_jet(-1.0, 1)[0].value, want, 1e-13, relative=False)
 
     def test_pole_errors(self):
         with pytest.raises(PoleAtOne):
-            riemann_zeta_jet(1.0)
+            em_tail_jet(1.0, 1)
         with pytest.raises(NearPole):
-            riemann_zeta_jet(1.0 + 1e-9)
+            em_tail_jet(1.0 + 1e-9, 1)
 
     def test_jet_matches_finite_differences(self):
         s0 = 2.0
-        jet = riemann_zeta_jet(s0, 3)
+        jet = em_tail_jet(s0, 1, 3)[0]
         h = 1e-3
 
         def f(s):
-            return riemann_zeta_jet(s).value
+            return em_tail_jet(s, 1)[0].value
 
         for j in range(1, 4):
             fd = central_diff(f, s0, h, j)
@@ -69,44 +66,46 @@ class TestRiemannZeta:
 
 class TestTail:
     def test_empty_head(self):
-        assert_close(zeta_tail_jet(2.0, 1).value, riemann_zeta_jet(2.0).value, 1e-15)
+        # from start = 1 the tail is all of zeta(s) = zeta(s, 1)
+        want = oracles.hurwitz_em_oracle(2.0, 1.0).value
+        assert_close(em_tail_jet(2.0, 1)[0].value, want, 1e-15)
 
     def test_k2(self):
         assert_close(
-            zeta_tail_jet(2.0, 2).value, riemann_zeta_jet(2.0).value - 1.0, 1e-13
+            em_tail_jet(2.0, 2)[0].value, em_tail_jet(2.0, 1)[0].value - 1.0, 1e-13
         )
 
     def test_k3_direct_sum(self):
         want = zeta_direct(4.0, start=3)
-        assert_close(zeta_tail_jet(4.0, 3).value, want, 1e-12, label="zeta_3(4)")
+        assert_close(em_tail_jet(4.0, 3)[0].value, want, 1e-12, label="zeta_3(4)")
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("s0", [2.0, -0.5, 3.0 + 2.0j, -2.3 + 1.0j])
     def test_tail_identity(self, k, s0):
         head = sum(n ** (-complex(s0)) for n in range(1, k))
-        got = zeta_tail_jet(s0, k).value + head
-        assert_close(got, riemann_zeta_jet(s0).value, 1e-12, label=f"k={k}")
+        got = em_tail_jet(s0, k)[0].value + head
+        assert_close(got, em_tail_jet(s0, 1)[0].value, 1e-12, label=f"k={k}")
 
 
 class TestRegularizedTail:
     def test_value_at_pole(self):
-        assert_close(regularized_tail_jet(1.0, 1).value, 1.0, 1e-13)
+        assert_close(em_tail_jet(1.0, 1, regularized=True)[0].value, 1.0, 1e-13)
 
     def test_first_coefficient_is_gamma(self):
-        jet = regularized_tail_jet(1.0, 1, order=1)
+        jet = em_tail_jet(1.0, 1, 1, regularized=True)[0]
         assert_close(jet.coeffs[0], 1.0, 1e-13)
         assert_close(jet.coeffs[1], euler_mascheroni_oracle(), 1e-12)
 
     def test_at_two(self):
         want = zeta_direct(2.0)
-        assert_close(regularized_tail_jet(2.0, 1).value, want, 1e-12)
+        assert_close(em_tail_jet(2.0, 1, regularized=True)[0].value, want, 1e-12)
 
     @pytest.mark.parametrize("angle", range(8))
     def test_pole_cancellation_on_circle(self, angle):
         w = 1.0 + 0.1 * cmath.exp(1j * math.pi * angle / 4)
-        reconstructed = regularized_tail_jet(w, 1).value / (w - 1.0)
+        reconstructed = em_tail_jet(w, 1, regularized=True)[0].value / (w - 1.0)
         assert_close(
-            reconstructed, riemann_zeta_jet(w).value, 1e-10, label=f"w={w}"
+            reconstructed, em_tail_jet(w, 1)[0].value, 1e-10, label=f"w={w}"
         )
 
 
@@ -275,11 +274,10 @@ class TestPhaseTable:
         with pytest.raises(DomainError, match="overflows binary64"):
             em_tail_jet(-100 + 3j, 1150)
 
-    @pytest.mark.parametrize("tail", [em_tail_jet, zeta_tail_jet])
-    def test_non_finite_tail_is_a_domain_error(self, tail):
+    def test_non_finite_tail_is_a_domain_error(self):
         # with M = start = 1000 the corrections (w)_{2j-1} M**-w overflow
         with pytest.raises(DomainError, match="not finite") as info:
-            tail(-100, 1000)
+            em_tail_jet(-100, 1000)
         message = str(info.value)
         assert "w0=(-100+0j)" in message
         assert "start=1000" in message and "M=1000" in message

@@ -1,0 +1,146 @@
+"""Fingerprint of every output the benchmark workloads produce: one sha256 per
+group, so that "bitwise identical" can be checked between two checkouts.
+
+    PYTHONPATH=src python3 tools/fingerprint.py --seeds 1 2 3 [--dump DIR]
+
+The pools come from perfbench/workloads.py for each seed.  One line per
+operation, in pool order, goes into its group's hash:
+
+    sweep_values, jets_deep  the repr of each result (EvalResult or
+                             LaurentExpansion), or the exception's type and
+                             message;
+    cli_oneshot              stdout, stderr and exit code of each
+                             `python -m hzeta` command;
+    verify_all               each record `hzeta verify --identity all` prints
+                             for each grid, then the grid's stderr and exit
+                             code.
+
+The library calls run in this process, against whichever hzeta is
+importable; the CLI processes get that same hzeta through PYTHONPATH.  So
+to fingerprint another commit, point PYTHONPATH at the src/ of a second
+checkout of it (`git worktree add` or `git archive`).  --dump DIR writes
+each group's lines to DIR/<group>.txt, so that `diff -r` between two dumps
+names the operations that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import hzeta  # noqa: E402
+import workloads  # noqa: E402
+
+GROUPS = ("sweep_values", "jets_deep", "cli_oneshot", "verify_all")
+
+
+def _arg(z: complex) -> str:
+    return f"{z.real!r},{z.imag!r}"
+
+
+def lib_line(op: dict) -> str:
+    """The repr of one library operation's result, or of its failure."""
+    try:
+        if op["kind"] == "jet":
+            result = hzeta.hurwitz_jet(op["s"], op["alpha"], op["r"])
+        else:
+            result = hzeta.generalized_stieltjes(op["alpha"], op["r"])
+    except Exception as exc:  # noqa: BLE001 - a failure is an output like any other
+        return f"{type(exc).__name__}: {exc}"
+    return repr(result)
+
+
+def run_cli(args: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of `python -m hzeta ARGS`, run against
+    the hzeta this process imported."""
+    env = dict(os.environ)
+    env.pop("HZ_DEFAULT_TOL", None)
+    env["PYTHONPATH"] = str(Path(hzeta.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "hzeta", *args], env=env,
+                          capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def cli_args(op: dict) -> list[str]:
+    """The command perfbench/run.py runs for one cli_oneshot operation."""
+    args = [op["kind"], "--alpha=" + _arg(op["alpha"]), "--order", str(op["r"]),
+            "--format", op["format"]]
+    if op["kind"] == "eval":
+        args.insert(1, "--s=" + _arg(op["s"]))
+    return args
+
+
+def write_grid(path: Path, points: list[dict]) -> None:
+    """A verify grid file as perfbench/run.py writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s_re", "s_im", "alpha_re", "alpha_im", "r"])
+        for p in points:
+            writer.writerow([repr(p["s"].real), repr(p["s"].imag),
+                             repr(p["alpha"].real), repr(p["alpha"].imag), p["r"]])
+
+
+def group_lines(group: str, seed: int, ops: list | None = None) -> list[str]:
+    """One line per operation of the group's pool for this seed (or of ops,
+    when given), each naming the operation."""
+    ops = workloads.POOLS[group](seed) if ops is None else ops
+    lines = []
+    if group == "verify_all":
+        with tempfile.TemporaryDirectory() as tmp:
+            for n, points in enumerate(ops):
+                path = Path(tmp) / f"grid-{n}.csv"
+                write_grid(path, points)
+                out, err, code = run_cli(["verify", "--identity", "all", "--grid",
+                                          str(path), "--format", "json"])
+                # the grid's temporary path is not an output of the program
+                out, err = (x.replace(str(path), "GRID") for x in (out, err))
+                # one line per record, each an (identity, point) pair or the summary
+                name = f"seed={seed} grid={n}"
+                lines.extend(f"{name} record={k}\t{json.dumps(rec)}"
+                             for k, rec in enumerate(out.splitlines(keepends=True)))
+                lines.append(f"{name} end\t{json.dumps({'stderr': err, 'exit': code})}")
+        return lines
+    for i, op in enumerate(ops):
+        name = f"seed={seed} op={i} {op!r}"
+        if group == "cli_oneshot":
+            out, err, code = run_cli(cli_args(op))
+            lines.append(f"{name}\t{json.dumps({'stdout': out, 'stderr': err, 'exit': code})}")
+        else:
+            lines.append(f"{name}\t{lib_line(op)}")
+    return lines
+
+
+def digest(lines: list[str]) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--dump", type=Path, help="write each group's lines here")
+    args = parser.parse_args(argv)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for group in GROUPS:
+        lines = [line for seed in args.seeds for line in group_lines(group, seed)]
+        if args.dump:
+            (args.dump / f"{group}.txt").write_text("".join(f"{x}\n" for x in lines))
+        print(f"{group}\t{len(lines)}\t{digest(lines)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

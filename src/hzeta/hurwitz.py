@@ -23,16 +23,15 @@ Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
 d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
 
-The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha,
-so hurwitz_jet_many evaluates one s for many alphas and computes each
-tail once for all the alphas that share a shift k.
+The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
+a memo keyed by their inputs computes each once, for every alpha of a
+hurwitz_jet_many batch that shares its shift k and for verify's points.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
 
 from ._record import Record
 from .errors import (
@@ -53,16 +52,22 @@ _ZERO_BASE_RADIUS = 1e-12
 _REGULARIZED_RADIUS = 1.0
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 class SeriesParams(Record):
     """Evaluation policy.  k = None selects the shift automatically."""
 
     __slots__ = ("k", "n_max", "tol")
 
     def __init__(self, k: int | None = None, n_max: int = 400, tol: float = 1e-12):
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
-        if n_max < 8:
-            raise ValueError("n_max must be >= 8")
+        if k is not None:
+            _check_count("k", k, 1)
+        _check_count("n_max", n_max, 8)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be a positive finite number, got {tol!r}")
         self._init(k, n_max, tol)
@@ -128,117 +133,6 @@ def _check_head_bases(alpha: complex, k: int) -> None:
             )
 
 
-class _Series:
-    """One alpha's share of a batch at one s0: its own head, coefficients
-    a_n, compensated sum, stopping rule and error budget.  The tails
-    B_k(s0 + n) come from the driver, shared by every alpha with the same
-    shift k."""
-
-    __slots__ = (
-        "s0", "alpha", "k", "p", "factor", "pole_scale", "acc", "a_n",
-        "head_round", "err_cont", "terms", "small", "last_norm",
-    )
-
-    def __init__(
-        self, s0: complex, alpha, order: int, p: SeriesParams, regularized: bool
-    ):
-        alpha = require_finite(complex(alpha), "alpha")
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        if not regularized:
-            if s0 == 1:
-                raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
-            if abs(s0 - 1) < NEAR_POLE_RADIUS:
-                raise NearPole(
-                    "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
-                    "meaningful there"
-                )
-        k = _resolve_k(s0, alpha, p)
-        _check_head_bases(alpha, k)
-
-        s_jet = Jet.variable(s0, order)
-        # every term of the regularized series carries the factor s - 1
-        factor = s0 - 1.0 if regularized else None
-        acc = KahanJetSum(order)
-        # (n + alpha)**-s takes its magnitude and its phase from products of
-        # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
-        # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
-        # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
-        head_round = 0.0
-        for n in range(k):
-            term = pow_negs(n + alpha, s_jet)
-            if factor is not None:
-                term = Jet(tuple(times_linear(factor, term.coeffs)))
-            acc.add(term)
-            head_round += term.norm() * (
-                4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
-            )
-
-        self.s0, self.alpha, self.k, self.p = s0, alpha, k, p
-        self.factor = factor
-        self.pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
-        self.acc = acc
-        # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
-        self.a_n = Jet.constant(-alpha, order)
-        self.head_round = head_round
-        self.err_cont = 0.0
-        self.terms = 0
-        self.small = 0
-        self.last_norm = math.inf
-
-    def add_tail0(self, tail0: Jet, err: float) -> None:
-        self.acc.add(tail0)
-        self.err_cont = err
-
-    def add_term(self, n: int, b_k: Jet, em_err: float) -> bool:
-        """Add a_n B_k(s0 + n); True once the stopping rule has fired."""
-        a_n, acc = self.a_n, self.acc
-        self.terms = n
-        term = a_n * b_k
-        if self.factor is not None:
-            term = Jet(tuple(times_linear(self.factor, term.coeffs)))
-        if not (term.is_finite() and a_n.is_finite()):
-            raise Nonconvergence(
-                f"coefficient recurrence overflowed at n={n} before the "
-                f"series converged; k={self.k} is too small for alpha={self.alpha}",
-                result=None,
-            )
-        acc.add(term)
-        self.err_cont += a_n.norm() * em_err * self.pole_scale
-        last_norm = self.last_norm = term.norm()
-        # <= so that exactly-zero terms count as small even when the
-        # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
-        if last_norm <= self.p.tol * max(acc.norm(), 5e-324):
-            self.small += 1
-            if self.small >= 3:
-                return True
-        else:
-            self.small = 0
-        step, c0 = -self.alpha / (n + 1), self.s0 + (n - 1)
-        self.a_n = Jet(tuple(step * c for c in times_linear(c0, a_n.coeffs)))
-        return False
-
-    def result(self) -> EvalResult:
-        value = self.acc.jet()
-        err = 3.0 * self.last_norm + self.err_cont + _EPS * self.head_round
-        s0, alpha, k, p = self.s0, self.alpha, self.k, self.p
-        if not (value.is_finite() and math.isfinite(err)):
-            raise DomainError(
-                f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"
-            )
-        result = EvalResult(
-            value=value, err_estimate=err, k_used=k, terms_used=self.terms
-        )
-        if self.small < 3:
-            raise Nonconvergence(
-                f"series hit the term cap n_max={p.n_max} with the last term at "
-                f"{self.last_norm:.3e} against tolerance {p.tol:.1e}; k={k}, "
-                f"alpha={alpha}, s={s0}",
-                result=result,
-            )
-        return result
-
-
 # What an evaluation raises by design: bad arguments, domain errors, the
 # stopping rule's failures and binary64 overflow.  A batch holds these
 # per alpha; anything else is a defect and propagates at once.
@@ -260,73 +154,127 @@ def _memo_tail(tails: dict, w0: complex, k: int, order: int, *,
     return tail
 
 
-def _series_eval(
-    s0: complex,
-    alphas,
-    order: int,
-    p: SeriesParams,
-    regularized: bool = False,
-    tails: dict | None = None,
-) -> list:
-    """The one series driver: at one s0, the series for zeta(s, alpha), or
-    for the entire (s - 1) zeta(s, alpha) when regularized, for every
-    alpha of a batch.  Regularized at s0 = 1 it yields the Laurent
-    expansion there: coefficient 0 is the pole's residue and coefficient
-    r + 1 is gamma_r(alpha).
+def _series_one(
+    s0: complex, alpha, order: int, p: SeriesParams, regularized: bool,
+    tails: dict, tables: dict,
+) -> EvalResult:
+    """One alpha's series at s0: its head, the tail zeta_k(s0), then the
+    terms a_n B_k(s0 + n) until three in a row fall below tol relative to
+    the sum, or n reaches n_max.  Every tail comes from the memo tails, on
+    the PhaseTable that tables keeps for the shift k."""
+    alpha = require_finite(complex(alpha), "alpha")
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
+    if not regularized:
+        if s0 == 1:
+            raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
+        if abs(s0 - 1) < NEAR_POLE_RADIUS:
+            raise NearPole(
+                "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
+                "meaningful there"
+            )
+    k = _resolve_k(s0, alpha, p)
+    _check_head_bases(alpha, k)
 
-    Alphas are grouped by their shift k.  A group shares one PhaseTable
-    and one em_tail_jet call per tail: zeta_k(s0) for n = 0 and
-    B_k(s0 + n) for each series term n, until the last of its alphas
-    stops.  Since everything else is per alpha, each entry equals that
-    of a batch of one.  Returns, in input order, each alpha's EvalResult
-    or the exception its evaluation raised.
+    s_jet = Jet.variable(s0, order)
+    # every term of the regularized series carries the factor s - 1
+    factor = s0 - 1.0 if regularized else None
+    acc = KahanJetSum(order)
+    # (n + alpha)**-s takes its magnitude and its phase from products of
+    # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
+    # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
+    # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
+    head_round = 0.0
+    for n in range(k):
+        term = pow_negs(n + alpha, s_jet)
+        if factor is not None:
+            term = Jet(tuple(times_linear(factor, term.coeffs)))
+        acc.add(term)
+        head_round += term.norm() * (
+            4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
+        )
 
-    A memo tails keeps every tail, keyed by all of its inputs,
-    (w0, k, order, regularized) with w0 exact to the sign of a zero, and
-    serves it again: evaluations that share a memo share their tails
-    bitwise, as B_k(s0 + 1 + n) at s0 + 1 is term n + 1 at s0."""
-    s0 = require_finite(complex(s0), "s")
-    # a lone evaluation never asks for a tail twice: a memo would only cost
-    tail = em_tail_jet if tails is None else partial(_memo_tail, tails)
-    outcomes = [None] * len(alphas)
-    groups: dict[int, list] = {}
-    for i, alpha in enumerate(alphas):
-        try:
-            series = _Series(s0, alpha, order, p, regularized)
-        except _EVAL_ERRORS as exc:
-            outcomes[i] = exc
+    phases = tables.get(k)
+    if phases is None:
+        phases = tables[k] = PhaseTable(s0.imag, order)
+    tail0, err_cont = _memo_tail(tails, s0, k, order, regularized=regularized,
+                                 phases=phases)
+    acc.add(tail0)
+    pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
+    # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
+    a_n = Jet.constant(-alpha, order)
+    n = small = 0
+    last_norm = math.inf
+    while n < p.n_max:
+        n += 1
+        b_k, em_err = _memo_tail(tails, s0 + n, k, order, regularized=True,
+                                 phases=phases)
+        term = a_n * b_k
+        if factor is not None:
+            term = Jet(tuple(times_linear(factor, term.coeffs)))
+        if not (term.is_finite() and a_n.is_finite()):
+            raise Nonconvergence(
+                f"coefficient recurrence overflowed at n={n} before the "
+                f"series converged; k={k} is too small for alpha={alpha}"
+            )
+        acc.add(term)
+        err_cont += a_n.norm() * em_err * pole_scale
+        last_norm = term.norm()
+        # <= so that exactly-zero terms count as small even when the
+        # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
+        if last_norm <= p.tol * max(acc.norm(), 5e-324):
+            small += 1
+            if small == 3:
+                break
         else:
-            groups.setdefault(series.k, []).append((i, series))
+            small = 0
+        step, c0 = -alpha / (n + 1), s0 + (n - 1)
+        a_n = Jet(tuple(step * c for c in times_linear(c0, a_n.coeffs)))
 
-    for k, group in groups.items():
-        phases = PhaseTable(s0.imag, order)
-        active = group
+    value = acc.jet()
+    err = 3.0 * last_norm + err_cont + _EPS * head_round
+    if not (value.is_finite() and math.isfinite(err)):
+        raise DomainError(
+            f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"
+        )
+    result = EvalResult(value=value, err_estimate=err, k_used=k, terms_used=n)
+    if small < 3:
+        raise Nonconvergence(
+            f"series hit the term cap n_max={p.n_max} with the last term at "
+            f"{last_norm:.3e} against tolerance {p.tol:.1e}; k={k}, "
+            f"alpha={alpha}, s={s0}",
+            result=result,
+        )
+    return result
+
+
+def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
+                 regularized: bool = False, tails: dict | None = None) -> list:
+    """The one series driver: at one s0, the series for zeta(s, alpha), or
+    for the entire (s - 1) zeta(s, alpha) when regularized, for each alpha
+    in turn.  Regularized at s0 = 1 it yields the Laurent expansion there:
+    coefficient 0 is the pole's residue and coefficient r + 1 is
+    gamma_r(alpha).  Returns, in input order, each alpha's EvalResult or
+    the exception its evaluation raised.
+
+    Every tail goes through the memo tails (a fresh one when none is
+    given), keyed by all of its inputs, (w0, k, order, regularized) with
+    w0 exact to the sign of a zero, and is computed only when missing.
+    Alphas with the same shift k therefore share every tail, zeta_k(s0)
+    and B_k(s0 + n), and one PhaseTable; a memo that outlives the call
+    shares them with later evaluations too, as B_k(s0 + 1 + n) at s0 + 1
+    is term n + 1 at s0.  A failed tail is not kept, so each alpha that
+    asks for it raises on its own.  Since everything else is per alpha,
+    each entry equals that of a batch of one."""
+    s0 = require_finite(complex(s0), "s")
+    tails = {} if tails is None else tails
+    tables: dict[int, PhaseTable] = {}
+    outcomes = []
+    for alpha in alphas:
         try:
-            tail0, tail0_err = tail(s0, k, order, regularized=regularized, phases=phases)
-            for _, series in group:
-                series.add_tail0(tail0, tail0_err)
-            for n in range(1, p.n_max + 1):
-                b_k, em_err = tail(s0 + n, k, order, regularized=True, phases=phases)
-                running = []
-                for i, series in active:
-                    try:
-                        if not series.add_term(n, b_k, em_err):
-                            running.append((i, series))
-                    except _EVAL_ERRORS as exc:
-                        outcomes[i] = exc
-                active = running
-                if not active:
-                    break
+            outcomes.append(_series_one(s0, alpha, order, p, regularized, tails, tables))
         except _EVAL_ERRORS as exc:
-            # a shared tail failed: so does every alpha still waiting on it
-            for i, _ in active:
-                outcomes[i] = exc
-        for i, series in group:
-            if outcomes[i] is None:
-                try:
-                    outcomes[i] = series.result()
-                except _EVAL_ERRORS as exc:
-                    outcomes[i] = exc
+            outcomes.append(exc)
     return outcomes
 
 
@@ -342,10 +290,11 @@ def hurwitz_jet_many(
     s0: complex, alphas, r: int = 0, p: SeriesParams | None = None
 ) -> list[EvalResult]:
     """hurwitz_jet at one s0 for a sequence of alphas, one EvalResult each
-    and equal to its solo call.  Alphas with the same shift k share every
-    Euler-Maclaurin tail, so a central difference in alpha costs little
-    more than one evaluation.  When several alphas fail, the first one in
-    input order raises what its solo call raises."""
+    and equal to its solo call.  The alphas share one memo of tails, so
+    those with the same shift k compute each Euler-Maclaurin tail once and
+    a central difference in alpha costs little more than one evaluation.
+    When several alphas fail, the first one in input order raises what
+    its solo call raises."""
     return _first_failure(_series_eval(s0, alphas, r, p or DEFAULT_PARAMS))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
+from .errors import PoleAtOne
 from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
@@ -49,6 +50,8 @@ class LaurentExpansion(Record):
     def evaluate(self, s: complex) -> complex:
         """Reconstruct zeta(s, alpha) from the expansion."""
         s = complex(s)
+        if s == 1:
+            raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
         out = 1.0 / (s - 1.0)
         for r, g in enumerate(self.gammas):
             out += g * (s - 1.0) ** r

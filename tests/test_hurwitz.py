@@ -144,6 +144,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             SeriesParams(k=0)
 
+    @pytest.mark.parametrize(
+        "field,value", [("k", 2.5), ("n_max", 10.5), ("k", True), ("n_max", True)]
+    )
+    def test_params_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SeriesParams(**{field: value})
+
     def test_non_finite_inputs(self):
         with pytest.raises(ValueError):
             hurwitz_jet(float("nan"), 0.5)
@@ -234,15 +241,17 @@ class TestBatch:
     def test_batch_equals_solo(self, s0, regularized, order):
         solo = hurwitz_regularized_jet if regularized else hurwitz_jet
         p = hzeta.hurwitz.DEFAULT_PARAMS
-        batch = hzeta.hurwitz._series_eval(
-            s0, BATCH_ALPHAS, order, p, regularized=regularized
-        )
-        shifts = [res.k_used for res in batch]
-        assert 2 <= len(set(shifts)) < len(shifts)
-        for alpha, got in zip(BATCH_ALPHAS, batch):
-            assert got == solo(s0, alpha, order), f"alpha={alpha}"
-        if not regularized:
-            assert hurwitz_jet_many(s0, BATCH_ALPHAS, order) == batch
+        # whichever alpha of a shift runs first computes the shared tails
+        for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
+            batch = hzeta.hurwitz._series_eval(
+                s0, alphas, order, p, regularized=regularized
+            )
+            shifts = [res.k_used for res in batch]
+            assert 2 <= len(set(shifts)) < len(shifts)
+            for alpha, got in zip(alphas, batch):
+                assert got == solo(s0, alpha, order), f"alpha={alpha}"
+            if not regularized:
+                assert hurwitz_jet_many(s0, alphas, order) == batch
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_one_tail_call_per_group_and_term(self, monkeypatch, order):
@@ -254,14 +263,16 @@ class TestBatch:
             return original(w0, start, *args, **kwargs)
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
-        batch = hurwitz_jet_many(0.5 + 3j, BATCH_ALPHAS, order)
-        most_terms = {}
-        for res in batch:
-            most_terms[res.k_used] = max(most_terms.get(res.k_used, 0), res.terms_used)
-        assert 2 <= len(most_terms) < len(batch)
-        assert len(calls) == sum(1 + n for n in most_terms.values())
-        for k, n in most_terms.items():
-            assert calls.count(k) == 1 + n
+        for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
+            calls.clear()
+            batch = hurwitz_jet_many(0.5 + 3j, alphas, order)
+            most_terms = {}
+            for res in batch:
+                most_terms[res.k_used] = max(most_terms.get(res.k_used, 0), res.terms_used)
+            assert 2 <= len(most_terms) < len(batch)
+            assert len(calls) == sum(1 + n for n in most_terms.values())
+            for k, n in most_terms.items():
+                assert calls.count(k) == 1 + n
 
     @pytest.mark.parametrize(
         "alphas",
@@ -292,6 +303,20 @@ class TestBatch:
         assert isinstance(batch[0], Nonconvergence)
         assert batch[0].result == solo[0].result and batch[0].result is not None
         assert isinstance(batch[2], DomainError)
+
+    def test_failing_shared_tail(self):
+        # 0.3 and 0.35 share the shift 7 at s = -120, and there the boundary
+        # search of the Euler-Maclaurin tail overflows
+        s0, alphas, p = -120, (0.3, 0.35, 2 + 1j), hzeta.hurwitz.DEFAULT_PARAMS
+        assert hzeta.hurwitz._resolve_k(s0, 0.3, p) == hzeta.hurwitz._resolve_k(s0, 0.35, p)
+        batch = hzeta.hurwitz._series_eval(s0, alphas, 0, p)
+        solo = [_outcome(hurwitz_jet, s0, alpha) for alpha in alphas]
+        for got, want in zip(batch, solo):
+            _same_outcome(got, want)
+        assert isinstance(batch[0], DomainError)
+        with pytest.raises(DomainError) as info:
+            hurwitz_jet_many(s0, alphas)
+        assert str(info.value) == str(solo[0])
 
     def test_common_errors_follow_the_first_alpha(self):
         for s0, alphas in ((1.0, (0.5, float("nan"))), (1.0, (float("nan"), 0.5))):

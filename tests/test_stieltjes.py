@@ -8,6 +8,7 @@ from hzeta import (
     DomainError,
     LaurentExpansion,
     Nonconvergence,
+    PoleAtOne,
     dgamma_dalpha,
     generalized_stieltjes,
     hurwitz_jet,
@@ -96,6 +97,14 @@ class TestGeneralizedStieltjes:
             s = 1.0 + 0.1 * cmath.exp(1j * math.pi * angle / 3)
             want = hurwitz_jet(s, alpha).value.value
             assert_close(expansion.evaluate(s), want, 1e-8, label=f"s={s}")
+
+    def test_evaluate_at_the_pole(self):
+        expansion = generalized_stieltjes(0.5, 2)
+        with pytest.raises(PoleAtOne) as info:
+            expansion.evaluate(1)
+        with pytest.raises(PoleAtOne) as solo:
+            hurwitz_jet(1, 0.5)
+        assert str(info.value) == str(solo.value)
 
 
 def generating_series(alpha, r_max):

@@ -42,7 +42,7 @@ from .errors import (
     Nonconvergence,
     PoleAtOne,
 )
-from .jets import Jet, KahanJetSum, pochhammer_jet, pow_negs, require_finite, times_linear
+from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
 from .zetacore import PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
@@ -154,6 +154,16 @@ def _memo_tail(tails: dict, w0: complex, k: int, order: int, *,
     return tail
 
 
+def _kahan_add(total: list, comp: list, term) -> None:
+    """Add term into the compensated sum total, coefficient by coefficient;
+    comp carries each coefficient's running compensation."""
+    for i, x in enumerate(term):
+        y = x - comp[i]
+        t = total[i] + y
+        comp[i] = (t - total[i]) - y
+        total[i] = t
+
+
 def _series_one(
     s0: complex, alpha, order: int, p: SeriesParams, regularized: bool,
     tails: dict, tables: dict,
@@ -161,10 +171,13 @@ def _series_one(
     """One alpha's series at s0: its head, the tail zeta_k(s0), then the
     terms a_n B_k(s0 + n) until three in a row fall below tol relative to
     the sum, or n reaches n_max.  Every tail comes from the memo tails, on
-    the PhaseTable that tables keeps for the shift k."""
+    the PhaseTable that tables keeps for the shift k.
+
+    The loop works on plain coefficient lists: head terms from
+    pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
+    compensated sum held as two lists.  The only Jet it builds is the
+    result's."""
     alpha = require_finite(complex(alpha), "alpha")
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
     if not regularized:
         if s0 == 1:
             raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
@@ -176,21 +189,21 @@ def _series_one(
     k = _resolve_k(s0, alpha, p)
     _check_head_bases(alpha, k)
 
-    s_jet = Jet.variable(s0, order)
+    s_coeffs = [s0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     # every term of the regularized series carries the factor s - 1
     factor = s0 - 1.0 if regularized else None
-    acc = KahanJetSum(order)
+    total, comp = [0j] * (order + 1), [0j] * (order + 1)
     # (n + alpha)**-s takes its magnitude and its phase from products of
     # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
     # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
     # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
     head_round = 0.0
     for n in range(k):
-        term = pow_negs(n + alpha, s_jet)
+        term = pow_neg_coeffs(n + alpha, s_coeffs)
         if factor is not None:
-            term = Jet(tuple(times_linear(factor, term.coeffs)))
-        acc.add(term)
-        head_round += term.norm() * (
+            term = times_linear(factor, term)
+        _kahan_add(total, comp, term)
+        head_round += max(map(abs, term)) * (
             4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
         )
 
@@ -199,39 +212,39 @@ def _series_one(
         phases = tables[k] = PhaseTable(s0.imag, order)
     tail0, err_cont = _memo_tail(tails, s0, k, order, regularized=regularized,
                                  phases=phases)
-    acc.add(tail0)
+    _kahan_add(total, comp, tail0.coeffs)
     pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
     # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
-    a_n = Jet.constant(-alpha, order)
+    a_n = [-alpha] + [0j] * order
     n = small = 0
     last_norm = math.inf
     while n < p.n_max:
         n += 1
         b_k, em_err = _memo_tail(tails, s0 + n, k, order, regularized=True,
                                  phases=phases)
-        term = a_n * b_k
+        term = mul_coeffs(a_n, b_k.coeffs)
         if factor is not None:
-            term = Jet(tuple(times_linear(factor, term.coeffs)))
-        if not (term.is_finite() and a_n.is_finite()):
+            term = times_linear(factor, term)
+        if not (all(map(cmath.isfinite, term)) and all(map(cmath.isfinite, a_n))):
             raise Nonconvergence(
                 f"coefficient recurrence overflowed at n={n} before the "
                 f"series converged; k={k} is too small for alpha={alpha}"
             )
-        acc.add(term)
-        err_cont += a_n.norm() * em_err * pole_scale
-        last_norm = term.norm()
+        _kahan_add(total, comp, term)
+        err_cont += max(map(abs, a_n)) * em_err * pole_scale
+        last_norm = max(map(abs, term))
         # <= so that exactly-zero terms count as small even when the
         # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
-        if last_norm <= p.tol * max(acc.norm(), 5e-324):
+        if last_norm <= p.tol * max(max(map(abs, total)), 5e-324):
             small += 1
             if small == 3:
                 break
         else:
             small = 0
         step, c0 = -alpha / (n + 1), s0 + (n - 1)
-        a_n = Jet(tuple(step * c for c in times_linear(c0, a_n.coeffs)))
+        a_n = [step * c for c in times_linear(c0, a_n)]
 
-    value = acc.jet()
+    value = Jet(tuple(total))
     err = 3.0 * last_norm + err_cont + _EPS * head_round
     if not (value.is_finite() and math.isfinite(err)):
         raise DomainError(
@@ -267,6 +280,7 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
     asks for it raises on its own.  Since everything else is per alpha,
     each entry equals that of a batch of one."""
     s0 = require_finite(complex(s0), "s")
+    _check_count("r", order, 0)
     tails = {} if tails is None else tails
     tables: dict[int, PhaseTable] = {}
     outcomes = []
@@ -328,19 +342,21 @@ def _public_jet(alpha: complex, r: int, p: SeriesParams | None):
 
 
 def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:
-    if m < 0:
-        raise ValueError("alpha-derivative order must be >= 0")
+    _check_count("m", m, 0)
     if m == 0:
         return jet(s0)
     s0 = require_finite(complex(s0), "s")
     near = abs(s0 + m - 1) < _REGULARIZED_RADIUS
     inner = jet(s0 + m, near)
-    prefactor = pochhammer_jet(Jet.variable(s0, r), m - 1 if near else m)
+    # the rising product s(s+1)...(s+m-1), less its last factor when near
+    prefactor = [1 + 0j] + [0j] * r
+    for j in range(m - 1 if near else m):
+        prefactor = times_linear(s0 + j, prefactor)
     sign = -1.0 if m % 2 else 1.0
-    value = sign * (prefactor * inner.value)
+    value = Jet(tuple(sign * c for c in mul_coeffs(prefactor, inner.value.coeffs)))
     return EvalResult(
         value=value,
-        err_estimate=inner.err_estimate * max(prefactor.norm(), 1.0),
+        err_estimate=inner.err_estimate * max(max(map(abs, prefactor)), 1.0),
         k_used=inner.k_used,
         terms_used=inner.terms_used,
     )
@@ -363,6 +379,7 @@ def hurwitz_alpha_derivative(
 def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
     """A-priori majorant of the n >= 1 tail magnitude for Re s > 1:
     zeta(sigma) (1 - |alpha|/k)**(-|s|) - zeta_k(sigma)."""
+    _check_count("k", k, 1)
     s0 = complex(s0)
     alpha = complex(alpha)
     if not abs(alpha) < k:

@@ -29,6 +29,7 @@ from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
     _alpha_derivative,
+    _check_count,
     _exact,
     _first_failure,
     _public_jet,
@@ -63,8 +64,7 @@ class IdentityReport(Record):
 
 def _dalpha_of_sderiv(s0: complex, r: int, jet) -> complex:
     s0 = require_finite(complex(s0), "s")
-    if r < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_count("r", r, 0)
     if abs(s0) < _REGULARIZED_RADIUS:
         # r-th raw derivative of -s*zeta(s+1,alpha) at s0, via the jet of
         # (w-1)*zeta(w,alpha) at w0 = s0 + 1
@@ -90,8 +90,7 @@ def dalpha_of_sderiv(
 
 
 def _dalpha_sderiv_at_zero(r: int, jet) -> complex:
-    if r < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_count("r", r, 0)
     if r == 0:
         return complex(-1.0)
     _check_laurent_order(r - 1)

@@ -14,8 +14,8 @@ The arithmetic itself lives in three list kernels, ``mul_coeffs`` (the
 truncated product), ``times_linear`` (the product by a linear jet
 c0 + h, in O(r)) and ``pow_neg_coeffs`` (a power base**(-w) along a
 jet), which work on plain sequences of complex coefficients.  ``Jet``
-and ``pow_negs`` wrap them; hot loops such as the Euler-Maclaurin tail
-call them directly and build a single ``Jet`` at the end.
+and ``pow_negs`` wrap them.  The series driver and the Euler-Maclaurin
+tail call the kernels directly and build a single ``Jet`` per result.
 """
 
 from __future__ import annotations
@@ -229,35 +229,3 @@ def pow_negs(base: complex, s_jet: Jet) -> Jet:
     """Jet of w -> base**(-w) along the given s-jet; see pow_neg_coeffs."""
     return Jet(tuple(pow_neg_coeffs(base, s_jet.coeffs)))
 
-
-def pochhammer_jet(s_jet: Jet, n: int) -> Jet:
-    """Jet of the rising product s(s+1)...(s+n-1); n = 0 gives 1."""
-    out = Jet.constant(1.0, s_jet.order)
-    for j in range(n):
-        out = out * (s_jet + j)
-    return out
-
-
-class KahanJetSum:
-    """Compensated coefficientwise accumulator for jets of a fixed order."""
-
-    __slots__ = ("_sum", "_comp", "_n")
-
-    def __init__(self, order: int):
-        self._n = order + 1
-        self._sum = [0j] * self._n
-        self._comp = [0j] * self._n
-
-    def add(self, jet: Jet) -> None:
-        s, c = self._sum, self._comp
-        for i, x in enumerate(jet.coeffs):
-            y = x - c[i]
-            t = s[i] + y
-            c[i] = (t - s[i]) - y
-            s[i] = t
-
-    def jet(self) -> Jet:
-        return Jet(tuple(self._sum))
-
-    def norm(self) -> float:
-        return max(abs(c) for c in self._sum)

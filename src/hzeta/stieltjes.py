@@ -19,17 +19,20 @@ come from the Euler-Maclaurin tail at w = 1 alone.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 
 from ._record import Record
-from .errors import PoleAtOne
+from .errors import DomainError, NearPole, PoleAtOne
 from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
+    _check_count,
     _first_failure,
     _public_jet,
     _series_eval,
 )
+from .jets import require_finite
 from .zetacore import em_tail_jet
 
 MAX_GENERALIZED_ORDER = 12
@@ -48,13 +51,22 @@ class LaurentExpansion(Record):
         self._init(pole_coeff, gammas, alpha, order)
 
     def evaluate(self, s: complex) -> complex:
-        """Reconstruct zeta(s, alpha) from the expansion."""
-        s = complex(s)
+        """Reconstruct zeta(s, alpha) from the expansion.  A value that
+        overflows binary64 raises NearPole next to the pole, where 1/(s-1)
+        does, and DomainError elsewhere."""
+        s = require_finite(s, "s")
         if s == 1:
             raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
         out = 1.0 / (s - 1.0)
-        for r, g in enumerate(self.gammas):
-            out += g * (s - 1.0) ** r
+        if not cmath.isfinite(out):
+            raise NearPole(f"1/(s-1) overflows binary64 at s={s!r}, next to the pole")
+        try:
+            for r, g in enumerate(self.gammas):
+                out += g * (s - 1.0) ** r
+        except OverflowError:
+            out = cmath.inf
+        if not cmath.isfinite(out):
+            raise DomainError(f"the expansion overflows binary64 at s={s!r}")
         return out
 
 
@@ -67,9 +79,10 @@ def _expansion(alpha: complex, coeffs, r_max: int) -> LaurentExpansion:
     )
 
 
-def _check_laurent_order(r_max: int) -> None:
-    if not 0 <= r_max <= MAX_GENERALIZED_ORDER:
-        raise ValueError(f"R must be in 0..{MAX_GENERALIZED_ORDER}")
+def _check_laurent_order(r_max: int, top: int = MAX_GENERALIZED_ORDER) -> None:
+    _check_count("R", r_max, 0)
+    if r_max > top:
+        raise ValueError(f"R must be in 0..{top}")
 
 
 def generalized_stieltjes(
@@ -96,14 +109,12 @@ def stieltjes_constants(r_max: int) -> LaurentExpansion:
     alpha = 1, from the jet of (w-1) zeta(w) at w = 1.  They are plain
     Laurent coefficients: gamma_1 carries the opposite sign of the
     (-1)**r/r! normalized tables."""
-    if not 0 <= r_max <= _STIELTJES_MAX:
-        raise ValueError(f"R must be in 0..{_STIELTJES_MAX} for binary64 accuracy")
+    _check_laurent_order(r_max, _STIELTJES_MAX)
     return _expansion(1.0, _stieltjes_cached(), r_max)
 
 
 def _dgamma_dalpha(r: int, jet) -> complex:
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_count("r", r, 0)
     zeta2 = jet(2.0).value
     if r == 0:
         return -zeta2.value

@@ -43,17 +43,17 @@ def measured_tail_sum(s0: complex, alpha: complex, r: int = 0) -> float:
     """|sum of the n >= 1 tail terms| actually accumulated by the series,
     for comparison against convergence_bound."""
     from hzeta import hurwitz_jet
-    from hzeta.jets import Jet, KahanJetSum, pow_negs
+    from hzeta.jets import Jet, pow_negs
     from hzeta.zetacore import em_tail_jet
 
     res = hurwitz_jet(s0, alpha, r)
     k = res.k_used
     s_jet = Jet.variable(complex(s0), r)
-    head = KahanJetSum(r)
+    head = Jet.constant(0.0, r)
     for n in range(k):
-        head.add(pow_negs(n + alpha, s_jet))
+        head = head + pow_negs(n + alpha, s_jet)
     tail0, _ = em_tail_jet(complex(s0), k, r)
-    tail = res.value - head.jet() - tail0
+    tail = res.value - head - tail0
     return abs(tail.value)
 
 

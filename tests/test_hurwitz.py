@@ -6,6 +6,7 @@ import pytest
 import hzeta.hurwitz
 from hzeta import (
     DomainError,
+    Jet,
     NearPole,
     Nonconvergence,
     PoleAtOne,
@@ -13,11 +14,14 @@ from hzeta import (
     choose_k,
     convergence_bound,
     dalpha_of_sderiv,
+    dalpha_sderiv_at_zero,
+    dgamma_dalpha,
     generalized_stieltjes,
     hurwitz_alpha_derivative,
     hurwitz_jet,
     hurwitz_jet_many,
     hurwitz_regularized_jet,
+    stieltjes_constants,
 )
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
 
@@ -150,6 +154,31 @@ class TestErrors:
     def test_params_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             SeriesParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "call,name,value",
+        [
+            (lambda v: hurwitz_jet(0.5, 1, v), "r", 2.5),
+            (lambda v: hurwitz_jet(0.5, 1, v), "r", True),
+            (lambda v: hurwitz_jet_many(0.5, (1, 2), v), "r", 1.0),
+            (lambda v: hurwitz_regularized_jet(0.5, 1, v), "r", 2.5),
+            (lambda v: hurwitz_alpha_derivative(0.5, 1, v), "m", 1.5),
+            (lambda v: hurwitz_alpha_derivative(0.5, 1, v), "m", True),
+            (lambda v: hurwitz_alpha_derivative(0.5, 1, 2, v), "r", 1.5),
+            (lambda v: generalized_stieltjes(0.5, v), "R", 2.0),
+            (lambda v: generalized_stieltjes(0.5, v), "R", True),
+            (lambda v: stieltjes_constants(v), "R", 2.5),
+            (lambda v: convergence_bound(2.0, 0.5, v), "k", 2.5),
+            (lambda v: dgamma_dalpha(0.5, v), "r", 1.5),
+            (lambda v: dalpha_of_sderiv(0.5, 0.5, v), "r", 1.5),
+            (lambda v: dalpha_sderiv_at_zero(0.5, v), "r", 2.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, call, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            call(-1)
 
     def test_non_finite_inputs(self):
         with pytest.raises(ValueError):
@@ -356,6 +385,14 @@ class TestAlphaDerivative:
         assert_close(got, want, 1e-13)
         fd = central_diff(lambda a: hurwitz_jet(2.0, a).value.value, 0.7, 1e-5, 1)
         assert_close(got, fd, 1e-6, label="fd cross-check")
+
+    def test_pochhammer_prefactor(self):
+        # (s)_3 = s(s+1)(s+2) is 24 at s = 2, with derivative 26
+        alpha = 0.3 + 0.2j
+        got = hurwitz_alpha_derivative(2.0, alpha, 3, r=1).value.coeffs
+        inner = hurwitz_jet(5.0, alpha, 1).value.coeffs
+        want = -1.0 * (Jet((24 + 0j, 26 + 0j)) * Jet(inner))
+        assert got == want.coeffs
 
     def test_second_derivative_of_jet_coefficient(self):
         s0, alpha = -0.5, 1.3

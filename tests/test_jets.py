@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hzeta import Jet
 from hzeta.errors import DomainError
-from hzeta.jets import mul_coeffs, pochhammer_jet, pow_negs, times_linear
+from hzeta.jets import mul_coeffs, pow_negs, times_linear
 
 from conftest import assert_close, naive_pow
 
@@ -186,13 +186,6 @@ class TestPowNegs:
 
 
 class TestHelpers:
-    def test_pochhammer(self):
-        s = Jet.variable(2.0, 1)
-        p = pochhammer_jet(s, 3)  # s(s+1)(s+2) = 24 at 2, derivative 26
-        assert abs(p.coeffs[0] - 24) < 1e-13
-        assert abs(p.derivative(1) - 26) < 1e-12
-        assert pochhammer_jet(s, 0).coeffs == (1 + 0j, 0j)
-
     def test_derivative_scaling(self):
         jet = Jet((1.0, 2.0, 3.0))
         assert jet.derivative(2) == 6.0

@@ -7,6 +7,7 @@ import hzeta.hurwitz
 from hzeta import (
     DomainError,
     LaurentExpansion,
+    NearPole,
     Nonconvergence,
     PoleAtOne,
     dgamma_dalpha,
@@ -105,6 +106,15 @@ class TestGeneralizedStieltjes:
         with pytest.raises(PoleAtOne) as solo:
             hurwitz_jet(1, 0.5)
         assert str(info.value) == str(solo.value)
+        for s in (math.nan, math.inf, complex(1, math.nan), complex(-math.inf, 0)):
+            with pytest.raises(ValueError, match="non-finite s"):
+                expansion.evaluate(s)
+        for s in (1 + 1e-309j, 1 + 1e-320j, complex(1, -5e-324)):
+            with pytest.raises(NearPole):
+                expansion.evaluate(s)
+        assert cmath.isfinite(expansion.evaluate(1 + 1e-300j))
+        with pytest.raises(DomainError):
+            expansion.evaluate(1e300)
 
 
 def generating_series(alpha, r_max):

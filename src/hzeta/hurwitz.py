@@ -37,7 +37,6 @@ from ._record import Record
 from .errors import (
     NEAR_POLE_RADIUS,
     DomainError,
-    HZetaError,
     NearPole,
     Nonconvergence,
     PoleAtOne,
@@ -131,12 +130,6 @@ def _check_head_bases(alpha: complex, k: int) -> None:
                 f"alpha={alpha} is within {_ZERO_BASE_RADIUS} of the excluded "
                 f"point {-n}"
             )
-
-
-# What an evaluation raises by design: bad arguments, domain errors, the
-# stopping rule's failures and binary64 overflow.  A batch holds these
-# per alpha; anything else is a defect and propagates at once.
-_EVAL_ERRORS = (HZetaError, ValueError, ArithmeticError)
 
 
 def _exact(z: complex) -> tuple:
@@ -267,8 +260,9 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
     for the entire (s - 1) zeta(s, alpha) when regularized, for each alpha
     in turn.  Regularized at s0 = 1 it yields the Laurent expansion there:
     coefficient 0 is the pole's residue and coefficient r + 1 is
-    gamma_r(alpha).  Returns, in input order, each alpha's EvalResult or
-    the exception its evaluation raised.
+    gamma_r(alpha).  Returns each alpha's EvalResult in input order; the
+    first alpha that fails raises what its evaluation raised, and the
+    alphas after it are not evaluated.
 
     Every tail goes through the memo tails (a fresh one when none is
     given), keyed by all of its inputs, (w0, k, order, regularized) with
@@ -276,28 +270,15 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
     Alphas with the same shift k therefore share every tail, zeta_k(s0)
     and B_k(s0 + n), and one PhaseTable; a memo that outlives the call
     shares them with later evaluations too, as B_k(s0 + 1 + n) at s0 + 1
-    is term n + 1 at s0.  A failed tail is not kept, so each alpha that
-    asks for it raises on its own.  Since everything else is per alpha,
-    each entry equals that of a batch of one."""
+    is term n + 1 at s0.  A failed tail is not kept.  Since everything
+    else is per alpha, each result, and the first failure, equals that of
+    a batch of one."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", order, 0)
     tails = {} if tails is None else tails
     tables: dict[int, PhaseTable] = {}
-    outcomes = []
-    for alpha in alphas:
-        try:
-            outcomes.append(_series_one(s0, alpha, order, p, regularized, tails, tables))
-        except _EVAL_ERRORS as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _first_failure(outcomes: list) -> list:
-    """The outcomes, unless one is an exception: then the first one."""
-    for outcome in outcomes:
-        if isinstance(outcome, _EVAL_ERRORS):
-            raise outcome
-    return outcomes
+    return [_series_one(s0, alpha, order, p, regularized, tails, tables)
+            for alpha in alphas]
 
 
 def hurwitz_jet_many(
@@ -307,9 +288,9 @@ def hurwitz_jet_many(
     and equal to its solo call.  The alphas share one memo of tails, so
     those with the same shift k compute each Euler-Maclaurin tail once and
     a central difference in alpha costs little more than one evaluation.
-    When several alphas fail, the first one in input order raises what
-    its solo call raises."""
-    return _first_failure(_series_eval(s0, alphas, r, p or DEFAULT_PARAMS))
+    The first alpha in input order that fails raises what its solo call
+    raises, and the alphas after it are not evaluated."""
+    return _series_eval(s0, alphas, r, p or DEFAULT_PARAMS)
 
 
 def hurwitz_jet(
@@ -330,18 +311,13 @@ def hurwitz_regularized_jet(
     """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0, valid
     at w0 = 1 where its value is 1 and coefficient j >= 1 is gamma_{j-1}(alpha):
     the generating function s zeta(s+1, alpha) about s = w0 - 1."""
-    outcomes = _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)
-    return _first_failure(outcomes)[0]
-
-
-def _public_jet(alpha: complex, r: int, p: SeriesParams | None):
-    """jet(w0, regularized=False): the order-r EvalResult at w0 of zeta(w, alpha),
-    or of (w - 1) zeta(w, alpha), the closed forms' evaluations outside verify."""
-    return lambda w0, regularized=False: (
-        hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, r, p)
+    return _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)[0]
 
 
 def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:
+    """The one implementation of every alpha-derivative closed form, on the
+    order-r evaluations jet(w0, regularized) of zeta(w, alpha) or of
+    (w - 1) zeta(w, alpha): hurwitz_alpha_derivative's, or verify's."""
     _check_count("m", m, 0)
     if m == 0:
         return jet(s0)
@@ -373,7 +349,10 @@ def hurwitz_alpha_derivative(
     computed analytically as (-1)**m s(s+1)...(s+m-1) zeta(s+m, alpha),
     an entire function: within distance 1 of s = 1 - m the factor s + m - 1
     stays inside the regularized jet of (w - 1) zeta(w, alpha) at s + m."""
-    return _alpha_derivative(s0, m, r, _public_jet(alpha, r, p))
+    def jet(w0: complex, regularized: bool = False) -> EvalResult:
+        return (hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, r, p)
+
+    return _alpha_derivative(s0, m, r, jet)
 
 
 def convergence_bound(s0: complex, alpha: complex, k: int) -> float:

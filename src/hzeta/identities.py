@@ -6,17 +6,22 @@ pushed through r s-derivatives:
     d/d alpha zeta^(r)(s, alpha) = -r zeta^(r-1)(s+1, alpha)
                                    - s zeta^(r)(s+1, alpha)
 
-with the r = 0 case dropping the first term.  At s = 0 the right side is
-a 0 * pole product; it is evaluated instead as the r-th derivative of
-the entire function -s zeta(s+1, alpha), never as a product of a zero
-and an infinity.  The finite-difference route differentiates the s-jet
-numerically in alpha and is what verify_identity compares against.
+with the r = 0 case dropping the first term.  Every closed form here is
+one read of hurwitz._alpha_derivative at m = 1, the jet in s of
+-s zeta(s+1, alpha): its r-th derivative at s0 (dalpha_of_sderiv), at
+s0 = 0 (dalpha_sderiv_at_zero) and at s0 = 1, where its coefficient r is
+d/d alpha gamma_r(alpha) (stieltjes.dgamma_dalpha).  Within distance 1 of
+s = 0 that jet comes from the regularized jet of (w - 1) zeta(w, alpha),
+so the 0 * pole product at s = 0 is never formed.  The finite-difference
+route differentiates the s-jet numerically in alpha and is what
+verify_identity compares against.
 
 verify_identity keeps the evaluations of its last point (s0, alpha, r, p, h),
 keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized), and
 one memo of their Euler-Maclaurin tails (see hurwitz._series_eval): the jets
 at s0 + 1, 1 and 2 reuse the tails of the central differences in alpha at s0
-and 0.  No report depends on the order of the calls.
+and 0.  An evaluation that fails is not kept, and raises again when asked
+for.  No report depends on the order of the calls.
 """
 
 from __future__ import annotations
@@ -25,18 +30,15 @@ import math
 from ._record import Record
 from .errors import HZetaError
 from .hurwitz import (
-    _REGULARIZED_RADIUS,
     DEFAULT_PARAMS,
     SeriesParams,
     _alpha_derivative,
-    _check_count,
     _exact,
-    _first_failure,
-    _public_jet,
     _series_eval,
+    hurwitz_alpha_derivative,
 )
-from .jets import require_finite
-from .stieltjes import _check_laurent_order, _dgamma_dalpha
+from .jets import Jet
+from .stieltjes import MAX_GENERALIZED_ORDER, _check_order
 
 IDENTITY_NAMES = (
     "INTERCHANGE",
@@ -62,48 +64,28 @@ class IdentityReport(Record):
         self._init(lhs, rhs, abs_residual, rel_residual, method_notes)
 
 
-def _dalpha_of_sderiv(s0: complex, r: int, jet) -> complex:
-    s0 = require_finite(complex(s0), "s")
-    _check_count("r", r, 0)
-    if abs(s0) < _REGULARIZED_RADIUS:
-        # r-th raw derivative of -s*zeta(s+1,alpha) at s0, via the jet of
-        # (w-1)*zeta(w,alpha) at w0 = s0 + 1
-        return -jet(s0 + 1, True).value.derivative(r)
-    zeta1 = jet(s0 + 1).value
-    value = -s0 * zeta1.derivative(r)
-    if r > 0:
-        value -= r * zeta1.derivative(r - 1)
-    return value
-
-
 def dalpha_of_sderiv(
     s0: complex, alpha: complex, r: int = 0, p: SeriesParams | None = None
 ) -> complex:
-    """d/d alpha of the r-th s-derivative of zeta at (s0, alpha).
-
-    Generic s0: -r zeta^(r-1)(s0+1, alpha) - s0 zeta^(r)(s0+1, alpha),
-    both derivatives from one jet at s0 + 1.  s0 = 1 is covered by the
-    same expression (the defined value there).  s0 within distance 1 of 0
-    takes the regularized route through the entire function -s zeta(s+1, alpha).
-    """
-    return _dalpha_of_sderiv(s0, r, _public_jet(alpha, r, p))
-
-
-def _dalpha_sderiv_at_zero(r: int, jet) -> complex:
-    _check_count("r", r, 0)
-    if r == 0:
-        return complex(-1.0)
-    _check_laurent_order(r - 1)
-    # gamma_{r-1}(alpha) is coefficient r of (s - 1) zeta(s, alpha) at s = 1
-    return -math.factorial(r) * jet(1.0, True).value.coeffs[r]
+    """d/d alpha of the r-th s-derivative of zeta at (s0, alpha): the r-th
+    derivative of hurwitz_alpha_derivative(s0, alpha, 1, r), that is
+    -r zeta^(r-1)(s0+1, alpha) - s0 zeta^(r)(s0+1, alpha).  s0 = 1 is
+    covered by the same expression (the defined value there).  s0 within
+    distance 1 of 0 takes the regularized route through the entire
+    function -s zeta(s+1, alpha)."""
+    return hurwitz_alpha_derivative(s0, alpha, 1, r, p).value.derivative(r)
 
 
 def dalpha_sderiv_at_zero(
     alpha: complex, r: int = 0, p: SeriesParams | None = None
 ) -> complex:
     """Closed form of d/d alpha zeta^(r)(0, alpha): -r! gamma_{r-1}(alpha),
-    with gamma_{-1}(alpha) taken as the constant 1."""
-    return _dalpha_sderiv_at_zero(r, _public_jet(alpha, r, p))
+    with gamma_{-1}(alpha) taken as the constant 1, so exactly -1 at r = 0.
+    r runs to 13, one past the largest Laurent order."""
+    _check_order("r", r, MAX_GENERALIZED_ORDER + 1)
+    if r == 0:
+        return complex(-1.0)
+    return dalpha_of_sderiv(0.0, alpha, r, p)
 
 
 # the last point's key, its evaluations and their tails memo
@@ -143,7 +125,7 @@ def verify_identity(
         at = (_exact(complex(w0)), len(alphas), order, regularized)
         if at not in evals:
             evals[at] = _series_eval(w0, alphas, order, p, regularized, tails)
-        return _first_failure(evals[at])
+        return evals[at]
 
     def jet(w0: complex, regularized: bool = False):
         return batch(w0, (alpha,), r, regularized)[0]
@@ -152,15 +134,19 @@ def verify_identity(
         plus, minus = batch(w0, (alpha + h, alpha - h), r)
         return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
 
+    def dalpha(w0: complex) -> Jet:
+        # the jet in s of d/d alpha zeta(s, alpha) at w0, on this point's evaluations
+        return _alpha_derivative(w0, 1, r, jet).value
+
     def fd_gamma() -> complex:
-        _check_laurent_order(r)
+        _check_order("r", r)
         plus, minus = batch(1.0, (alpha + h, alpha - h), r + 1, True)
         return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
 
     try:
         if key == "RECURRENCE":
             lhs = fd_sderiv(s0)
-            rhs = _dalpha_of_sderiv(s0, r, jet)
+            rhs = dalpha(s0).derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
         elif key == "INTERCHANGE":
             lhs = fd_sderiv(s0)
@@ -169,21 +155,22 @@ def verify_identity(
             notes = f"fd(h={h:g}) of sderiv r={r} vs jet of -s*zeta(s+1,a)"
         elif key == "MIXED_PARTIALS":
             lhs = fd_sderiv(s0)
-            rhs = _alpha_derivative(s0, 1, r, jet).value.derivative(r)
+            rhs = dalpha(s0).derivative(r)
             notes = f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial"
         elif key == "AT_ZERO":
             lhs = fd_sderiv(0.0)
-            rhs = _dalpha_sderiv_at_zero(r, jet)
+            _check_order("r", r, MAX_GENERALIZED_ORDER + 1)
+            rhs = complex(-1.0) if r == 0 else dalpha(0.0).derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} at s=0 vs -r! gamma_(r-1)"
         elif key == "AT_ONE":
             lhs = math.factorial(r) * fd_gamma()
-            rhs = _dalpha_of_sderiv(1.0, r, jet)
+            rhs = dalpha(1.0).derivative(r)
             notes = f"r! * fd(h={h:g}) of gamma_{r}(alpha) vs defined value at s=1"
         else:  # GAMMA_DERIV
             lhs = fd_gamma()
-            rhs = _dgamma_dalpha(r, jet)
+            rhs = dalpha(1.0).coeffs[r]
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"
-    except HZetaError as exc:
+    except (HZetaError, ValueError) as exc:
         raise type(exc)(
             f"{key} at s={s0}, alpha={alpha}, r={r}: {exc}"
         ) from exc

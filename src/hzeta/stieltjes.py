@@ -28,9 +28,8 @@ from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
     _check_count,
-    _first_failure,
-    _public_jet,
     _series_eval,
+    hurwitz_alpha_derivative,
 )
 from .jets import require_finite
 from .zetacore import em_tail_jet
@@ -79,10 +78,10 @@ def _expansion(alpha: complex, coeffs, r_max: int) -> LaurentExpansion:
     )
 
 
-def _check_laurent_order(r_max: int, top: int = MAX_GENERALIZED_ORDER) -> None:
-    _check_count("R", r_max, 0)
-    if r_max > top:
-        raise ValueError(f"R must be in 0..{top}")
+def _check_order(name: str, value, top: int = MAX_GENERALIZED_ORDER) -> None:
+    _check_count(name, value, 0)
+    if value > top:
+        raise ValueError(f"{name} must be in 0..{top}")
 
 
 def generalized_stieltjes(
@@ -90,11 +89,9 @@ def generalized_stieltjes(
 ) -> LaurentExpansion:
     """gamma_0(alpha) .. gamma_R(alpha), and the pole coefficient, from the
     jet of (s-1) zeta(s, alpha) at s = 1."""
-    _check_laurent_order(r_max)
-    outcomes = _series_eval(
-        1.0, (alpha,), r_max + 1, p or DEFAULT_PARAMS, regularized=True
-    )
-    return _expansion(alpha, _first_failure(outcomes)[0].value.coeffs, r_max)
+    _check_order("R", r_max)
+    res = _series_eval(1.0, (alpha,), r_max + 1, p or DEFAULT_PARAMS, regularized=True)[0]
+    return _expansion(alpha, res.value.coeffs, r_max)
 
 
 @lru_cache(maxsize=1)
@@ -109,22 +106,15 @@ def stieltjes_constants(r_max: int) -> LaurentExpansion:
     alpha = 1, from the jet of (w-1) zeta(w) at w = 1.  They are plain
     Laurent coefficients: gamma_1 carries the opposite sign of the
     (-1)**r/r! normalized tables."""
-    _check_laurent_order(r_max, _STIELTJES_MAX)
+    _check_order("R", r_max, _STIELTJES_MAX)
     return _expansion(1.0, _stieltjes_cached(), r_max)
-
-
-def _dgamma_dalpha(r: int, jet) -> complex:
-    _check_count("r", r, 0)
-    zeta2 = jet(2.0).value
-    if r == 0:
-        return -zeta2.value
-    # Taylor-normalized coefficients are exactly the factorial-scaled derivatives
-    return -(zeta2.coeffs[r - 1] + zeta2.coeffs[r])
 
 
 def dgamma_dalpha(
     alpha: complex, r: int = 0, p: SeriesParams | None = None
 ) -> complex:
-    """d/d alpha gamma_r(alpha): -zeta(2, alpha) for r = 0, and
+    """d/d alpha gamma_r(alpha), the Taylor coefficient r at s = 1 of
+    d/d alpha zeta(s, alpha), read off hurwitz_alpha_derivative(1, alpha, 1, r):
+    -zeta(2, alpha) for r = 0, and
     -zeta^(r-1)(2, alpha)/(r-1)! - zeta^(r)(2, alpha)/r! for r >= 1."""
-    return _dgamma_dalpha(r, _public_jet(alpha, r, p))
+    return hurwitz_alpha_derivative(1.0, alpha, 1, r, p).value.coeffs[r]

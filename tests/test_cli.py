@@ -323,7 +323,14 @@ class TestVerify:
         grid = grid_file(tmp_path, ["0.5,0,0.3,0,13", "0.5,0,nan,0,0"])
         proc = run_cli("verify", "--identity", "all", "--grid", grid)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert "alpha" in proc.stderr and "R must be" not in proc.stderr
+        assert "alpha" in proc.stderr and "must be in" not in proc.stderr
+
+    def test_range_error_names_identity_and_point(self, tmp_path, monkeypatch, capsys):
+        grid = grid_file(tmp_path, ["0.5,0,1,0,13"])
+        code, out, err = run_main(monkeypatch, capsys,
+                                  "verify", "--identity", "at_one", "--grid", grid)
+        assert code == 1 and out == ""
+        assert err == "error: AT_ONE at s=(0.5+0j), alpha=(1+0j), r=13: r must be in 0..12\n"
 
     @pytest.mark.parametrize("row,problem", [
         ("0.5,0,1,0", "no value in column r"),  # short row
@@ -488,8 +495,8 @@ class TestRecordFormat:
 
 def test_import_loads_neither_fractions_nor_numpy():
     # a fresh interpreter, so that no other test's imports count
-    probe = ("import sys, hzeta.cli; "
-             "print(sorted({'fractions', 'numpy'} & set(sys.modules)))")
+    probe = ("import sys, hzeta.cli; print(sorted("
+             "{'fractions', 'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

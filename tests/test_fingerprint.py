@@ -68,3 +68,27 @@ def test_one_ulp_in_a_printed_coefficient_changes_the_hash(group, monkeypatch):
 
     monkeypatch.setattr(fingerprint, "run_cli", nudged)
     assert group_hash(group) != before
+
+
+def test_compare_names_a_one_ulp_change_in_one_rhs(tmp_path):
+    lines = fingerprint.group_lines("verify_all", 1, few_ops("verify_all"))
+    name, payload = lines[0].split("\t")
+    rec = json.loads(json.loads(payload))
+    rhs = complex(rec["rhs"]["re"], rec["rhs"]["im"])
+    rec["rhs"]["re"] = one_ulp_up(rec["rhs"]["re"])
+    nudged = [f"{name}\t{json.dumps(json.dumps(rec) + chr(10))}", *lines[1:]]
+    for dump, group_lines in (("a", lines), ("b", nudged)):
+        (tmp_path / dump).mkdir()
+        for group in fingerprint.GROUPS:
+            text = "".join(f"{x}\n" for x in group_lines) if group == "verify_all" else ""
+            (tmp_path / dump / f"{group}.txt").write_text(text)
+    report = fingerprint.compare(tmp_path / "a", tmp_path / "b")
+    ulp = math.ulp(rhs.real)
+    assert report == [
+        "sweep_values\t0 of 0 lines differ",
+        "jets_deep\t0 of 0 lines differ",
+        "cli_oneshot\t0 of 0 lines differ",
+        f"verify_all\t1 of {len(lines)} lines differ",
+        f"  {rec['identity']}.rhs\t1 records\tmax abs change {ulp:.2g}"
+        f"\tmax rel change {ulp / abs(rhs):.2g}",
+    ]

@@ -250,11 +250,18 @@ def _outcome(call, *args, **kwargs):
         return exc
 
 
-def _same_outcome(got, want):
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-    else:
-        assert got == want
+def _count_tails(monkeypatch) -> list:
+    """The (w0, start) of every em_tail_jet call the series driver makes
+    from now on."""
+    calls = []
+    original = hzeta.hurwitz.em_tail_jet
+
+    def counting(w0, start, *args, **kwargs):
+        calls.append((w0, start))
+        return original(w0, start, *args, **kwargs)
+
+    monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+    return calls
 
 
 # shifts 2, 4, 4, 5 and 4 at s = 0.5 + 3j and at w = 1: 1.7 and 1.7j, of
@@ -284,14 +291,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_one_tail_call_per_group_and_term(self, monkeypatch, order):
-        calls = []
-        original = hzeta.hurwitz.em_tail_jet
-
-        def counting(w0, start, *args, **kwargs):
-            calls.append(start)
-            return original(w0, start, *args, **kwargs)
-
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        calls = _count_tails(monkeypatch)
         for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
             calls.clear()
             batch = hurwitz_jet_many(0.5 + 3j, alphas, order)
@@ -300,8 +300,9 @@ class TestBatch:
                 most_terms[res.k_used] = max(most_terms.get(res.k_used, 0), res.terms_used)
             assert 2 <= len(most_terms) < len(batch)
             assert len(calls) == sum(1 + n for n in most_terms.values())
+            starts = [start for _, start in calls]
             for k, n in most_terms.items():
-                assert calls.count(k) == 1 + n
+                assert starts.count(k) == 1 + n
 
     @pytest.mark.parametrize(
         "alphas",
@@ -321,31 +322,38 @@ class TestBatch:
             hurwitz_jet_many(2.0, alphas, 2, p)
         assert str(info.value) == str(want)
 
-    def test_failures_stay_per_alpha(self):
-        # one alpha hits the term cap, one is excluded; the others finish
-        p = SeriesParams(k=1, n_max=50)
-        alphas = (0.97, 0.5, 0.0, 0.2)
-        batch = hzeta.hurwitz._series_eval(2.0, alphas, 1, p)
+    def test_first_failure_stops_the_batch(self, monkeypatch):
+        # 0.05 converges within the cap and 0.5, of the same shift 2, does
+        # not; 2 + 1j (shift 5) would hit the cap too, and 0.0 is excluded
+        p, alphas = SeriesParams(n_max=8), (0.05, 0.5, 2 + 1j, 0.0)
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 1, p) for alpha in alphas]
-        for got, want in zip(batch, solo):
-            _same_outcome(got, want)
-        assert isinstance(batch[0], Nonconvergence)
-        assert batch[0].result == solo[0].result and batch[0].result is not None
-        assert isinstance(batch[2], DomainError)
+        assert not isinstance(solo[0], Exception)
+        assert isinstance(solo[1], Nonconvergence) and solo[1].result is not None
+        calls = _count_tails(monkeypatch)
+        with pytest.raises(Nonconvergence) as info:
+            hzeta.hurwitz._series_eval(2.0, alphas, 1, p)
+        assert str(info.value) == str(solo[1])
+        assert info.value.result == solo[1].result
+        # every tail of the shift 2 once, and none of the shift 5
+        assert {start for _, start in calls} == {2}
+        assert len(calls) == len(set(calls)) == 1 + solo[1].result.terms_used
 
-    def test_failing_shared_tail(self):
+    def test_failing_shared_tail(self, monkeypatch):
         # 0.3 and 0.35 share the shift 7 at s = -120, and there the boundary
-        # search of the Euler-Maclaurin tail overflows
+        # search of the Euler-Maclaurin tail overflows.  A failed tail is not
+        # kept, so 0.35 would compute it again.
         s0, alphas, p = -120, (0.3, 0.35, 2 + 1j), hzeta.hurwitz.DEFAULT_PARAMS
         assert hzeta.hurwitz._resolve_k(s0, 0.3, p) == hzeta.hurwitz._resolve_k(s0, 0.35, p)
-        batch = hzeta.hurwitz._series_eval(s0, alphas, 0, p)
-        solo = [_outcome(hurwitz_jet, s0, alpha) for alpha in alphas]
-        for got, want in zip(batch, solo):
-            _same_outcome(got, want)
-        assert isinstance(batch[0], DomainError)
-        with pytest.raises(DomainError) as info:
-            hurwitz_jet_many(s0, alphas)
-        assert str(info.value) == str(solo[0])
+        solo = _outcome(hurwitz_jet, s0, 0.3)
+        assert isinstance(solo, DomainError)
+        calls = _count_tails(monkeypatch)
+        for batch in (lambda: hzeta.hurwitz._series_eval(s0, alphas, 0, p),
+                      lambda: hurwitz_jet_many(s0, alphas)):
+            calls.clear()
+            with pytest.raises(DomainError) as info:
+                batch()
+            assert str(info.value) == str(solo)
+            assert calls == [(s0, 7)]  # the tail zeta_7(s0) of 0.3 alone
 
     def test_common_errors_follow_the_first_alpha(self):
         for s0, alphas in ((1.0, (0.5, float("nan"))), (1.0, (float("nan"), 0.5))):

@@ -17,6 +17,7 @@ from hzeta import (
     dalpha_of_sderiv,
     dalpha_sderiv_at_zero,
     dgamma_dalpha,
+    hurwitz_alpha_derivative,
     hurwitz_jet,
     verify_identity,
 )
@@ -76,6 +77,45 @@ class TestDalphaOfSderiv:
                 assert_close(via_jet, closed, 1e-9, label=f"alpha={alpha} r={r}")
 
 
+# (s0, alpha) and the parent route's relative error at r = 12 against mpmath,
+# rounded up to two digits.  The closed form used to add -s0 D_12 and -12 D_11
+# (D_j the raw derivatives of zeta(s0 + 1, alpha)), which cancel; the read of
+# hurwitz_alpha_derivative cancels once, in Taylor coefficients.  At s0 = -1.5
+# both routes sit on the same jet error and differ only by rounding.
+R12_POINTS = (
+    (1.0, 0.7, 1.3e-4),
+    (1.0, 1.3 + 0.4j, 2.1e-6),
+    (2.5 - 1j, 0.7, 1.2e-9),
+    (-1.5, 0.7, 1.1e-5),
+)
+
+
+class TestClosedFormsReadTheAlphaDerivative:
+    @pytest.mark.parametrize("s0", (0.0, 0.5 + 0.3j, 1.0, 2.5 - 1j, -1.5))
+    @pytest.mark.parametrize("alpha", (0.7, 1.3 + 0.4j, 2.2 - 0.6j))
+    @pytest.mark.parametrize("r", (0, 3, 12))
+    def test_bitwise(self, s0, alpha, r):
+        read = hurwitz_alpha_derivative(s0, alpha, 1, r).value
+        assert dalpha_of_sderiv(s0, alpha, r) == read.derivative(r)
+        if s0 == 0 and r > 0:
+            assert dalpha_sderiv_at_zero(alpha, r) == read.derivative(r)
+        if s0 == 1:
+            assert dgamma_dalpha(alpha, r) == read.coeffs[r]
+
+    @pytest.mark.parametrize("s0,alpha,parent_rel_err", R12_POINTS)
+    def test_r12_against_mpmath(self, s0, alpha, parent_rel_err):
+        mpmath = pytest.importorskip("mpmath")
+        r = 12
+        with mpmath.workdps(40):
+            s, a = mpmath.mpc(s0), mpmath.mpc(alpha)
+            want = -s * mpmath.zeta(s + 1, a, r) - r * mpmath.zeta(s + 1, a, r - 1)
+            err = float(abs(mpmath.mpc(dalpha_of_sderiv(s0, alpha, r)) - want))
+            rel_err = err / float(abs(want))
+        bound = hurwitz_alpha_derivative(s0, alpha, 1, r).err_estimate * math.factorial(r)
+        assert err <= bound
+        assert rel_err <= parent_rel_err
+
+
 class TestAtZero:
     def test_r0_is_minus_one(self):
         for alpha in ALPHA_GRID:
@@ -87,6 +127,11 @@ class TestAtZero:
     def test_r1_is_minus_gamma(self, euler_gamma):
         got = dalpha_sderiv_at_zero(1.0, 1)
         assert_close(got, -euler_gamma, 1e-11)
+
+    def test_order_cap_names_r(self):
+        assert dalpha_sderiv_at_zero(0.5, 13) == dalpha_of_sderiv(0.0, 0.5, 13)
+        with pytest.raises(ValueError, match=r"^r must be in 0\.\.13$"):
+            dalpha_sderiv_at_zero(0.5, 14)
 
     def test_r2_finite_difference(self):
         got = dalpha_sderiv_at_zero(0.5, 2)
@@ -212,20 +257,26 @@ class TestSharedEvaluations:
         verify_identity("INTERCHANGE", 2.5, 0.7, 1)
         assert identities._point[0][0][0] == 2.5 and len(identities._point[1]) == 3
 
-    @pytest.mark.parametrize("s0,alpha,code,failing", [
+    @pytest.mark.parametrize("s0,alpha,code,failing,r", [
         # AT_ZERO evaluates only at alpha +- h here
-        (0.5 + 1j, -1.0, DomainError, 5),
+        (0.5 + 1j, -1.0, DomainError, 5, 0),
         # only the identities at s0 fail, not those at s = 0, 1, 2
-        (0.5 + 400000j, 1.0, Nonconvergence, 3),
+        (0.5 + 400000j, 1.0, Nonconvergence, 3, 0),
+        # AT_ONE and GAMMA_DERIV stop at r = 12, AT_ZERO at 13
+        (0.5, 1.0, ValueError, 2, 13),
+        (0.5, 1.0, ValueError, 3, 14),
     ])
-    def test_shared_error_names_its_pair(self, s0, alpha, code, failing):
+    def test_shared_error_names_its_pair(self, s0, alpha, code, failing, r):
         names = list(IDENTITY_NAMES)
         random.Random(3).shuffle(names)
         raised = []
         for name in names * 2:
             try:
-                verify_identity(name, s0, alpha, 0)
+                verify_identity(name, s0, alpha, r)
             except code as exc:
                 raised.append(name)
-                assert str(exc).startswith(f"{name} at s={s0}, alpha={alpha}, r=0: ")
+                assert str(exc).startswith(f"{name} at s={s0}, alpha={alpha}, r={r}: ")
+                if code is ValueError:
+                    top = 13 if name == "AT_ZERO" else 12
+                    assert str(exc).endswith(f": r must be in 0..{top}")
         assert len(raised) == 2 * failing

@@ -21,6 +21,14 @@ to fingerprint another commit, point PYTHONPATH at the src/ of a second
 checkout of it (`git worktree add` or `git archive`).  --dump DIR writes
 each group's lines to DIR/<group>.txt, so that `diff -r` between two dumps
 names the operations that differ.
+
+    python3 tools/fingerprint.py --compare DIR_A DIR_B
+
+compares two such dumps instead: for each group it prints how many lines
+differ, and for the differing JSON records (verify records, CLI outputs)
+each field that differs, with the largest absolute and relative change of
+a numeric field (a field whose record names an identity is listed under
+it).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -127,11 +136,100 @@ def digest(lines: list[str]) -> str:
     return h.hexdigest()
 
 
+def _record(payload: str):
+    """A line's payload as a JSON object, or None.  A verify line holds one
+    printed line of JSON, encoded as a JSON string."""
+    try:
+        value = json.loads(payload)
+        if isinstance(value, str):
+            value = json.loads(value)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _fields(value, name: str = ""):
+    """(name, leaf) pairs of a JSON value; a {"re", "im"} object is one
+    complex leaf."""
+    if isinstance(value, dict) and value.keys() == {"re", "im"}:
+        yield name, complex(value["re"], value["im"])
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, sub in items:
+            yield from _fields(sub, f"{name}.{key}" if name else str(key))
+    else:
+        yield name, value
+
+
+def _change(a, b) -> tuple[float, float] | None:
+    """|a - b|, and the same relative to the larger of |a| and |b|; None
+    when either is not a number."""
+    numbers = (int, float, complex)
+    if isinstance(a, bool) or isinstance(b, bool) or not (
+        isinstance(a, numbers) and isinstance(b, numbers)
+    ):
+        return None
+    diff, scale = abs(a - b), max(abs(a), abs(b))
+    return diff, diff / scale if scale else 0.0
+
+
+def compare_lines(lines_a: list[str], lines_b: list[str]) -> tuple[int, dict]:
+    """The number of differing lines, and for each differing field of the
+    differing JSON records: its record count and its largest absolute and
+    relative change (None when a value is not a number)."""
+    differing, fields = 0, {}
+    for a, b in zip_longest(lines_a, lines_b):
+        if a == b:
+            continue
+        differing += 1
+        if a is None or b is None or a.split("\t")[0] != b.split("\t")[0]:
+            continue  # not the same operation
+        rec_a, rec_b = (_record(x.split("\t", 1)[-1]) for x in (a, b))
+        if rec_a is None or rec_b is None:
+            continue
+        leaves_a, leaves_b = dict(_fields(rec_a)), dict(_fields(rec_b))
+        owner = f"{rec_a['identity']}." if "identity" in rec_a else ""
+        for field in sorted(leaves_a.keys() | leaves_b.keys()):
+            x, y = leaves_a.get(field), leaves_b.get(field)
+            if x == y:
+                continue
+            count, worst = fields.get(owner + field, (0, (0.0, 0.0)))
+            change = _change(x, y)
+            if worst is not None and change is not None:
+                worst = tuple(map(max, worst, change))
+            else:
+                worst = None
+            fields[owner + field] = (count + 1, worst)
+    return differing, fields
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """The report of --compare, one line per group and per differing field."""
+    out = []
+    for group in GROUPS:
+        lines_a, lines_b = (
+            (d / f"{group}.txt").read_text().splitlines() for d in (dir_a, dir_b)
+        )
+        differing, fields = compare_lines(lines_a, lines_b)
+        out.append(f"{group}\t{differing} of {max(len(lines_a), len(lines_b))} "
+                   f"lines differ")
+        for field, (count, worst) in sorted(fields.items()):
+            change = ("not numeric" if worst is None else
+                      "max abs change {:.2g}\tmax rel change {:.2g}".format(*worst))
+            out.append(f"  {field}\t{count} records\t{change}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--dump", type=Path, help="write each group's lines here")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two --dump directories instead of running")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
     for group in GROUPS:

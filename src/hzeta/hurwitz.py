@@ -23,9 +23,13 @@ Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
 d/d alpha zeta(s, alpha) = -s zeta(s+1, alpha), iterated.
 
+The head, a direct sum of k terms, is capped like an Euler-Maclaurin
+boundary: k is at most zetacore._MAX_BOUNDARY.
+
 The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
-a memo keyed by their inputs computes each once, for every alpha of a
-hurwitz_jet_many batch that shares its shift k and for verify's points.
+a memo keyed by their inputs, the one thing that evaluations of single
+alphas share, computes each once, for every alpha of a hurwitz_jet_many
+batch that shares its shift k and for verify's points.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     PoleAtOne,
 )
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
-from .zetacore import PhaseTable, em_tail_jet
+from .zetacore import _MAX_BOUNDARY, PhaseTable, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 # Within this distance d of its removable singularity a closed form takes the
@@ -66,6 +70,8 @@ class SeriesParams(Record):
     def __init__(self, k: int | None = None, n_max: int = 400, tol: float = 1e-12):
         if k is not None:
             _check_count("k", k, 1)
+            if k > _MAX_BOUNDARY:
+                raise ValueError(f"k must be <= {_MAX_BOUNDARY}, got {k}")
         _check_count("n_max", n_max, 8)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -123,7 +129,12 @@ def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
     return max(k, math.ceil(_RIGHT_HALF_SHIFT * abs(alpha)) + 1)
 
 
-def _check_head_bases(alpha: complex, k: int) -> None:
+def _check_head(alpha: complex, k: int) -> None:
+    if k > _MAX_BOUNDARY:
+        raise Nonconvergence(
+            f"the shift k={k} for alpha={alpha} would make the head a direct "
+            f"sum longer than its cap {_MAX_BOUNDARY}"
+        )
     for n in range(k):
         if abs(n + alpha) < _ZERO_BASE_RADIUS:
             raise DomainError(
@@ -157,19 +168,29 @@ def _kahan_add(total: list, comp: list, term) -> None:
         total[i] = t
 
 
-def _series_one(
-    s0: complex, alpha, order: int, p: SeriesParams, regularized: bool,
-    tails: dict, tables: dict,
-) -> EvalResult:
-    """One alpha's series at s0: its head, the tail zeta_k(s0), then the
-    terms a_n B_k(s0 + n) until three in a row fall below tol relative to
-    the sum, or n reaches n_max.  Every tail comes from the memo tails, on
-    the PhaseTable that tables keeps for the shift k.
+def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
+                 regularized: bool = False, tails: dict | None = None) -> EvalResult:
+    """The one series driver: at s0, the series for zeta(s, alpha), or for
+    the entire (s - 1) zeta(s, alpha) when regularized, which at s0 = 1
+    is the Laurent expansion: coefficient 0 is the pole's residue and
+    coefficient r + 1 is gamma_r(alpha).  It sums the head, the tail
+    zeta_k(s0), then the terms a_n B_k(s0 + n) until three in a row fall
+    below tol relative to the sum, or n reaches n_max.
+
+    Every tail goes through the memo tails (a fresh one when none is
+    given), keyed by all of its inputs, (w0, k, order, regularized) with
+    w0 exact to the sign of a zero, and is computed only when missing, on
+    a PhaseTable of this evaluation's own.  Evaluations that share a memo
+    and a shift k share every tail, zeta_k(s0) and B_k(s0 + n), and so
+    does one at s0 + 1, whose term n is term n + 1 at s0.  A failed tail
+    is not kept, so a failure, like a result, is that of a fresh memo.
 
     The loop works on plain coefficient lists: head terms from
     pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
     compensated sum held as two lists.  The only Jet it builds is the
     result's."""
+    s0 = require_finite(complex(s0), "s")
+    _check_count("r", order, 0)
     alpha = require_finite(complex(alpha), "alpha")
     if not regularized:
         if s0 == 1:
@@ -180,7 +201,8 @@ def _series_one(
                 "meaningful there"
             )
     k = _resolve_k(s0, alpha, p)
-    _check_head_bases(alpha, k)
+    _check_head(alpha, k)
+    tails = {} if tails is None else tails
 
     s_coeffs = [s0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     # every term of the regularized series carries the factor s - 1
@@ -200,9 +222,7 @@ def _series_one(
             4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
         )
 
-    phases = tables.get(k)
-    if phases is None:
-        phases = tables[k] = PhaseTable(s0.imag, order)
+    phases = PhaseTable(s0.imag, order)
     tail0, err_cont = _memo_tail(tails, s0, k, order, regularized=regularized,
                                  phases=phases)
     _kahan_add(total, comp, tail0.coeffs)
@@ -254,33 +274,6 @@ def _series_one(
     return result
 
 
-def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
-                 regularized: bool = False, tails: dict | None = None) -> list:
-    """The one series driver: at one s0, the series for zeta(s, alpha), or
-    for the entire (s - 1) zeta(s, alpha) when regularized, for each alpha
-    in turn.  Regularized at s0 = 1 it yields the Laurent expansion there:
-    coefficient 0 is the pole's residue and coefficient r + 1 is
-    gamma_r(alpha).  Returns each alpha's EvalResult in input order; the
-    first alpha that fails raises what its evaluation raised, and the
-    alphas after it are not evaluated.
-
-    Every tail goes through the memo tails (a fresh one when none is
-    given), keyed by all of its inputs, (w0, k, order, regularized) with
-    w0 exact to the sign of a zero, and is computed only when missing.
-    Alphas with the same shift k therefore share every tail, zeta_k(s0)
-    and B_k(s0 + n), and one PhaseTable; a memo that outlives the call
-    shares them with later evaluations too, as B_k(s0 + 1 + n) at s0 + 1
-    is term n + 1 at s0.  A failed tail is not kept.  Since everything
-    else is per alpha, each result, and the first failure, equals that of
-    a batch of one."""
-    s0 = require_finite(complex(s0), "s")
-    _check_count("r", order, 0)
-    tails = {} if tails is None else tails
-    tables: dict[int, PhaseTable] = {}
-    return [_series_one(s0, alpha, order, p, regularized, tails, tables)
-            for alpha in alphas]
-
-
 def hurwitz_jet_many(
     s0: complex, alphas, r: int = 0, p: SeriesParams | None = None
 ) -> list[EvalResult]:
@@ -290,7 +283,10 @@ def hurwitz_jet_many(
     a central difference in alpha costs little more than one evaluation.
     The first alpha in input order that fails raises what its solo call
     raises, and the alphas after it are not evaluated."""
-    return _series_eval(s0, alphas, r, p or DEFAULT_PARAMS)
+    s0 = require_finite(complex(s0), "s")
+    _check_count("r", r, 0)
+    p, tails = p or DEFAULT_PARAMS, {}
+    return [_series_eval(s0, alpha, r, p, tails=tails) for alpha in alphas]
 
 
 def hurwitz_jet(
@@ -299,10 +295,10 @@ def hurwitz_jet(
     """Order-r jet of zeta(., alpha) at s0, with error estimate.
 
     Raises PoleAtOne / NearPole at and next to s = 1, DomainError when a
-    head base n + alpha vanishes, and Nonconvergence when the term cap is
-    hit before the stopping rule fires.
+    head base n + alpha vanishes, and Nonconvergence when the shift passes
+    the head's cap or the term cap is hit before the stopping rule fires.
     """
-    return hurwitz_jet_many(s0, (alpha,), r, p)[0]
+    return _series_eval(s0, alpha, r, p or DEFAULT_PARAMS)
 
 
 def hurwitz_regularized_jet(
@@ -311,7 +307,7 @@ def hurwitz_regularized_jet(
     """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0, valid
     at w0 = 1 where its value is 1 and coefficient j >= 1 is gamma_{j-1}(alpha):
     the generating function s zeta(s+1, alpha) about s = w0 - 1."""
-    return _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)[0]
+    return _series_eval(w0, alpha, r, p or DEFAULT_PARAMS, regularized=True)
 
 
 def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:

@@ -17,11 +17,12 @@ route differentiates the s-jet numerically in alpha and is what
 verify_identity compares against.
 
 verify_identity keeps the evaluations of its last point (s0, alpha, r, p, h),
-keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized), and
-one memo of their Euler-Maclaurin tails (see hurwitz._series_eval): the jets
-at s0 + 1, 1 and 2 reuse the tails of the central differences in alpha at s0
-and 0.  An evaluation that fails is not kept, and raises again when asked
-for.  No report depends on the order of the calls.
+keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized),
+its m = 1 jets by (w0, "dalpha"), and one memo of their Euler-Maclaurin
+tails (see hurwitz._series_eval): the jets at s0 + 1, 1 and 2 reuse the
+tails of the central differences in alpha at s0 and 0.  An evaluation that
+fails is not kept, and raises again when asked for.  No report depends on
+the order of the calls.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def verify_identity(
         # alphas is (alpha,) or (alpha + h, alpha - h)
         at = (_exact(complex(w0)), len(alphas), order, regularized)
         if at not in evals:
-            evals[at] = _series_eval(w0, alphas, order, p, regularized, tails)
+            evals[at] = [_series_eval(w0, a, order, p, regularized, tails)
+                         for a in alphas]
         return evals[at]
 
     def jet(w0: complex, regularized: bool = False):
@@ -136,7 +138,10 @@ def verify_identity(
 
     def dalpha(w0: complex) -> Jet:
         # the jet in s of d/d alpha zeta(s, alpha) at w0, on this point's evaluations
-        return _alpha_derivative(w0, 1, r, jet).value
+        at = (_exact(complex(w0)), "dalpha")
+        if at not in evals:
+            evals[at] = _alpha_derivative(w0, 1, r, jet).value
+        return evals[at]
 
     def fd_gamma() -> complex:
         _check_order("r", r)
@@ -144,19 +149,17 @@ def verify_identity(
         return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
 
     try:
-        if key == "RECURRENCE":
+        if key in ("RECURRENCE", "MIXED_PARTIALS"):
             lhs = fd_sderiv(s0)
             rhs = dalpha(s0).derivative(r)
-            notes = f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
+            notes = (f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
+                     if key == "RECURRENCE" else
+                     f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial")
         elif key == "INTERCHANGE":
             lhs = fd_sderiv(s0)
             # d^r/ds^r of -s*zeta(s+1,alpha), via the entire product jet
             rhs = -jet(complex(s0) + 1, True).value.derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} vs jet of -s*zeta(s+1,a)"
-        elif key == "MIXED_PARTIALS":
-            lhs = fd_sderiv(s0)
-            rhs = dalpha(s0).derivative(r)
-            notes = f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial"
         elif key == "AT_ZERO":
             lhs = fd_sderiv(0.0)
             _check_order("r", r, MAX_GENERALIZED_ORDER + 1)
@@ -171,9 +174,9 @@ def verify_identity(
             rhs = dalpha(1.0).coeffs[r]
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"
     except (HZetaError, ValueError) as exc:
-        raise type(exc)(
-            f"{key} at s={s0}, alpha={alpha}, r={r}: {exc}"
-        ) from exc
+        # the same exception, so its type, result and traceback survive
+        exc.args = (f"{key} at s={s0}, alpha={alpha}, r={r}: {exc}",)
+        raise
     abs_res = abs(lhs - rhs)
     rel_res = abs_res / max(1.0, abs(lhs), abs(rhs))
     return IdentityReport(lhs, rhs, abs_res, rel_res, notes)

@@ -92,6 +92,17 @@ class TestEval:
         rec = json_lines(proc.stdout)[0]
         assert rec["error"]["code"] == "NONCONVERGENCE"
 
+    def test_head_past_its_cap(self, monkeypatch, capsys):
+        code, out, _ = run_main(monkeypatch, capsys, "eval", "--s", "2", "--alpha", "1e9")
+        assert code == 3
+        rec = json_lines(out)[0]
+        assert rec["error"]["code"] == "NONCONVERGENCE"
+        assert "k=1750000001 for alpha=(1000000000+0j)" in rec["error"]["message"]
+        code, out, err = run_main(monkeypatch, capsys, "eval", "--s", "2", "--alpha", "1e9",
+                                  "--k", "1000000000")
+        assert (code, out) == (1, "")
+        assert err == "error: k must be <= 200000, got 1000000000\n"
+
     def test_complex_flags_and_jet(self):
         proc = run_cli("eval", "--s", "2,1", "--alpha", "0.5,0.5", "--order", "2")
         assert proc.returncode == 0

@@ -230,16 +230,16 @@ class TestTailMemo:
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
         p, tails = SeriesParams(), {}
-        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, (0.7,), 2, p, False, tails)
+        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, 0.7, 2, p, False, tails)
         before = len(calls)
-        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, (0.7,), 2, p, True, tails)
+        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, 0.7, 2, p, True, tails)
         # the regularized series at s0 + 1 computes only the tails past the
         # last term at s0; the earlier ones were terms of the series at s0
         served = calls[:before]
         assert all(w.real > max(c.real for c in served) for w in calls[before:])
-        assert len(calls) - before < at_s1[0].terms_used // 4
-        assert at_s0 == [hurwitz_jet(0.5 + 1j, 0.7, 2)]
-        assert at_s1 == [hurwitz_regularized_jet(1.5 + 1j, 0.7, 2)]
+        assert len(calls) - before < at_s1.terms_used // 4
+        assert at_s0 == hurwitz_jet(0.5 + 1j, 0.7, 2)
+        assert at_s1 == hurwitz_regularized_jet(1.5 + 1j, 0.7, 2)
 
 
 def _outcome(call, *args, **kwargs):
@@ -248,6 +248,14 @@ def _outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - compared against the batch
         return exc
+
+
+def _per_alpha(s0, alphas, order, p, regularized=False) -> list:
+    """The series driver on each alpha in turn over one shared memo of
+    tails, as hurwitz_jet_many and verify's evaluations call it."""
+    tails = {}
+    return [hzeta.hurwitz._series_eval(s0, alpha, order, p, regularized, tails)
+            for alpha in alphas]
 
 
 def _count_tails(monkeypatch) -> list:
@@ -279,9 +287,7 @@ class TestBatch:
         p = hzeta.hurwitz.DEFAULT_PARAMS
         # whichever alpha of a shift runs first computes the shared tails
         for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
-            batch = hzeta.hurwitz._series_eval(
-                s0, alphas, order, p, regularized=regularized
-            )
+            batch = _per_alpha(s0, alphas, order, p, regularized=regularized)
             shifts = [res.k_used for res in batch]
             assert 2 <= len(set(shifts)) < len(shifts)
             for alpha, got in zip(alphas, batch):
@@ -330,13 +336,16 @@ class TestBatch:
         assert not isinstance(solo[0], Exception)
         assert isinstance(solo[1], Nonconvergence) and solo[1].result is not None
         calls = _count_tails(monkeypatch)
-        with pytest.raises(Nonconvergence) as info:
-            hzeta.hurwitz._series_eval(2.0, alphas, 1, p)
-        assert str(info.value) == str(solo[1])
-        assert info.value.result == solo[1].result
-        # every tail of the shift 2 once, and none of the shift 5
-        assert {start for _, start in calls} == {2}
-        assert len(calls) == len(set(calls)) == 1 + solo[1].result.terms_used
+        for batch in (lambda: _per_alpha(2.0, alphas, 1, p),
+                      lambda: hurwitz_jet_many(2.0, alphas, 1, p)):
+            calls.clear()
+            with pytest.raises(Nonconvergence) as info:
+                batch()
+            assert str(info.value) == str(solo[1])
+            assert info.value.result == solo[1].result
+            # every tail of the shift 2 once, and none of the shift 5
+            assert {start for _, start in calls} == {2}
+            assert len(calls) == len(set(calls)) == 1 + solo[1].result.terms_used
 
     def test_failing_shared_tail(self, monkeypatch):
         # 0.3 and 0.35 share the shift 7 at s = -120, and there the boundary
@@ -347,7 +356,7 @@ class TestBatch:
         solo = _outcome(hurwitz_jet, s0, 0.3)
         assert isinstance(solo, DomainError)
         calls = _count_tails(monkeypatch)
-        for batch in (lambda: hzeta.hurwitz._series_eval(s0, alphas, 0, p),
+        for batch in (lambda: _per_alpha(s0, alphas, 0, p),
                       lambda: hurwitz_jet_many(s0, alphas)):
             calls.clear()
             with pytest.raises(DomainError) as info:
@@ -365,6 +374,51 @@ class TestBatch:
     def test_empty_batch(self):
         assert hurwitz_jet_many(2.0, []) == []
         assert hurwitz_jet_many(0.5 + 3j, (), 3) == []
+
+    def test_empty_batch_still_checks_s_and_r(self):
+        with pytest.raises(ValueError, match="^non-finite s"):
+            hurwitz_jet_many(float("nan"), [])
+        with pytest.raises(ValueError, match="^r must be >= 0"):
+            hurwitz_jet_many(2.0, [], r=-1)
+
+
+class TestHeadCap:
+    """The head is a direct sum of k terms, capped like a tail's boundary."""
+
+    S0, ALPHA = 2.0, 22.0
+
+    def test_automatic_shift_at_the_cap(self, monkeypatch):
+        k = hzeta.hurwitz._resolve_k(self.S0, self.ALPHA, hzeta.hurwitz.DEFAULT_PARAMS)
+        want = hurwitz_jet(self.S0, self.ALPHA)
+        monkeypatch.setattr(hzeta.hurwitz, "_MAX_BOUNDARY", k)
+        assert hurwitz_jet(self.S0, self.ALPHA) == want
+
+    def test_automatic_shift_past_the_cap(self, monkeypatch):
+        k = hzeta.hurwitz._resolve_k(self.S0, self.ALPHA, hzeta.hurwitz.DEFAULT_PARAMS)
+        monkeypatch.setattr(hzeta.hurwitz, "_MAX_BOUNDARY", k - 1)
+        powers = []
+        monkeypatch.setattr(hzeta.hurwitz, "pow_neg_coeffs",
+                            lambda *args: powers.append(args))
+        calls = _count_tails(monkeypatch)
+        with pytest.raises(Nonconvergence) as info:
+            hurwitz_jet(self.S0, self.ALPHA)
+        message = str(info.value)
+        assert f"k={k} " in message and f"alpha={complex(self.ALPHA)}" in message
+        assert message.endswith(f"cap {k - 1}")
+        assert info.value.result is None
+        assert powers == [] and calls == []
+
+    def test_unpatched_cap_fails_fast(self):
+        # a head of 1.75e9 terms would run for hours
+        with pytest.raises(Nonconvergence, match="k=1750000001 "):
+            hurwitz_jet(2.0, 1e9)
+
+    @pytest.mark.parametrize("cap", [10, 200000])
+    def test_explicit_k(self, monkeypatch, cap):
+        monkeypatch.setattr(hzeta.hurwitz, "_MAX_BOUNDARY", cap)
+        assert SeriesParams(k=cap).k == cap
+        with pytest.raises(ValueError, match=f"^k must be <= {cap}, got {cap + 1}$"):
+            SeriesParams(k=cap + 1)
 
 
 class TestHeadRounding:

@@ -252,10 +252,11 @@ class TestSharedEvaluations:
             verify_identity("RECURRENCE", s0, 0.7, 1)
             key, evals, tails = identities._point
             assert key[0][0] == s0
-            # the difference at s0 and the jet at s0 + 1, over one set of tails
-            assert len(evals) == 2 and tails
+            # the difference at s0, the jet at s0 + 1 and the m = 1 jet at
+            # s0, over one set of tails
+            assert len(evals) == 3 and tails
         verify_identity("INTERCHANGE", 2.5, 0.7, 1)
-        assert identities._point[0][0][0] == 2.5 and len(identities._point[1]) == 3
+        assert identities._point[0][0][0] == 2.5 and len(identities._point[1]) == 4
 
     @pytest.mark.parametrize("s0,alpha,code,failing,r", [
         # AT_ZERO evaluates only at alpha +- h here
@@ -280,3 +281,42 @@ class TestSharedEvaluations:
                     top = 13 if name == "AT_ZERO" else 12
                     assert str(exc).endswith(f": r must be in 0..{top}")
         assert len(raised) == 2 * failing
+
+
+class TestOnePointOneClosedForm:
+    POINT = (0.5 + 1j, 1.3 + 0.4j, 2)
+
+    def test_alpha_derivative_once_per_base(self, monkeypatch):
+        bases = []
+        original = identities._alpha_derivative
+
+        def counting(w0, *args):
+            bases.append(w0)
+            return original(w0, *args)
+
+        monkeypatch.setattr(identities, "_point", (None, {}, {}))
+        monkeypatch.setattr(identities, "_alpha_derivative", counting)
+        for name in IDENTITY_NAMES:
+            verify_identity(name, *self.POINT)
+        # RECURRENCE and MIXED_PARTIALS at s, AT_ZERO at 0, AT_ONE and
+        # GAMMA_DERIV at 1
+        assert bases == [self.POINT[0], 0.0, 1.0]
+
+    def test_recurrence_and_mixed_partials_share_their_sides(self):
+        recurrence = verify_identity("RECURRENCE", *self.POINT)
+        mixed = verify_identity("MIXED_PARTIALS", *self.POINT)
+        assert (recurrence.lhs, recurrence.rhs) == (mixed.lhs, mixed.rhs)
+        assert recurrence.method_notes != mixed.method_notes
+
+
+def test_failure_keeps_its_result_and_traceback():
+    # alpha + h, the first evaluation, hits the term cap
+    p, h = SeriesParams(n_max=8), 1e-4
+    with pytest.raises(Nonconvergence) as solo:
+        hurwitz_jet(2.0, 0.5 + h, 1, p)
+    with pytest.raises(Nonconvergence) as info:
+        verify_identity("RECURRENCE", 2.0, 0.5, 1, p, h)
+    assert str(info.value) == f"RECURRENCE at s=2.0, alpha=0.5, r=1: {solo.value}"
+    assert info.value.result is not None
+    assert info.value.result == solo.value.result
+    assert any(entry.name == "_series_eval" for entry in info.traceback)

@@ -27,9 +27,10 @@ The head, a direct sum of k terms, is capped like an Euler-Maclaurin
 boundary: k is at most zetacore._MAX_BOUNDARY.
 
 The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
-a memo keyed by their inputs, the one thing that evaluations of single
-alphas share, computes each once, for every alpha of a hurwitz_jet_many
-batch that shares its shift k and for verify's points.
+a memo on their line Im w = Im s (zetacore.TailLine) computes each once
+for the evaluations that share the line and a shift: the alphas of a
+hurwitz_jet_many batch with equal shifts, and verify's point, whose
+evaluations all take one shift per line (_shared_params).
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from ._record import Record
 from .errors import (
     NEAR_POLE_RADIUS,
     DomainError,
+    HZetaError,
     NearPole,
     Nonconvergence,
     PoleAtOne,
 )
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
-from .zetacore import _MAX_BOUNDARY, PhaseTable, em_tail_jet
+from .zetacore import _MAX_BOUNDARY, TailLine, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 # Within this distance d of its removable singularity a closed form takes the
@@ -148,14 +150,47 @@ def _exact(z: complex) -> tuple:
     return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
 
 
-def _memo_tail(tails: dict, w0: complex, k: int, order: int, *,
-               regularized: bool, phases: PhaseTable) -> tuple[Jet, float]:
-    key = (_exact(w0), k, order, regularized)
-    tail = tails.get(key)
+def _memo_tail(line: TailLine, w0: complex, k: int, *,
+               regularized: bool) -> tuple[tuple, float]:
+    """The coefficients and error estimate of the tail at (w0, k) on line,
+    at the line's order, from its memo or from em_tail_jet."""
+    key = (_exact(w0), k, regularized)
+    tail = line.tails.get(key)
     if tail is None:
-        tail = tails[key] = em_tail_jet(w0, k, order, regularized=regularized,
-                                        phases=phases)
+        jet, err = em_tail_jet(w0, k, line.order, regularized=regularized, line=line)
+        tail = line.tails[key] = jet.coeffs, err
     return tail
+
+
+def _shift(s0, alpha, p: SeriesParams) -> int | None:
+    """The shift of the evaluation at (s0, alpha) under p, or None where it
+    fails before its shift is known or the shift passes the head's cap."""
+    try:
+        k = _resolve_k(complex(s0), complex(alpha), p)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return k if k <= _MAX_BOUNDARY else None
+
+
+def _shared_params(points, p: SeriesParams) -> SeriesParams:
+    """p with the largest shift of the evaluations at the (s0, alpha) of
+    points (see _shift); p itself if it fixes k or no shift is left."""
+    shifts = [_shift(s0, alpha, p) for s0, alpha in points] if p.k is None else []
+    k = max((k for k in shifts if k is not None), default=None)
+    return p if k is None else SeriesParams(k, p.n_max, p.tol)
+
+
+def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, shared: SeriesParams,
+                 regularized: bool, line: TailLine) -> EvalResult:
+    """_series_eval on line under the shared params or, where that fails,
+    the solo call's result or error, so sharing never fails an evaluation.
+    A solo call at the same shift and order would fail the same way."""
+    try:
+        return _series_eval(s0, alpha, order, shared, regularized, line)
+    except (HZetaError, ValueError):
+        if line.order == order and shared.k == _shared_params([(s0, alpha)], p).k:
+            raise
+        return _series_eval(s0, alpha, order, p, regularized)
 
 
 def _kahan_add(total: list, comp: list, term) -> None:
@@ -169,7 +204,7 @@ def _kahan_add(total: list, comp: list, term) -> None:
 
 
 def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
-                 regularized: bool = False, tails: dict | None = None) -> EvalResult:
+                 regularized: bool = False, line: TailLine | None = None) -> EvalResult:
     """The one series driver: at s0, the series for zeta(s, alpha), or for
     the entire (s - 1) zeta(s, alpha) when regularized, which at s0 = 1
     is the Laurent expansion: coefficient 0 is the pole's residue and
@@ -177,13 +212,13 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
     zeta_k(s0), then the terms a_n B_k(s0 + n) until three in a row fall
     below tol relative to the sum, or n reaches n_max.
 
-    Every tail goes through the memo tails (a fresh one when none is
-    given), keyed by all of its inputs, (w0, k, order, regularized) with
-    w0 exact to the sign of a zero, and is computed only when missing, on
-    a PhaseTable of this evaluation's own.  Evaluations that share a memo
-    and a shift k share every tail, zeta_k(s0) and B_k(s0 + n), and so
-    does one at s0 + 1, whose term n is term n + 1 at s0.  A failed tail
-    is not kept, so a failure, like a result, is that of a fresh memo.
+    Every tail goes through the memo of line, a TailLine for Im s0 (a fresh
+    one when none is given), keyed by (w0, k, regularized) with w0 exact to
+    the sign of a zero, and is computed only when missing, at the line's
+    order; the loop reads a longer tail as its prefix.  Evaluations that
+    share a line and a shift k share every tail, zeta_k(s0) and B_k(s0 + n),
+    and so does one at s0 + 1, whose term n is term n + 1 at s0.  A failed
+    tail is not kept, so a failure is that of a fresh line.
 
     The loop works on plain coefficient lists: head terms from
     pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
@@ -202,7 +237,7 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
             )
     k = _resolve_k(s0, alpha, p)
     _check_head(alpha, k)
-    tails = {} if tails is None else tails
+    line = TailLine(s0.imag, order) if line is None else line
 
     s_coeffs = [s0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     # every term of the regularized series carries the factor s - 1
@@ -222,10 +257,8 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
             4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
         )
 
-    phases = PhaseTable(s0.imag, order)
-    tail0, err_cont = _memo_tail(tails, s0, k, order, regularized=regularized,
-                                 phases=phases)
-    _kahan_add(total, comp, tail0.coeffs)
+    tail0, err_cont = _memo_tail(line, s0, k, regularized=regularized)
+    _kahan_add(total, comp, tail0[:order + 1])
     pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
     # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
     a_n = [-alpha] + [0j] * order
@@ -233,9 +266,8 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
     last_norm = math.inf
     while n < p.n_max:
         n += 1
-        b_k, em_err = _memo_tail(tails, s0 + n, k, order, regularized=True,
-                                 phases=phases)
-        term = mul_coeffs(a_n, b_k.coeffs)
+        b_k, em_err = _memo_tail(line, s0 + n, k, regularized=True)
+        term = mul_coeffs(a_n, b_k)
         if factor is not None:
             term = times_linear(factor, term)
         if not (all(map(cmath.isfinite, term)) and all(map(cmath.isfinite, a_n))):
@@ -278,15 +310,24 @@ def hurwitz_jet_many(
     s0: complex, alphas, r: int = 0, p: SeriesParams | None = None
 ) -> list[EvalResult]:
     """hurwitz_jet at one s0 for a sequence of alphas, one EvalResult each
-    and equal to its solo call.  The alphas share one memo of tails, so
-    those with the same shift k compute each Euler-Maclaurin tail once and
+    and equal to its solo call.  The alphas with the same shift k share one
+    line of tails, so they compute each Euler-Maclaurin tail once and
     a central difference in alpha costs little more than one evaluation.
-    The first alpha in input order that fails raises what its solo call
+    Each keeps its own shift, since a large alpha's shift would give a
+    small one a long head, which at Re s < 0 also loses accuracy.  The
+    first alpha in input order that fails raises what its solo call
     raises, and the alphas after it are not evaluated."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", r, 0)
-    p, tails = p or DEFAULT_PARAMS, {}
-    return [_series_eval(s0, alpha, r, p, tails=tails) for alpha in alphas]
+    p, lines = p or DEFAULT_PARAMS, {}
+    results = []
+    for alpha in alphas:
+        # one line per shift, since a line's rows begin at its first start
+        k = _shift(s0, alpha, p)
+        if k not in lines:
+            lines[k] = TailLine(s0.imag, r)
+        results.append(_series_eval(s0, alpha, r, p, line=lines[k]))
+    return results
 
 
 def hurwitz_jet(

@@ -18,11 +18,13 @@ verify_identity compares against.
 
 verify_identity keeps the evaluations of its last point (s0, alpha, r, p, h),
 keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized),
-its m = 1 jets by (w0, "dalpha"), and one memo of their Euler-Maclaurin
-tails (see hurwitz._series_eval): the jets at s0 + 1, 1 and 2 reuse the
-tails of the central differences in alpha at s0 and 0.  An evaluation that
-fails is not kept, and raises again when asked for.  No report depends on
-the order of the calls.
+and its m = 1 jets by (w0, "dalpha").  They lie on two lines, Im s = Im s0
+and Im s = 0 (at 0, 1 and 2), each with one zetacore.TailLine holding its
+Euler-Maclaurin tails (see hurwitz._series_eval) at the largest order it
+needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p fixes k: the
+largest automatic shift of alpha and alpha +- h at its points.  Both
+depend on the point alone, so no report depends on the order of the calls.
+A failing evaluation raises its solo call's error, and is not kept.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ from .hurwitz import (
     DEFAULT_PARAMS,
     SeriesParams,
     _alpha_derivative,
+    _check_count,
     _exact,
-    _series_eval,
+    _shared_eval,
+    _shared_params,
     hurwitz_alpha_derivative,
 )
 from .jets import Jet
 from .stieltjes import MAX_GENERALIZED_ORDER, _check_order
+from .zetacore import TailLine
 
 IDENTITY_NAMES = (
     "INTERCHANGE",
@@ -89,7 +94,7 @@ def dalpha_sderiv_at_zero(
     return dalpha_of_sderiv(0.0, alpha, r, p)
 
 
-# the last point's key, its evaluations and their tails memo
+# the last point's key, its evaluations and its lines
 _point: tuple = (None, {}, {})
 
 
@@ -119,13 +124,28 @@ def verify_identity(
     point = _point
     if point[0] != point_key:
         point = _point = (point_key, {}, {})
-    _, evals, tails = point
+    _, evals, lines = point
+
+    s0c = complex(s0)
+
+    def line_of(w0: complex) -> tuple:
+        # the shared params and TailLine of w0's line, fixed by the point:
+        # Im s = Im s0 at order r, or Im s = +0, with 0, 1 and 2, at r + 1
+        zero = _exact(complex(w0).imag) == _exact(0.0)
+        if zero not in lines:
+            ws = [0.0, 1.0, 2.0] if zero else []
+            ws += [s0c, s0c + 1] if (_exact(s0c.imag) == _exact(0.0)) == zero else []
+            pairs = [(w, a) for w in ws for a in (alpha, alpha + h, alpha - h)]
+            line = TailLine(complex(w0).imag, r + 1 if zero else r)
+            lines[zero] = _shared_params(pairs, p), line
+        return lines[zero]
 
     def batch(w0: complex, alphas: tuple, order: int, regularized: bool = False) -> list:
         # alphas is (alpha,) or (alpha + h, alpha - h)
         at = (_exact(complex(w0)), len(alphas), order, regularized)
         if at not in evals:
-            evals[at] = [_series_eval(w0, a, order, p, regularized, tails)
+            shared, line = line_of(w0)
+            evals[at] = [_shared_eval(w0, a, order, p, shared, regularized, line)
                          for a in alphas]
         return evals[at]
 
@@ -149,6 +169,8 @@ def verify_identity(
         return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
 
     try:
+        # before any line is built, so that a bad r raises the evaluation's error
+        _check_count("r", r, 0)
         if key in ("RECURRENCE", "MIXED_PARTIALS"):
             lhs = fd_sderiv(s0)
             rhs = dalpha(s0).derivative(r)

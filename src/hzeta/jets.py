@@ -156,7 +156,8 @@ class Jet(Record):
 
 
 def mul_coeffs(a, b) -> list[complex]:
-    """Truncated Cauchy product of two coefficient sequences of equal length."""
+    """Cauchy product of two coefficient sequences, truncated to len(a);
+    b is at least as long as a."""
     if len(a) == 1:
         return [a[0] * b[0]]
     return [sum(map(operator.mul, a[: i + 1], b[i::-1])) for i in range(len(a))]

@@ -15,7 +15,8 @@ negative Re w, while the prediction keeps the asymptotic truncation
 under control at large |Im w|.  The policy is fixed: M is at least 4
 (_CUTOFF) and at most _MAX_BOUNDARY, and j runs to 10 (_DEPTH).  So a tail
 is a function of (w0, start, order, regularized) alone, the key of the
-tails memo in hurwitz._series_eval.
+tails memo in hurwitz._series_eval.  Along a line the search continues
+from the last boundary, which finds the same M (see choose_boundary).
 
 The regularized variant multiplies through by (w - 1), in O(r) by
 jets.times_linear, turning the pole term into plain M**(1-w); every
@@ -26,12 +27,12 @@ em_tail_jet works on plain lists of Taylor coefficients in w and wraps
 the result in a Jet only when it returns.  Its integer powers split as
 m**-w = m**-Re(w) * m**(-i Im w - h), where h = w - w0 is the jet
 variable.  The second factor, the phase m**(-i Im w) times
-(-log m)**j / j!, depends on w0 only through Im w0, so a PhaseTable
+(-log m)**j / j!, depends on w0 only through Im w0, so a TailLine
 holds it for one imaginary part and order, and every summand is a real
 magnitude times a table row.  The shifted series of the Hurwitz
-evaluator moves only Re w from term to term, so one table serves all
-of its tails.  The Bernoulli corrections share the boundary power
-M**-w, so they are summed as sum_j c_j (w)_{2j-1}, with
+evaluator moves only Re w from term to term, so one line serves all of
+its tails, bitwise as fresh lines would.  The Bernoulli corrections share
+the boundary power M**-w, so they are summed as sum_j c_j (w)_{2j-1}, with
 c_j = B_{2j}/(2j)! M**(1-2j), and multiplied by it once: the rising
 product is carried from one correction term to the next by the factor
 (w + 2j - 1)(w + 2j), whose jet has three nonzero coefficients, so each
@@ -97,9 +98,15 @@ def _boundary_ok(
     return ratio <= 0.9 or last * 100.0 <= target
 
 
-def choose_boundary(w0: complex, start: int, order: int) -> int:
+def choose_boundary(w0: complex, start: int, order: int, *,
+                    line: TailLine | None = None) -> int:
     """Smallest EM boundary M >= max(_CUTOFF, start) meeting the
     truncation target relative to the leading magnitude start**(-Re w).
+
+    Candidates step up from max(_CUTOFF, start) by max(1, M // 8).  On a
+    line, the search steps down from the last one chosen there while the
+    one below passes, then up while it fails: where Re w > 1 - 2 _DEPTH
+    the test is monotone in M, so this is the cold search's M.
 
     Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
     start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5.
@@ -110,47 +117,59 @@ def choose_boundary(w0: complex, start: int, order: int) -> int:
     absw = abs(w0) + 2.0 * order
     pochmag = _poch_magnitude(w0, order)
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
-    m = max(_CUTOFF, start)
     target = _TRUNCATION_TARGET * scale
+    warm = line is not None and sigma > 1 - 2 * _DEPTH
+    if warm and line._start == start:
+        marks, i = line._marks, line._last
+    else:
+        marks, i = [max(_CUTOFF, start)], 0
     try:
-        while not _boundary_ok(pochmag, sigma, float(m), absw, target):
-            m += max(1, m // 8)
-            if m > _MAX_BOUNDARY:
-                raise Nonconvergence(
-                    f"Euler-Maclaurin boundary search passed its cap "
-                    f"M = {_MAX_BOUNDARY} without meeting the truncation target "
-                    f"for w0={w0}, start={start}, order={order}"
-                )
+        while i > 0 and _boundary_ok(pochmag, sigma, float(marks[i - 1]), absw, target):
+            i -= 1
+        while not _boundary_ok(pochmag, sigma, float(marks[i]), absw, target):
+            i += 1
+            if i == len(marks):
+                m = marks[-1] + max(1, marks[-1] // 8)
+                if m > _MAX_BOUNDARY:
+                    raise Nonconvergence(
+                        f"Euler-Maclaurin boundary search passed its cap "
+                        f"M = {_MAX_BOUNDARY} without meeting the truncation target "
+                        f"for w0={w0}, start={start}, order={order}"
+                    )
+                marks.append(m)
     except OverflowError:
         raise DomainError(
-            f"Euler-Maclaurin correction at boundary M = {m} overflows binary64 "
+            f"Euler-Maclaurin correction at boundary M = {marks[i]} overflows binary64 "
             f"for w0={w0}, start={start}, order={order}"
         ) from None
-    return m
+    if warm:
+        line._start, line._marks, line._last = start, marks, i
+    return marks[i]
 
 
-class PhaseTable:
-    """Rows m**(-i t - h) = m**(-i t) * (-log m)**j / j!, j = 0..order, for
-    integer m >= 1: the factor of m**-w that every w with Im w = t shares,
-    as coefficients in h = w - w0.
+class TailLine:
+    """What the tails along the line Im w = t share at one order and start.
 
-    Row m is pow_neg_coeffs(m, [i t, 1, 0, ...]), so its phase carries the
-    extended-precision log of the power kernel.  Rows are computed on
-    request, from the first start asked for up to the largest stop, and
-    kept for the life of the table; a caller makes one table per
-    evaluation and passes it to each of that evaluation's tails, which
-    all start at the same shift.
+    Rows m**(-i t - h) = m**(-i t) * (-log m)**j / j!, j = 0..order, for
+    integer m >= 1: the factor of m**-w that every w on the line shares,
+    as coefficients in h = w - w0.  Row m is pow_neg_coeffs(m, [i t, 1, 0,
+    ...]), so its phase carries the extended-precision log of the power
+    kernel.  Rows are computed on request, from the first start asked for
+    up to the largest stop, and kept for the life of the line, as is
+    choose_boundary's place; tails is a memo for the caller's own use.
     """
 
-    __slots__ = ("t", "order", "_w", "_first", "_cols")
+    __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_start", "_marks",
+                 "_last")
 
     def __init__(self, t: float, order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.t = float(t)
         self.order = order
+        self.tails = {}
         self._w = [complex(0.0, self.t)] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
-        self._first = None
+        self._first = self._start = None
         # _cols[j][i] is coefficient j of row _first + i
         self._cols = [[] for _ in range(order + 1)]
 
@@ -177,14 +196,14 @@ def em_tail_jet(
     order: int = 0,
     *,
     regularized: bool = False,
-    phases: PhaseTable | None = None,
+    line: TailLine | None = None,
 ) -> tuple[Jet, float]:
     """Jet of sum_{m >= start} m**-w at w0 (or of (w-1) times it when
     regularized), together with an a-posteriori error estimate.
 
-    phases, when given, must be a PhaseTable for t = Im w0 and this order;
+    line, when given, must be a TailLine for t = Im w0 and this order;
     callers that evaluate many tails along one horizontal line share it.
-    Without it the call builds a table of its own.
+    Without it the call builds a line of its own.
 
     The estimate is twice the magnitude of the last Bernoulli correction
     plus a rounding allowance proportional to the largest summand.  A
@@ -200,19 +219,19 @@ def em_tail_jet(
             raise NearPole(
                 "s within 1e-8 of the pole; use the regularized form"
             )
-    if phases is None:
-        phases = PhaseTable(w0.imag, order)
-    elif phases.t != w0.imag or phases.order != order:
+    if line is None:
+        line = TailLine(w0.imag, order)
+    elif line.t != w0.imag or line.order != order:
         raise ValueError(
-            f"phase table for Im w = {phases.t}, order {phases.order} does not "
+            f"tail line for Im w = {line.t}, order {line.order} does not "
             f"match w0={w0}, order {order}"
         )
 
-    boundary = choose_boundary(w0, start, order)
+    boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
 
     # m**-w = m**-Re(w) * row m, for m = start..boundary
-    cols = phases.columns(start, boundary + 1)
+    cols = line.columns(start, boundary + 1)
     sigma = w0.real
     try:
         mags = [float(m) ** -sigma for m in range(start, boundary)]

@@ -24,6 +24,7 @@ from hzeta import (
     stieltjes_constants,
 )
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
+from hzeta.zetacore import TailLine
 
 from conftest import assert_close, central_diff, measured_tail_sum
 
@@ -193,9 +194,9 @@ class TestSharedPhaseTable:
         seen = []
         original = hzeta.hurwitz.em_tail_jet
 
-        def counting(*args, phases=None, **kwargs):
-            seen.append(phases)
-            return original(*args, phases=phases, **kwargs)
+        def counting(*args, line=None, **kwargs):
+            seen.append(line)
+            return original(*args, line=line, **kwargs)
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
         evaluate = hurwitz_regularized_jet if regularized else hurwitz_jet
@@ -208,17 +209,19 @@ class TestSharedPhaseTable:
 class TestTailMemo:
     def test_keys_tell_the_sign_of_zero(self, monkeypatch):
         def named(w0, *args, **kwargs):
-            return repr(w0), 0.0
+            names.append(repr(w0))
+            return Jet((complex(len(names)),)), 0.0
 
+        names = []
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", named)
-        tails = {}
+        line = TailLine(0.0, 0)
         points = (2 + 0j, complex(2, -0.0), complex(-0.0, 1.0), 1j)
         for _ in range(2):
-            got = [hzeta.hurwitz._memo_tail(tails, w, 2, 0, regularized=True,
-                                            phases=None)[0]
+            got = [hzeta.hurwitz._memo_tail(line, w, 2, regularized=True)[0]
                    for w in points]
-            assert got == [repr(w) for w in points]
-        assert len(tails) == 4
+            assert got == [(complex(i),) for i in range(1, 5)]
+        assert names == [repr(w) for w in points]
+        assert len(line.tails) == 4
 
     def test_memo_serves_a_shifted_evaluation(self, monkeypatch):
         calls = []
@@ -229,10 +232,10 @@ class TestTailMemo:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
-        p, tails = SeriesParams(), {}
-        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, 0.7, 2, p, False, tails)
+        p, line = SeriesParams(), TailLine(1.0, 2)
+        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, 0.7, 2, p, False, line)
         before = len(calls)
-        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, 0.7, 2, p, True, tails)
+        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, 0.7, 2, p, True, line)
         # the regularized series at s0 + 1 computes only the tails past the
         # last term at s0; the earlier ones were terms of the series at s0
         served = calls[:before]
@@ -251,10 +254,11 @@ def _outcome(call, *args, **kwargs):
 
 
 def _per_alpha(s0, alphas, order, p, regularized=False) -> list:
-    """The series driver on each alpha in turn over one shared memo of
-    tails, as hurwitz_jet_many and verify's evaluations call it."""
-    tails = {}
-    return [hzeta.hurwitz._series_eval(s0, alpha, order, p, regularized, tails)
+    """The series driver on each alpha in turn at the batch's shift over
+    one shared line, as verify's evaluations call it."""
+    shared = hzeta.hurwitz._shared_params([(s0, alpha) for alpha in alphas], p)
+    line = TailLine(complex(s0).imag, order)
+    return [hzeta.hurwitz._shared_eval(s0, alpha, order, p, shared, regularized, line)
             for alpha in alphas]
 
 
@@ -272,8 +276,9 @@ def _count_tails(monkeypatch) -> list:
     return calls
 
 
-# shifts 2, 4, 4, 5 and 4 at s = 0.5 + 3j and at w = 1: 1.7 and 1.7j, of
-# equal modulus, share a shift under any rule in |alpha|, here with 1.5-0.5j
+# automatic shifts 2, 4, 4, 5 and 4 at s = 0.5 + 3j and at w = 1, so the
+# shared shift is 5: 1.7 and 1.7j, of equal modulus, share a shift under
+# any rule in |alpha|, here with 1.5-0.5j
 BATCH_ALPHAS = (0.3, 1.7, 1.7j, 2 + 1j, 1.5 - 0.5j)
 
 
@@ -285,15 +290,20 @@ class TestBatch:
     def test_batch_equals_solo(self, s0, regularized, order):
         solo = hurwitz_regularized_jet if regularized else hurwitz_jet
         p = hzeta.hurwitz.DEFAULT_PARAMS
-        # whichever alpha of a shift runs first computes the shared tails
+        shifts = [hzeta.hurwitz._resolve_k(s0, alpha, p) for alpha in BATCH_ALPHAS]
+        assert 2 <= len(set(shifts)) < len(shifts)
+        k = max(shifts)
+        # whichever alpha runs first computes the shared tails
         for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
             batch = _per_alpha(s0, alphas, order, p, regularized=regularized)
-            shifts = [res.k_used for res in batch]
-            assert 2 <= len(set(shifts)) < len(shifts)
             for alpha, got in zip(alphas, batch):
-                assert got == solo(s0, alpha, order), f"alpha={alpha}"
+                assert got == solo(s0, alpha, order, SeriesParams(k=k)), f"alpha={alpha}"
             if not regularized:
-                assert hurwitz_jet_many(s0, alphas, order) == batch
+                # hurwitz_jet_many keeps each alpha's own shift
+                many = hurwitz_jet_many(s0, alphas, order)
+                assert many == [solo(s0, alpha, order) for alpha in alphas]
+                assert [res.k_used for res in many] == [
+                    hzeta.hurwitz._resolve_k(s0, alpha, p) for alpha in alphas]
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_one_tail_call_per_group_and_term(self, monkeypatch, order):
@@ -328,41 +338,61 @@ class TestBatch:
             hurwitz_jet_many(2.0, alphas, 2, p)
         assert str(info.value) == str(want)
 
+    def test_alpha_past_the_head_cap_sets_no_shift(self, monkeypatch):
+        # the shift of 1.4e5, 245001, passes the head's cap, so the shared
+        # shift stays 2, that of 0.5, and 1.4e5 raises what it raises alone
+        alphas = (0.5, 1.4e5)
+        solo = [_outcome(hurwitz_jet, 2.0, alpha, 2) for alpha in alphas]
+        assert solo[0].k_used == 2 and isinstance(solo[1], Nonconvergence)
+        calls = _count_tails(monkeypatch)
+        for batch in (lambda: _per_alpha(2.0, alphas, 2, SeriesParams()),
+                      lambda: hurwitz_jet_many(2.0, alphas, 2)):
+            calls.clear()
+            with pytest.raises(Nonconvergence) as info:
+                batch()
+            assert str(info.value) == str(solo[1])
+            assert len(calls) == 1 + solo[0].terms_used
+            assert {start for _, start in calls} == {2}
+
     def test_first_failure_stops_the_batch(self, monkeypatch):
-        # 0.05 converges within the cap and 0.5, of the same shift 2, does
-        # not; 2 + 1j (shift 5) would hit the cap too, and 0.0 is excluded
+        # 0.05 converges within the cap, alone and at the shared shift 5,
+        # that of 2 + 1j, and 0.5 does not, there or alone at its shift 2;
+        # 2 + 1j would hit the cap too, and 0.0 is excluded
         p, alphas = SeriesParams(n_max=8), (0.05, 0.5, 2 + 1j, 0.0)
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 1, p) for alpha in alphas]
         assert not isinstance(solo[0], Exception)
-        assert isinstance(solo[1], Nonconvergence) and solo[1].result is not None
+        assert isinstance(solo[1], Nonconvergence) and solo[1].result.k_used == 2
         calls = _count_tails(monkeypatch)
-        for batch in (lambda: _per_alpha(2.0, alphas, 1, p),
-                      lambda: hurwitz_jet_many(2.0, alphas, 1, p)):
+        # on the shared line every tail of the shift 5 once, then those of
+        # the solo call of 0.5; in hurwitz_jet_many those of the shift 2
+        # once; none of the shift 1 of 0.0 in either
+        for batch, starts in ((lambda: _per_alpha(2.0, alphas, 1, p), [5] * 9 + [2] * 9),
+                              (lambda: hurwitz_jet_many(2.0, alphas, 1, p), [2] * 9)):
             calls.clear()
             with pytest.raises(Nonconvergence) as info:
                 batch()
             assert str(info.value) == str(solo[1])
             assert info.value.result == solo[1].result
-            # every tail of the shift 2 once, and none of the shift 5
-            assert {start for _, start in calls} == {2}
-            assert len(calls) == len(set(calls)) == 1 + solo[1].result.terms_used
+            assert [start for _, start in calls] == starts
+            assert len(set(calls)) == len(calls)
 
     def test_failing_shared_tail(self, monkeypatch):
-        # 0.3 and 0.35 share the shift 7 at s = -120, and there the boundary
-        # search of the Euler-Maclaurin tail overflows.  A failed tail is not
-        # kept, so 0.35 would compute it again.
+        # at s = -120 the boundary search of the Euler-Maclaurin tail
+        # overflows, both at the shared shift 40, that of 2 + 1j, and at 7,
+        # that of 0.3 alone.  So on the shared line 0.3 fails, and then
+        # alone, which raises its own error; hurwitz_jet_many runs 0.3 alone.
         s0, alphas, p = -120, (0.3, 0.35, 2 + 1j), hzeta.hurwitz.DEFAULT_PARAMS
-        assert hzeta.hurwitz._resolve_k(s0, 0.3, p) == hzeta.hurwitz._resolve_k(s0, 0.35, p)
+        assert hzeta.hurwitz._resolve_k(s0, 2 + 1j, p) == 40
         solo = _outcome(hurwitz_jet, s0, 0.3)
         assert isinstance(solo, DomainError)
         calls = _count_tails(monkeypatch)
-        for batch in (lambda: _per_alpha(s0, alphas, 0, p),
-                      lambda: hurwitz_jet_many(s0, alphas)):
+        for batch, tails in ((lambda: _per_alpha(s0, alphas, 0, p), [(s0, 40), (s0, 7)]),
+                             (lambda: hurwitz_jet_many(s0, alphas), [(s0, 7)])):
             calls.clear()
             with pytest.raises(DomainError) as info:
                 batch()
             assert str(info.value) == str(solo)
-            assert calls == [(s0, 7)]  # the tail zeta_7(s0) of 0.3 alone
+            assert calls == tails
 
     def test_common_errors_follow_the_first_alpha(self):
         for s0, alphas in ((1.0, (0.5, float("nan"))), (1.0, (float("nan"), 0.5))):

@@ -214,7 +214,7 @@ class TestSharedEvaluations:
         em_tail_jet = hzeta.hurwitz.em_tail_jet
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
+            calls.append((complex(args[0]).imag, *args[1:3]))
             return em_tail_jet(*args, **kwargs)
 
         grid = tmp_path / "grid.csv"
@@ -224,8 +224,10 @@ class TestSharedEvaluations:
         monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
         assert cli.main(["verify", "--identity", "all", "--grid", str(grid)]) == 0
         capsys.readouterr()
-        # 468 when each identity evaluates on its own
-        assert 0 < len(calls) <= 130
+        # one shift and one order per line: order r + 1 = 3 on Im s = 0 and
+        # r = 2 on Im s = 1; six identities on fresh points make 187
+        assert sorted(set(calls)) == [(0.0, 4, 3), (1.0, 4, 2)]
+        assert len(calls) == 65
 
     def test_any_call_order_matches_fresh_reports(self, monkeypatch):
         tests_dir = os.path.dirname(os.path.abspath(__file__))

@@ -81,7 +81,7 @@ class TestGeneralizedStieltjes:
             generalized_stieltjes(0.5, 13)
 
     def test_overflow_is_reported_as_overflow(self, monkeypatch):
-        def infinite_tail(w0, start, order, *, regularized, phases):
+        def infinite_tail(w0, start, order, *, regularized, line):
             return Jet((complex(math.inf, 0.0),) * (order + 1)), 0.0
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_tail)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hzeta import (
     DomainError,
@@ -18,9 +20,12 @@ from hzeta.oracles import (
 )
 from hzeta import oracles, zetacore
 from hzeta.jets import pow_neg_coeffs
-from hzeta.zetacore import PhaseTable, choose_boundary, em_tail_jet
+from hzeta.zetacore import TailLine, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
+
+# the same examples on every run, so that CI is deterministic
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def zeta_direct(sigma: float, start: int = 1, terms: int = 10**6) -> float:
@@ -236,18 +241,17 @@ class TestBoundaryCap:
 
 class TestPhaseTable:
     def test_rows_are_unit_phase_power_jets(self):
-        table = PhaseTable(-3.5, 2)
-        cols = table.columns(3, 6)
+        cols = TailLine(-3.5, 2).columns(3, 6)
         for i, m in enumerate(range(3, 6)):
             row = [col[i] for col in cols]
             assert row == pow_neg_coeffs(m, [-3.5j, 1 + 0j, 0j])
             assert abs(abs(row[0]) - 1.0) < 1e-15
 
     def test_extends_past_earlier_requests(self):
-        table = PhaseTable(7.25, 1)
+        table = TailLine(7.25, 1)
         first = table.columns(5, 9)
         whole = table.columns(5, 12)
-        assert whole == PhaseTable(7.25, 1).columns(5, 12)
+        assert whole == TailLine(7.25, 1).columns(5, 12)
         assert [col[:4] for col in whole] == first
         assert table.columns(6, 8) == [col[1:3] for col in first]
         with pytest.raises(ValueError, match="starts at m = 5"):
@@ -257,17 +261,11 @@ class TestPhaseTable:
     @pytest.mark.parametrize("w0,start", [(0.7 + 35.5j, 3), (-6.5 - 12j, 1), (2.0, 5)])
     @pytest.mark.parametrize("order", [0, 1, 6, 12])
     def test_shared_table_matches_own_table(self, w0, start, order):
-        table = PhaseTable(complex(w0).imag, order)
+        line = TailLine(complex(w0).imag, order)
         for n in range(12):
             w = w0 + n
-            shared, shared_err = em_tail_jet(w, start, order, regularized=True, phases=table)
-            own, own_err = em_tail_jet(w, start, order, regularized=True)
-            if order == 0:
-                assert shared == own and shared_err == own_err
-            else:
-                diff = max(abs(a - b) for a, b in zip(shared.coeffs, own.coeffs))
-                assert diff <= 1e-14 * own.norm()
-                assert shared_err == pytest.approx(own_err, rel=1e-12)
+            shared = em_tail_jet(w, start, order, regularized=True, line=line)
+            assert shared == em_tail_jet(w, start, order, regularized=True)
 
     def test_overflowing_magnitude_is_a_domain_error(self):
         # the boundary search stays in range, but 1150**100 does not
@@ -289,7 +287,75 @@ class TestPhaseTable:
         assert "w0=(-120+0j)" in str(info.value) and "start=1" in str(info.value)
 
     def test_mismatched_table_raises(self):
-        with pytest.raises(ValueError, match="phase table"):
-            em_tail_jet(2.0 + 1j, 3, 0, phases=PhaseTable(2.0, 0))
-        with pytest.raises(ValueError, match="phase table"):
-            em_tail_jet(2.0 + 1j, 3, 2, phases=PhaseTable(1.0, 1))
+        with pytest.raises(ValueError, match="tail line"):
+            em_tail_jet(2.0 + 1j, 3, 0, line=TailLine(2.0, 0))
+        with pytest.raises(ValueError, match="tail line"):
+            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 1))
+
+
+def _outcome(call, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared between two routes
+        return type(exc), str(exc)
+
+
+LINES = dict(
+    re=st.floats(-8.0, 4.0),
+    im=st.floats(-100.0, 100.0),
+    order=st.integers(0, 12),
+    start=st.integers(1, 40),
+)
+
+
+class TestContinuedBoundarySearch:
+    """Along a line w0 + n, choose_boundary continues from the boundary it
+    chose last on the TailLine; where Re w > -19 that is the cold search's M."""
+
+    @DERANDOMIZED
+    @given(**LINES)
+    @example(re=-8.0, im=50.0, order=0, start=1)  # M falls from 826 to 4
+    @example(re=-8.0, im=-20.0, order=6, start=40)  # M rises from 40 to 50
+    def test_continued_search_is_the_cold_search(self, re, im, order, start):
+        line = TailLine(im, order)
+        for n in range(61):
+            w = complex(re + n, im)
+            assert _outcome(choose_boundary, w, start, order, line=line) == _outcome(
+                choose_boundary, w, start, order
+            ), f"n={n}"
+
+    @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (-8 - 20j, 40, 6)])
+    def test_search_moves_both_ways(self, w0, start, order):
+        # down the line and back up, so M both falls and rises
+        line = TailLine(w0.imag, order)
+        ns = list(range(61)) + list(range(60, -1, -1))
+        got = [choose_boundary(w0 + n, start, order, line=line) for n in ns]
+        assert got == [choose_boundary(w0 + n, start, order) for n in ns]
+        assert any(a > b for a, b in zip(got, got[1:]))
+        assert any(a < b for a, b in zip(got, got[1:]))
+
+    @DERANDOMIZED
+    @given(re=st.floats(-60.0, -19.0), im=st.floats(-100.0, 100.0), order=st.integers(0, 12))
+    def test_far_left_searches_cold(self, re, im, order):
+        # where Re w <= -19 the test is not monotone in M: the search starts
+        # afresh and leaves the line's place as it was
+        line = TailLine(im, order)
+        choose_boundary(complex(2.0, im), 1, order, line=line)
+        place = (line._start, list(line._marks), line._last)
+        w = complex(re, im)
+        assert _outcome(choose_boundary, w, 1, order, line=line) == _outcome(
+            choose_boundary, w, 1, order
+        )
+        assert (line._start, line._marks, line._last) == place
+
+    @DERANDOMIZED
+    @given(regularized=st.booleans(), **LINES)
+    def test_shared_line_tail_is_a_fresh_tail(self, re, im, order, start, regularized):
+        line = TailLine(im, order)
+        for n in range(0, 61, 4):
+            w = complex(re + n, im)
+            shared = _outcome(em_tail_jet, w, start, order, regularized=regularized,
+                              line=line)
+            assert shared == _outcome(em_tail_jet, w, start, order,
+                                      regularized=regularized), f"n={n}"

@@ -73,7 +73,8 @@ class Jet(Record):
     """Truncated Taylor expansion with complex coefficients.
 
     coeffs[j] holds f^(j)(s0) / j!.  The order is len(coeffs) - 1.
-    Arithmetic between two jets requires equal order.
+    Arithmetic between two jets requires equal order.  A tuple of complex
+    is kept as given; any other sequence is copied into one.
     """
 
     __slots__ = ("coeffs",)
@@ -85,9 +86,11 @@ class Jet(Record):
     # Every construction passes through here; perfbench's tracer counts
     # Jet constructions by wrapping this method.
     def __post_init__(self):
-        if len(self.coeffs) < 1:
+        c = self.coeffs
+        if len(c) < 1:
             raise ValueError("a jet needs at least its order-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        if type(c) is not tuple or any(type(x) is not complex for x in c):
+            object.__setattr__(self, "coeffs", tuple(map(complex, c)))
 
     @classmethod
     def constant(cls, value: complex, order: int) -> "Jet":

@@ -31,25 +31,25 @@ variable.  The second factor, the phase m**(-i Im w) times
 holds it for one imaginary part and order, and every summand is a real
 magnitude times a table row.  The shifted series of the Hurwitz
 evaluator moves only Re w from term to term, so one line serves all of
-its tails, bitwise as fresh lines would.  The Bernoulli corrections share
-the boundary power M**-w, so they are summed as sum_j c_j (w)_{2j-1}, with
-c_j = B_{2j}/(2j)! M**(1-2j), and multiplied by it once: the rising
-product is carried from one correction term to the next by the factor
-(w + 2j - 1)(w + 2j), whose jet has three nonzero coefficients, so each
-term is O(r) and a tail makes one O(r^2) product (jets.mul_coeffs) for
-the corrections, plus one more for the error estimate.  The boundary
-search raises Nonconvergence rather than use a boundary that misses the
-target, and a tail that is not finite in binary64 raises DomainError.
+its tails, bitwise as fresh lines would.  The Bernoulli corrections
+c_j (w)_{2j-1} M**-w, with c_j = B_{2j}/(2j)! M**(1-2j), are carried on
+the jet of M**-w itself: starting from w M**-w, each term is the last
+times (w + 2j - 3)(w + 2j - 2), whose jet has three nonzero coefficients,
+so every term is O(r) and a tail makes no O(r^2) product; the pole term
+M**(1-w) / (w - 1) is an O(r) division recurrence.  The boundary search
+raises Nonconvergence rather than use a boundary that misses the target,
+and a tail that is not finite in binary64 raises DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice
 from operator import add, mul
 
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
-from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
+from .jets import Jet, pow_neg_coeffs, require_finite, times_linear
 
 # B_{2j} / (2j)! for j = 1.._DEPTH, each rounded once to binary64 from the
 # exact rational: the factors of the Bernoulli corrections
@@ -157,10 +157,12 @@ class TailLine:
     kernel.  Rows are computed on request, from the first start asked for
     up to the largest stop, and kept for the life of the line, as is
     choose_boundary's place; tails is a memo for the caller's own use.
+    Columns are read in place, not copied, beside each row's majorant
+    max_j |coefficient j|.
     """
 
-    __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_start", "_marks",
-                 "_last")
+    __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_major", "_start",
+                 "_marks", "_last")
 
     def __init__(self, t: float, order: int):
         if order < 0:
@@ -170,24 +172,36 @@ class TailLine:
         self.tails = {}
         self._w = [complex(0.0, self.t)] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
         self._first = self._start = None
-        # _cols[j][i] is coefficient j of row _first + i
+        # _cols[j][i] is coefficient j of row _first + i, _major[i] its majorant
         self._cols = [[] for _ in range(order + 1)]
+        self._major = []
 
-    def columns(self, start: int, stop: int) -> list[list[complex]]:
-        """Coefficient j of the rows start..stop-1, as one list per j."""
+    def _reach(self, start: int, stop: int) -> int:
+        """Compute the rows up to stop - 1; the index of row start."""
         if self._first is None:
             self._first = start
         elif start < self._first:
             raise ValueError(
-                f"phase table starts at m = {self._first}; start={start} lies below it"
+                f"tail line starts at m = {self._first}; start={start} lies below it"
             )
-        end = self._first + len(self._cols[0])
+        end = self._first + len(self._major)
         if stop > end:
             rows = [pow_neg_coeffs(m, self._w) for m in range(end, stop)]
             for col, new in zip(self._cols, zip(*rows)):
                 col.extend(new)
-        lo, hi = start - self._first, stop - self._first
-        return [col[lo:hi] for col in self._cols]
+            self._major.extend(max(map(abs, row)) for row in rows)
+        return start - self._first
+
+    def columns(self, start: int, stop: int) -> tuple[list[islice], islice]:
+        """Coefficient j of the rows start..stop-1, read in place as one
+        iterator per j, and an iterator over the same rows' majorants."""
+        lo, hi = self._reach(start, stop), stop - self._first
+        return [islice(col, lo, hi) for col in self._cols], islice(self._major, lo, hi)
+
+    def row(self, m: int) -> list[complex]:
+        """The coefficients of row m."""
+        i = self._reach(m, m + 1)
+        return [col[i] for col in self._cols]
 
 
 def em_tail_jet(
@@ -205,9 +219,10 @@ def em_tail_jet(
     callers that evaluate many tails along one horizontal line share it.
     Without it the call builds a line of its own.
 
-    The estimate is twice the magnitude of the last Bernoulli correction
-    plus a rounding allowance proportional to the largest summand.  A
-    total or estimate that is not finite raises DomainError.
+    The estimate is twice the largest coefficient of the last Bernoulli
+    correction, c_10 (w)_19 M**-w, plus a rounding allowance proportional
+    to the largest summand, bounded through the rows' majorants.  A total
+    or estimate that is not finite raises DomainError.
     """
     w0 = require_finite(complex(w0), "s")
     if start < 1:
@@ -231,7 +246,7 @@ def em_tail_jet(
     wm1 = w0 - 1.0
 
     # m**-w = m**-Re(w) * row m, for m = start..boundary
-    cols = line.columns(start, boundary + 1)
+    cols, major = line.columns(start, boundary + 1)
     sigma = w0.real
     try:
         mags = [float(m) ** -sigma for m in range(start, boundary)]
@@ -243,40 +258,38 @@ def em_tail_jet(
         ) from None
 
     # mags stops one short of each column, so map leaves out row boundary
-    total = []
-    peak = 0.0
-    for col in cols:
-        terms = list(map(mul, mags, col))
-        peak = max(peak, max(map(abs, terms), default=0.0))
-        total.append(sum(terms, 0j))
-    edge = [col[-1] for col in cols]
+    total = [sum(map(mul, mags, col), 0j) for col in cols]
+    peak = max(map(mul, mags, major), default=0.0)
+    edge = line.row(boundary)
     pole = [pole_mag * c for c in edge]
     if regularized:
         total = list(map(add, times_linear(wm1, total), pole))
     else:
-        # 1/(w - 1) by the reciprocal recurrence of a linear jet
-        recip = [1.0 / wm1]
-        for _ in range(order):
-            recip.append(-recip[-1] / wm1)
-        total = list(map(add, total, mul_coeffs(pole, recip)))
-    corr_base = [edge_mag * c for c in edge]
+        # pole / (w - 1) by the division recurrence (w0 - 1) q_i = p_i - q_{i-1}
+        q, inv = 0j, 1.0 / wm1
+        for i, p in enumerate(pole):
+            q = (p - q) * inv
+            total[i] += q
+    # the jet of M**-w, times (w - 1) when regularized
+    base = [edge_mag * c for c in edge]
     if regularized:
-        corr_base = times_linear(wm1, corr_base)
+        base = times_linear(wm1, base)
     peak = max(peak, max(map(abs, total)))
-    total = list(map(add, total, [0.5 * c for c in corr_base]))
+    total = [t + 0.5 * c for t, c in zip(total, base)]
 
-    # sum_j c_j (w)_{2j-1} with c_j = B_2j/(2j)! M**(1-2j), times M**-w once
-    poch = [w0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
+    # sum_j c_j (w)_{2j-1} M**-w with c_j = B_2j/(2j)! M**(1-2j), carrying
+    # v = (w)_{2j-1} M**-w from one term to the next
+    v = times_linear(w0, base)
     corr = [0j] * (order + 1)
     for j in range(1, _DEPTH + 1):
         if j > 1:
             # (w)_{2j-1} = (w)_{2j-3} (w + 2j - 3)(w + 2j - 2)
             a, b = w0 + (2 * j - 3), w0 + (2 * j - 2)
-            poch = _times_quadratic(poch, a * b, a + b)
+            v = _times_quadratic(v, a * b, a + b)
         factor = _EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
-        corr = [x + factor * c for x, c in zip(corr, poch)]
-    total = list(map(add, total, mul_coeffs(corr, corr_base)))
-    last = max(abs(factor * c) for c in mul_coeffs(poch, corr_base))
+        corr = [x + factor * c for x, c in zip(corr, v)]
+    total = list(map(add, total, corr))
+    last = max(abs(factor * c) for c in v)
 
     err = 2.0 * last + 8.0 * 2.220446049250313e-16 * peak * math.sqrt(
         max(boundary - start, 1)
@@ -292,8 +305,7 @@ def em_tail_jet(
 def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex]:
     """Coefficients of (q0 + q1 h + h**2) * c in O(r): the factor has only
     three nonzero coefficients."""
-    out = [c[0] * q0]
-    if len(c) > 1:
-        out.append(c[0] * q1 + c[1] * q0)
-        out.extend(c[i - 2] + c[i - 1] * q1 + c[i] * q0 for i in range(2, len(c)))
-    return out
+    if len(c) == 1:
+        return [c[0] * q0]
+    return [c[0] * q0, c[0] * q1 + c[1] * q0,
+            *[a + b * q1 + x * q0 for a, b, x in zip(c, c[1:], c[2:])]]

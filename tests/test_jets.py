@@ -29,6 +29,18 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Jet(())
+        with pytest.raises(ValueError):
+            Jet([])
+
+    def test_tuple_of_complex_is_kept(self):
+        t = (1 + 0j, 2j)
+        assert Jet(t).coeffs is t
+
+    @pytest.mark.parametrize("given", [(1, 2.5), [1j, 2], (1 + 0j, 2), [0.5 + 1j]])
+    def test_other_sequences_become_tuples_of_complex(self, given):
+        coeffs = Jet(given).coeffs
+        assert type(coeffs) is tuple and all(type(c) is complex for c in coeffs)
+        assert coeffs == tuple(complex(c) for c in given)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

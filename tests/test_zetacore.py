@@ -239,23 +239,47 @@ class TestBoundaryCap:
         assert choose_boundary(40.0, 7, 0) >= 7
 
 
+def _read(line: TailLine, start: int, stop: int) -> tuple[list[list[complex]], list[float]]:
+    """Rows start..stop-1 of line, one list per coefficient, and their majorants."""
+    cols, major = line.columns(start, stop)
+    return [list(col) for col in cols], list(major)
+
+
 class TestPhaseTable:
     def test_rows_are_unit_phase_power_jets(self):
-        cols = TailLine(-3.5, 2).columns(3, 6)
+        line = TailLine(-3.5, 2)
+        cols, major = _read(line, 3, 6)
         for i, m in enumerate(range(3, 6)):
             row = [col[i] for col in cols]
             assert row == pow_neg_coeffs(m, [-3.5j, 1 + 0j, 0j])
+            assert row == line.row(m)
+            assert major[i] == max(map(abs, row))
             assert abs(abs(row[0]) - 1.0) < 1e-15
 
     def test_extends_past_earlier_requests(self):
         table = TailLine(7.25, 1)
-        first = table.columns(5, 9)
-        whole = table.columns(5, 12)
-        assert whole == TailLine(7.25, 1).columns(5, 12)
-        assert [col[:4] for col in whole] == first
-        assert table.columns(6, 8) == [col[1:3] for col in first]
-        with pytest.raises(ValueError, match="starts at m = 5"):
+        # columns are read in place, so these are read only after the line grew
+        early_cols, early_major = table.columns(5, 9)
+        whole, whole_major = _read(table, 5, 12)
+        first, first_major = [list(col) for col in early_cols], list(early_major)
+        assert (whole, whole_major) == _read(TailLine(7.25, 1), 5, 12)
+        assert [col[:4] for col in whole] == first and whole_major[:4] == first_major
+        assert _read(table, 6, 8) == ([col[1:3] for col in first], first_major[1:3])
+        with pytest.raises(ValueError, match="tail line starts at m = 5"):
             table.columns(4, 12)
+
+    # a tail reads the line from the row of its own start
+    @pytest.mark.parametrize("regularized", [False, True])
+    @pytest.mark.parametrize("order", [0, 3, 12])
+    def test_start_above_the_first_row(self, order, regularized):
+        w0 = -2.5 + 17.0j
+        line = TailLine(w0.imag, order)
+        em_tail_jet(w0, 2, order, regularized=regularized, line=line)
+        for start in (3, 7, 30):
+            for n in range(3):
+                w = w0 + n
+                shared = em_tail_jet(w, start, order, regularized=regularized, line=line)
+                assert shared == em_tail_jet(w, start, order, regularized=regularized)
 
     # Im w is fixed and Re w steps by one, as along the shifted series
     @pytest.mark.parametrize("w0,start", [(0.7 + 35.5j, 3), (-6.5 - 12j, 1), (2.0, 5)])

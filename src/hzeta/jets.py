@@ -168,8 +168,8 @@ def mul_coeffs(a, b) -> list[complex]:
 
 def times_linear(c0: complex, x) -> list[complex]:
     """Coefficients of (c0 + h) * x in O(r): the product by the linear jet
-    [c0, 1, 0, ...], equal to mul_coeffs of the two."""
-    return [c0 * x[0], *(c0 * b + a for a, b in zip(x, x[1:]))]
+    [c0, 1, 0, ...], equal to mul_coeffs of the two; order 0 skips the generator."""
+    return [c0 * x[0], *(c0 * b + a for a, b in zip(x, x[1:]))] if len(x) > 1 else [c0 * x[0]]
 
 
 def _exp_coeffs(e0: complex, a) -> list[complex]:

@@ -6,9 +6,6 @@ sum (n + alpha)**-s with its own Bernoulli table and boundary logic,
 closed forms come from Bernoulli polynomials, and the digamma family
 uses recurrence lifting plus asymptotic series.  Oracles favour
 independence over speed.
-
-This module needs numpy, which is in the ``test`` extra rather than the
-runtime dependencies; ``import hzeta`` does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-import numpy as np
 
 from .errors import DomainError, NearPole, PoleAtOne
 from .jets import Jet, pow_negs, require_finite
@@ -179,9 +174,8 @@ def hurwitz_direct_sum(
     alpha = complex(alpha)
     if s.real <= 1:
         raise ValueError("direct summation needs Re s > 1")
-    n = np.arange(terms, dtype=np.float64)
-    bases = n + alpha
-    partial = complex(np.sum(bases ** (-s)))
+    powers = [(n + alpha) ** -s for n in range(terms)]
+    partial = complex(math.fsum(z.real for z in powers), math.fsum(z.imag for z in powers))
     boundary = terms + alpha
     return partial + boundary ** (1 - s) / (s - 1) + 0.5 * boundary ** (-s)
 

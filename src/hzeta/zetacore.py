@@ -16,7 +16,8 @@ under control at large |Im w|.  The policy is fixed: M is at least 4
 (_CUTOFF) and at most _MAX_BOUNDARY, and j runs to 10 (_DEPTH).  So a tail
 is a function of (w0, start, order, regularized) alone, the key of the
 tails memo in hurwitz._series_eval.  Along a line the search continues
-from the last boundary, which finds the same M (see choose_boundary).
+from the last boundary, with bounds on its Pochhammer magnitude carried
+from w0 - 1, and finds the same M (see choose_boundary).
 
 The regularized variant multiplies through by (w - 1), in O(r) by
 jets.times_linear, turning the pole term into plain M**(1-w); every
@@ -35,7 +36,8 @@ its tails, bitwise as fresh lines would.  The Bernoulli corrections
 c_j (w)_{2j-1} M**-w, with c_j = B_{2j}/(2j)! M**(1-2j), are carried on
 the jet of M**-w itself: starting from w M**-w, each term is the last
 times (w + 2j - 3)(w + 2j - 2), whose jet has three nonzero coefficients,
-so every term is O(r) and a tail makes no O(r^2) product; the pole term
+so the chain runs over j one coefficient at a time (_corrections), with
+no O(r^2) product and no list per term; the pole term
 M**(1-w) / (w - 1) is an O(r) division recurrence.  The boundary search
 raises Nonconvergence rather than use a boundary that misses the target,
 and a tail that is not finite in binary64 raises DomainError.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add, mul
 
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
@@ -72,30 +74,32 @@ _TRUNCATION_TARGET = 1e-15
 _MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
 
 
-def _poch_magnitude(w0: complex, order: int) -> float:
-    # |(w)_{2*_DEPTH-1}| with each factor padded by the jet order, so the
-    # bound stays valid for derivative coefficients when a factor is
-    # near zero (terminating-series case at negative integer w).
-    p = 1.0
-    for j in range(2 * _DEPTH - 1):
-        p *= abs(w0 + j) + order
-        if p > 1e280:
-            return 1e280
-    return p
+def _poch_magnitude(w0: complex, order: int) -> list:
+    """[p, p, w0, order]: bounds of no width on p = |(w)_{2*_DEPTH-1}|, each
+    factor padded by the jet order so the bound holds for derivative
+    coefficients where a factor is near zero (negative integer w).  A cap
+    at the end is one at the first partial product past 1e280: a factor
+    below 1 means |w0| < 19 and all below 37 + order; none means growth."""
+    p = min(math.prod([abs(w0 + j) + order for j in range(2 * _DEPTH - 1)]), 1e280)
+    return [p, p, w0, order]
 
 
-def _boundary_ok(
-    pochmag: float, sigma: float, boundary: float, absw: float, target: float
-) -> bool:
-    last = abs(_EM_FACTOR[_DEPTH]) * pochmag * boundary ** (1.0 - 2.0 * _DEPTH - sigma)
-    if last > target:
+def _boundary_ok(poch: list, sigma: float, boundary: float, absw: float, target: float) -> bool:
+    """Whether boundary meets the target at the Pochhammer magnitude in
+    [lo, hi] of poch = [lo, hi, w0, order]: as at hi if it holds there, as
+    at lo if it fails there (the test is monotone in the magnitude), else
+    as at the magnitude itself, which then replaces poch in place."""
+    power = boundary ** (1.0 - 2.0 * _DEPTH - sigma)
+    loose = (absw + 2 * _DEPTH - 1) * (absw + 2 * _DEPTH) / (
+        4.0 * math.pi**2 * boundary * boundary) <= 0.9
+    last = abs(_EM_FACTOR[_DEPTH]) * poch[1] * power
+    if not last > target and (loose or last * 100.0 <= target):
+        return True
+    last = abs(_EM_FACTOR[_DEPTH]) * poch[0] * power
+    if last > target or not (loose or last * 100.0 <= target):
         return False
-    ratio = (
-        (absw + 2 * _DEPTH - 1)
-        * (absw + 2 * _DEPTH)
-        / (4.0 * math.pi**2 * boundary * boundary)
-    )
-    return ratio <= 0.9 or last * 100.0 <= target
+    poch[:] = _poch_magnitude(*poch[2:])
+    return _boundary_ok(poch, sigma, boundary, absw, target)
 
 
 def choose_boundary(w0: complex, start: int, order: int, *,
@@ -106,7 +110,8 @@ def choose_boundary(w0: complex, start: int, order: int, *,
     Candidates step up from max(_CUTOFF, start) by max(1, M // 8).  On a
     line, the search steps down from the last one chosen there while the
     one below passes, then up while it fails: where Re w > 1 - 2 _DEPTH
-    the test is monotone in M, so this is the cold search's M.
+    the test is monotone in M, so this is the cold search's M, as it is
+    with bounds on its magnitude from TailLine._poch_bounds.
 
     Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
     start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5.
@@ -115,18 +120,18 @@ def choose_boundary(w0: complex, start: int, order: int, *,
     w0 = complex(w0)
     sigma = w0.real
     absw = abs(w0) + 2.0 * order
-    pochmag = _poch_magnitude(w0, order)
+    warm = line is not None and sigma > 1 - 2 * _DEPTH
+    poch = line._poch_bounds(w0, order) if warm else _poch_magnitude(w0, order)
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
     target = _TRUNCATION_TARGET * scale
-    warm = line is not None and sigma > 1 - 2 * _DEPTH
     if warm and line._start == start:
         marks, i = line._marks, line._last
     else:
         marks, i = [max(_CUTOFF, start)], 0
     try:
-        while i > 0 and _boundary_ok(pochmag, sigma, float(marks[i - 1]), absw, target):
+        while i > 0 and _boundary_ok(poch, sigma, float(marks[i - 1]), absw, target):
             i -= 1
-        while not _boundary_ok(pochmag, sigma, float(marks[i]), absw, target):
+        while not _boundary_ok(poch, sigma, float(marks[i]), absw, target):
             i += 1
             if i == len(marks):
                 m = marks[-1] + max(1, marks[-1] // 8)
@@ -143,7 +148,7 @@ def choose_boundary(w0: complex, start: int, order: int, *,
             f"for w0={w0}, start={start}, order={order}"
         ) from None
     if warm:
-        line._start, line._marks, line._last = start, marks, i
+        line._start, line._marks, line._last, line._poch = start, marks, i, poch
     return marks[i]
 
 
@@ -155,14 +160,15 @@ class TailLine:
     as coefficients in h = w - w0.  Row m is pow_neg_coeffs(m, [i t, 1, 0,
     ...]), so its phase carries the extended-precision log of the power
     kernel.  Rows are computed on request, from the first start asked for
-    up to the largest stop, and kept for the life of the line, as is
-    choose_boundary's place; tails is a memo for the caller's own use.
+    up to the largest stop, and kept for the life of the line, as are
+    choose_boundary's place and bounds and the Bernoulli factor row of
+    each boundary M met; tails is a memo for the caller's own use.
     Columns are read in place, not copied, beside each row's majorant
     max_j |coefficient j|.
     """
 
     __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_major", "_start",
-                 "_marks", "_last")
+                 "_marks", "_last", "_factors", "_poch")
 
     def __init__(self, t: float, order: int):
         if order < 0:
@@ -175,6 +181,7 @@ class TailLine:
         # _cols[j][i] is coefficient j of row _first + i, _major[i] its majorant
         self._cols = [[] for _ in range(order + 1)]
         self._major = []
+        self._factors, self._poch = {}, None
 
     def _reach(self, start: int, stop: int) -> int:
         """Compute the rows up to stop - 1; the index of row start."""
@@ -202,6 +209,26 @@ class TailLine:
         """The coefficients of row m."""
         i = self._reach(m, m + 1)
         return [col[i] for col in self._cols]
+
+    def factors(self, boundary: int) -> list[float]:
+        """c_j = B_{2j}/(2j)! M**(1-2j), j = 1.._DEPTH, at M = boundary."""
+        if boundary not in self._factors:
+            self._factors[boundary] = [_EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
+                                       for j in range(1, _DEPTH + 1)]
+        return self._factors[boundary]
+
+    def _poch_bounds(self, w0: complex, order: int) -> list:
+        """Bounds [lo, hi, w0, order] on the Pochhammer magnitude at w0.  Where
+        all factors are >= 1 they carry from the line's, if at w0 - 1 exactly:
+        factor j = 18 in, j = 0 out, ends out by 2**-44 = 512u, above the carry's
+        rounding (10u) plus two products' (95u each, abs within 2u), u = 2**-53."""
+        last, poch = self._poch, None
+        if (last is not None and last[1] < 1e270 and last[3] == order
+                and last[2].imag == w0.imag and (order or abs(w0.imag) >= 1 or w0.real >= 2)
+                and math.fsum((w0.real, -last[2].real, -1.0)) == 0.0):
+            ratio = (abs(w0 + (2 * _DEPTH - 2)) + order) / (abs(last[2]) + order)
+            poch = [last[0] * ratio * (1 - 2**-44), last[1] * ratio * (1 + 2**-44), w0, order]
+        return _poch_magnitude(w0, order) if poch is None or not poch[1] < 1e270 else poch
 
 
 def em_tail_jet(
@@ -275,21 +302,8 @@ def em_tail_jet(
     if regularized:
         base = times_linear(wm1, base)
     peak = max(peak, max(map(abs, total)))
-    total = [t + 0.5 * c for t, c in zip(total, base)]
-
-    # sum_j c_j (w)_{2j-1} M**-w with c_j = B_2j/(2j)! M**(1-2j), carrying
-    # v = (w)_{2j-1} M**-w from one term to the next
-    v = times_linear(w0, base)
-    corr = [0j] * (order + 1)
-    for j in range(1, _DEPTH + 1):
-        if j > 1:
-            # (w)_{2j-1} = (w)_{2j-3} (w + 2j - 3)(w + 2j - 2)
-            a, b = w0 + (2 * j - 3), w0 + (2 * j - 2)
-            v = _times_quadratic(v, a * b, a + b)
-        factor = _EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
-        corr = [x + factor * c for x, c in zip(corr, v)]
-    total = list(map(add, total, corr))
-    last = max(abs(factor * c) for c in v)
+    corr, last = _corrections(w0, base, line.factors(boundary))
+    total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
 
     err = 2.0 * last + 8.0 * 2.220446049250313e-16 * peak * math.sqrt(
         max(boundary - start, 1)
@@ -302,10 +316,22 @@ def em_tail_jet(
     return Jet(tuple(total)), err
 
 
-def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex]:
-    """Coefficients of (q0 + q1 h + h**2) * c in O(r): the factor has only
-    three nonzero coefficients."""
-    if len(c) == 1:
-        return [c[0] * q0]
-    return [c[0] * q0, c[0] * q1 + c[1] * q0,
-            *[a + b * q1 + x * q0 for a, b, x in zip(c, c[1:], c[2:])]]
+def _corrections(w0: complex, base: list, factors: list) -> tuple[list, float]:
+    """sum_j c_j x_j, x_j = (w)_{2j-1} M**-w, from base = M**-w and factors =
+    c_j, and its last term's largest coefficient.  Column i (coefficient i of
+    every x_j) needs only columns i-2..i, as x_j = x_{j-1}(w+2j-3)(w+2j-2)."""
+    shifted = [w0 + n for n in range(1, 2 * _DEPTH - 1)]
+    q0s = list(map(mul, shifted[::2], shifted[1::2]))
+    q1s = list(map(add, shifted[::2], shifted[1::2])) if len(base) > 1 else ()
+    corr, tops, col1, col2 = [], [], (), ()
+    for i, x in enumerate(times_linear(w0, base)):
+        if i == 0:
+            col = list(accumulate(q0s, mul, initial=x))
+        elif i == 1:
+            col = [x, *[x := b * q1 + x * q0 for b, q0, q1 in zip(col1, q0s, q1s)]]
+        else:
+            col = [x, *[x := a + b * q1 + x * q0 for a, b, q0, q1 in zip(col2, col1, q0s, q1s)]]
+        corr.append(sum(map(mul, factors, col), 0j))
+        tops.append(abs(factors[-1] * col[-1]))
+        col1, col2 = col, col1
+    return corr, max(tops)

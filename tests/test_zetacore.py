@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,7 @@ from hzeta.oracles import (
     stieltjes_gamma1_oracle,
 )
 from hzeta import oracles, zetacore
-from hzeta.jets import pow_neg_coeffs
+from hzeta.jets import pow_neg_coeffs, times_linear
 from hzeta.zetacore import TailLine, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
@@ -30,8 +29,7 @@ DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_exam
 
 def zeta_direct(sigma: float, start: int = 1, terms: int = 10**6) -> float:
     # direct summation with an integral tail estimate
-    n = np.arange(start, terms, dtype=np.float64)
-    partial = float(np.sum(n**-sigma))
+    partial = math.fsum(float(n) ** -sigma for n in range(start, terms))
     return partial + terms ** (1 - sigma) / (sigma - 1) + 0.5 * terms**-sigma
 
 
@@ -317,6 +315,66 @@ class TestPhaseTable:
             em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 1))
 
 
+def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex]:
+    """Coefficients of (q0 + q1 h + h**2) * c in O(r): the factor has only
+    three nonzero coefficients."""
+    if len(c) == 1:
+        return [c[0] * q0]
+    return [c[0] * q0, c[0] * q1 + c[1] * q0,
+            *[a + b * q1 + x * q0 for a, b, x in zip(c, c[1:], c[2:])]]
+
+
+def _reference_corrections(w0: complex, base: list[complex], boundary: int):
+    """The Bernoulli corrections term by term, one list per term: the
+    reference for zetacore._corrections."""
+    v = times_linear(w0, base)
+    corr = [0j] * len(base)
+    for j in range(1, zetacore._DEPTH + 1):
+        if j > 1:
+            # (w)_{2j-1} = (w)_{2j-3} (w + 2j - 3)(w + 2j - 2)
+            a, b = w0 + (2 * j - 3), w0 + (2 * j - 2)
+            v = _times_quadratic(v, a * b, a + b)
+        factor = zetacore._EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
+        corr = [x + factor * c for x, c in zip(corr, v)]
+    return corr, max(abs(factor * c) for c in v)
+
+
+def _edge_jet(w0: complex, boundary: int, order: int, regularized: bool) -> list[complex]:
+    """The jet of M**-w at w0, times (w - 1) when regularized, as
+    em_tail_jet builds it."""
+    edge = TailLine(w0.imag, order).row(boundary)
+    base = [float(boundary) ** -w0.real * c for c in edge]
+    return times_linear(w0 - 1.0, base) if regularized else base
+
+
+class TestCorrectionChain:
+    """_corrections runs the chain coefficient by coefficient; every bit,
+    signed zeros included (repr tells -0.0 from 0.0), is that of the chain
+    of one list per term."""
+
+    @DERANDOMIZED
+    @given(re=st.floats(-8.0, 4.0),
+           im=st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0]),
+           boundary=st.integers(4, 200), order=st.integers(0, 14),
+           regularized=st.booleans())
+    @example(re=-2.0, im=0.0, boundary=4, order=3, regularized=False)  # (w + 1)(w + 2) = 0
+    @example(re=1.0, im=-0.0, boundary=7, order=14, regularized=True)
+    def test_chain_is_the_list_chain(self, re, im, boundary, order, regularized):
+        w0 = complex(re, im)
+        base = _edge_jet(w0, boundary, order, regularized)
+        line = TailLine(im, order)
+        got = zetacore._corrections(w0, base, line.factors(boundary))
+        assert repr(got) == repr(_reference_corrections(w0, base, boundary))
+
+    def test_factor_row_is_the_expression(self):
+        line = TailLine(2.5, 3)
+        for boundary in [*range(4, 201), 1000, 12345, 200000]:
+            row = line.factors(boundary)
+            assert repr(row) == repr([zetacore._EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
+                                      for j in range(1, zetacore._DEPTH + 1)])
+            assert line.factors(boundary) is row
+
+
 def _outcome(call, *args, **kwargs):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -341,6 +399,8 @@ class TestContinuedBoundarySearch:
     @given(**LINES)
     @example(re=-8.0, im=50.0, order=0, start=1)  # M falls from 826 to 4
     @example(re=-8.0, im=-20.0, order=6, start=40)  # M rises from 40 to 50
+    # Re w rounds to 1 at n = 1, so w - 1 is not the w of n = 0: no carry there
+    @example(re=1.565e-187, im=1.565e-187, order=0, start=1)
     def test_continued_search_is_the_cold_search(self, re, im, order, start):
         line = TailLine(im, order)
         for n in range(61):
@@ -348,6 +408,61 @@ class TestContinuedBoundarySearch:
             assert _outcome(choose_boundary, w, start, order, line=line) == _outcome(
                 choose_boundary, w, start, order
             ), f"n={n}"
+
+    @DERANDOMIZED
+    @given(**LINES)
+    @example(re=1.565e-187, im=1.565e-187, order=0, start=1)
+    @example(re=-8.5, im=0.5, order=0, start=3)  # factors below 1 until Re w = 2
+    def test_carried_bounds_hold_the_magnitude(self, re, im, order, start):
+        line = TailLine(im, order)
+        for n in range(61):
+            w = complex(re + n, im)
+            if not isinstance(_outcome(choose_boundary, w, start, order, line=line), int):
+                continue  # a failed search keeps no bounds
+            lo, hi, at, at_order = line._poch
+            p = zetacore._poch_magnitude(w, order)[0]
+            assert (at, at_order) == (w, order) and lo <= p <= hi, f"n={n}"
+
+    @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (0.5 + 3j, 4, 12)])
+    def test_bounds_carry_along_the_line(self, w0, start, order):
+        line = TailLine(w0.imag, order)
+        widths = []
+        for n in range(40):
+            choose_boundary(w0 + n, start, order, line=line)
+            lo, hi = line._poch[:2]
+            widths.append(hi / lo - 1.0)
+        assert widths[0] == 0.0 and all(0.0 < x < 1e-11 for x in widths[1:])
+
+    @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (-8 - 20j, 40, 6),
+                                                (0.5 + 3j, 4, 12)])
+    def test_straddling_bounds_give_way_to_the_magnitude(self, w0, start, order):
+        # bounds a factor 4 apart straddle many tests; each one that does
+        # is replaced by the magnitude itself, so M is the cold search's
+        line = TailLine(w0.imag, order)
+        narrowed = 0
+        for n in range(61):
+            w = w0 + n
+            assert choose_boundary(w, start, order, line=line) == choose_boundary(
+                w, start, order), f"n={n}"
+            lo, hi = line._poch[:2]
+            narrowed += n > 0 and lo == hi
+            line._poch[:2] = [lo / 2, hi * 2]
+        assert narrowed > 0
+
+    @DERANDOMIZED
+    @given(re=st.floats(-20.0, 2.0) | st.floats(-1e30, 1e30),
+           im=st.floats(-1.0, 1.0) | st.floats(-1e30, 1e30), order=st.integers(0, 30))
+    @example(re=-3.0, im=1e-300, order=0)  # one factor far below 1
+    @example(re=1e15, im=0.0, order=0)  # passes 1e280 at the last factor
+    def test_capped_product_is_the_capped_loop(self, re, im, order):
+        w0 = complex(re, im)
+        p = 1.0
+        for j in range(2 * zetacore._DEPTH - 1):
+            p *= abs(w0 + j) + order
+            if p > 1e280:
+                p = 1e280
+                break
+        assert repr(zetacore._poch_magnitude(w0, order)) == repr([p, p, w0, order])
 
     @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (-8 - 20j, 40, 6)])
     def test_search_moves_both_ways(self, w0, start, order):

@@ -1,0 +1,156 @@
+"""A/B timing of two hzeta trees in one process, in CPU time.
+
+    PYTHONPATH=src python3 tools/ab_timing.py --ref REV|PATH [--workload sweep_values]
+                                              [--seed 1] [--rounds 8]
+
+It loads the package from this checkout's src/ as "work" and a second one
+as "ref": the src/ of git revision REV (exported by `git archive` into a
+temporary directory), or the tree at PATH (a checkout, or a directory
+holding the hzeta package).  Each round then times, once per side, with the
+side that goes first alternating from round to round:
+
+    pool       the perfbench pool of --workload and --seed (sweep_values or
+               jets_deep), each operation once, results dropped;
+    tail r=R   em_tail_jet along the line w = -3.5 + 20i + n, n = 0..36, at
+               start 8 and orders 0, 6 and 12, regularized as in the
+               series, on a line whose rows and boundary search are warm
+               (M runs from 27 down to 15): the cost of one tail, per
+               tail, over TAIL_PASSES passes.
+
+One process and interleaved rounds put both sides on the same machine
+state, so the ratio work/ref is steadier than two separate runs.  For each
+measure it prints each side's median over the rounds and the per-round
+ratio work/ref: its median and range.  A ratio below 1 means the working
+tree is faster.  Times are process CPU time (time.process_time).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+LIBRARY_POOLS = ("sweep_values", "jets_deep")
+LINE_W0, LINE_START, LINE_TAILS = complex(-3.5, 20.0), 8, 37
+TAIL_ORDERS = (0, 6, 12)
+TAIL_PASSES = 4  # passes along the line per reading
+
+
+def load_package(src: Path, name: str):
+    """The hzeta package under src, imported as the top-level package name.
+    Its modules import one another relatively, so two trees load side by
+    side without sharing a module."""
+    init = src / "hzeta" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no hzeta package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def ref_src(ref: str, tmp: str) -> Path:
+    """The src/ directory of the reference tree: PATH as given, or REV
+    exported from this repository by git archive into tmp."""
+    path = Path(ref)
+    if path.is_dir():
+        return path / "src" if (path / "src" / "hzeta").is_dir() else path
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git archive {ref} failed: {proc.stderr.decode().strip()}")
+    archive = proc.stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.11.4 and 3.10.12 on
+        tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return Path(tmp) / "src"
+
+
+def time_pool(pkg, pool: list[dict]) -> float:
+    """CPU seconds for one pass over the pool."""
+    t0 = time.process_time()
+    for op in pool:
+        if op["kind"] == "jet":
+            pkg.hurwitz_jet(op["s"], op["alpha"], op["r"])
+        else:
+            pkg.generalized_stieltjes(op["alpha"], op["r"])
+    return time.process_time() - t0
+
+
+def tail_timer(pkg, order: int):
+    """A function giving the CPU seconds per tail of TAIL_PASSES passes
+    along the line, on a line warmed by one pass so rows are computed once."""
+    zetacore = sys.modules[pkg.__name__ + ".zetacore"]
+    line = zetacore.TailLine(LINE_W0.imag, order)
+    ws = [LINE_W0 + n for n in range(LINE_TAILS)]
+
+    def passes(count: int = TAIL_PASSES) -> float:
+        t0 = time.process_time()
+        for _ in range(count):
+            for w in ws:
+                zetacore.em_tail_jet(w, LINE_START, order, regularized=True, line=line)
+        return (time.process_time() - t0) / (count * len(ws))
+
+    passes(1)
+    return passes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", required=True, help="git revision or path of the other tree")
+    parser.add_argument("--workload", choices=LIBRARY_POOLS, default="sweep_values")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=8)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"work": load_package(ROOT / "src", "hzeta_work"),
+                 "ref": load_package(ref_src(args.ref, tmp), "hzeta_ref")}
+    pool = workloads.POOLS[args.workload](args.seed)
+    measures = {"pool": {side: (lambda pkg=pkg: time_pool(pkg, pool))
+                         for side, pkg in sides.items()}}
+    for r in TAIL_ORDERS:
+        measures[f"tail r={r}"] = {side: tail_timer(pkg, r) for side, pkg in sides.items()}
+    # the warm-up of perfbench's worker, so lazy tables are filled before timing
+    for pkg in sides.values():
+        pkg.hurwitz_jet(0.5 + 3j, 1.7, 0)
+        pkg.generalized_stieltjes(0.5, 0)
+
+    times = {name: {side: [] for side in sides} for name in measures}
+    for n in range(args.rounds):
+        order = ("work", "ref") if n % 2 == 0 else ("ref", "work")
+        for name, timers in measures.items():
+            for side in order:
+                times[name][side].append(timers[side]())
+
+    print(f"work = {ROOT / 'src'}, ref = {args.ref}; {args.workload} seed {args.seed} "
+          f"({len(pool)} ops), {args.rounds} rounds, CPU time")
+    print("measure\twork\tref\tratio median\tratio range")
+    for name, by_side in times.items():
+        unit, scale = ("s", 1.0) if name == "pool" else ("us", 1e6)
+        ratios = [w / r for w, r in zip(by_side["work"], by_side["ref"])]
+        print(f"{name}\t{scale * statistics.median(by_side['work']):.3f} {unit}\t"
+              f"{scale * statistics.median(by_side['ref']):.3f} {unit}\t"
+              f"x{statistics.median(ratios):.3f}\t"
+              f"x{min(ratios):.3f}..x{max(ratios):.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

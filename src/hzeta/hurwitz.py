@@ -16,8 +16,12 @@ never appear numerically.
 The automatic shift keeps |alpha|/k <= 2/3 and damps the series peak
 exp(|alpha| |s| / k) for large |s|.  Where Re s >= 0 it also keeps
 |alpha|/k < 4/7, trading series terms for cheaper head terms that cost
-no accuracy there; where Re s < 0 the head's summands grow like
-n**-Re s, and the shift stays at the first rule.
+no accuracy there.  Where Re s < 0 the head's summands grow like
+n**-Re s, and the tails B_k(s + n) at Re(s + n) < 0 sum up to a boundary
+M whose summands grow like (M/k)**-Re(s + n), so both too small and too
+large a shift lose digits: the shift is the cheapest of a short ladder
+of candidates from the first rule up whose a-priori error budget is
+within 2x of the smallest (_left_half_shift).
 
 Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
@@ -48,7 +52,18 @@ from .errors import (
     PoleAtOne,
 )
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
-from .zetacore import _MAX_BOUNDARY, TailLine, em_tail_jet
+from .zetacore import (
+    _CUTOFF,
+    _DEPTH,
+    _EM_FACTOR,
+    _LOOSE_RATIO,
+    _MAX_BOUNDARY,
+    _STRICT_MARGIN,
+    _TRUNCATION_TARGET,
+    TailLine,
+    _log_poch,
+    em_tail_jet,
+)
 
 _ZERO_BASE_RADIUS = 1e-12
 # Within this distance d of its removable singularity a closed form takes the
@@ -105,6 +120,14 @@ _PEAK_EXPONENT = 7.0
 # where Re s >= 0 the automatic shift also keeps |alpha|/k below 4/7
 _RIGHT_HALF_SHIFT = 1.75
 _EPS = 2.220446049250313e-16
+# Where Re s < 0 the shift is the cheapest of a ladder of candidates, the
+# damping rule's shift and then ceil(1.5 k) per step, whose predicted error
+# budget is within _BUDGET_SLACK of the smallest; a series term (an
+# Euler-Maclaurin tail and an O(r**2) product) costs about _TERM_COST head
+# powers at order 0.
+_LADDER_STEPS = 8
+_BUDGET_SLACK = math.log(2.0)
+_TERM_COST = 10.0
 
 
 def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
@@ -122,13 +145,105 @@ def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
     damped = math.ceil(abs(alpha) * abs(s0) / _PEAK_EXPONENT) + 1
     k = max(choose_k(alpha), damped)
     if s0.real < 0:
-        return k
+        return _left_half_shift(s0, alpha, k)
     # Re s >= 0: past k every n + alpha lies in the right half-plane, where
     # the bound |n + alpha|**-Re s * exp(|Im s| |arg(n + alpha)|) on a head
     # summand falls with n, so a longer head costs no accuracy, and a head
     # term (one O(r) power) is far cheaper than a series term (an
     # Euler-Maclaurin tail and an O(r**2) product).
     return max(k, math.ceil(_RIGHT_HALF_SHIFT * abs(alpha)) + 1)
+
+
+# the constants of zetacore's boundary test, in logs
+_LOG_REACH = math.log(abs(_EM_FACTOR[_DEPTH]) / _TRUNCATION_TARGET)
+_LOG_STRICT = math.log(_STRICT_MARGIN)
+_LOOSE = _LOOSE_RATIO * 4.0 * math.pi**2
+
+
+def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
+    """The automatic shift where Re s < 0: among the ladder k0, ceil(1.5 k0),
+    ... (at most _LADDER_STEPS, none past the head's cap), the cheapest
+    whose predicted error budget is within _BUDGET_SLACK of the smallest.
+
+    The budget is an a-priori proxy of the driver's at order 0, in logs,
+    each part in closed form:
+      head rounding   eps * sum_{n<k} |(n+alpha)**-s| (4 + 3|s||log(n+alpha)|),
+                      from its summands at n = 0 and n = k - 1: the log of
+                      |(n+alpha)**-s| is convex in n, so these are the largest,
+                      and each end counts for the inverse of its log slope;
+      continuation    the tails B_k(s + n) at Re(s + n) < 0 sum up to their
+                      boundary M (zetacore.choose_boundary in closed form),
+                      where the summands reach M**-Re(s + n); the terms
+                      n < -Re s give 8 eps sqrt(M - k) M**(1 - Re s) / |s|
+                      times sum (|alpha||s|/M)**n / n!;
+      series peak     8 eps k**(1 - Re s) exp(|alpha||s| / k) / |s|.
+    The cost is k head powers plus _TERM_COST per predicted series term,
+    9 + 1.7 |alpha||s|/k + 18 / log(k/|alpha|) (fitted on sweep pools).
+
+    The model holds for Re s > -_DEPTH, where the boundary test's degree
+    2 _DEPTH - 1 + Re s stays above _DEPTH - 1 (the documented range ends
+    at -8), and |s| < 2 pi _MAX_BOUNDARY, past which every tail's boundary
+    would pass its cap.  Elsewhere, and where a head base n + alpha
+    vanishes, the shift stays k0 and the evaluation fails as it would."""
+    sigma, t, size, a = s0.real, s0.imag, abs(s0), abs(alpha)
+    if not (-_DEPTH < sigma and size < 2 * math.pi * _MAX_BOUNDARY and k0 < _MAX_BOUNDARY
+            and min(a, abs(k0 - 1 + alpha)) >= _ZERO_BASE_RADIUS):
+        return k0
+    log, exp, clog = math.log, math.exp, cmath.log
+    # the log bound of the head summand at n = 0, and its slope in n
+    z = clog(alpha)
+    low = -sigma * z.real + t * z.imag + log(4.0 + 3.0 * size * abs(z))
+    slope = (-sigma * alpha.real - t * alpha.imag) / (a * a)
+    low_width = 1.0 - 1.0 / slope if slope < 0 else math.inf
+    # log M >= (log(|c_D| / target) + log|(w)_{2D-1}| + sigma log k) / degree
+    degree = 2 * _DEPTH - 1 + sigma
+    reach = (_LOG_REACH + _log_poch(sigma, t)) / degree
+    strict = _LOG_STRICT / degree
+    loose = 0.5 * log((size + 2 * _DEPTH - 1) * (size + 2 * _DEPTH) / _LOOSE)
+    tails = math.ceil(-sigma)  # the tails B_k(s + n) at Re(s + n) < 0
+    spread_floor = math.lgamma(tails)
+    scale, log_eps, log_a, log_cutoff = log(8.0 * _EPS / size), log(_EPS), log(a), log(_CUTOFF)
+    growth, ax, shear = 1.0 - sigma, a * size, t * alpha.imag
+    candidates, k, best, last, dearest = [], k0, math.inf, math.inf, math.inf
+    for _ in range(_LADDER_STEPS):
+        log_k = log(k)
+        base = k - 1.0 + alpha
+        z = clog(base)
+        head = low + log(k if k < low_width else low_width)
+        high = -sigma * z.real + t * z.imag + log(4.0 + 3.0 * size * abs(z))
+        slope = (-sigma * base.real - shear) * exp(-2.0 * z.real)
+        if slope > 0:
+            high += log(k if k * slope < slope + 1.0 else 1.0 + 1.0 / slope)
+        head = log_eps + (head if head > high else high)
+        truncation = reach + sigma * log_k / degree
+        log_m = loose if loose < truncation + strict else truncation + strict
+        log_m = truncation if truncation > log_m else log_m
+        log_m = log_m if log_m > log_k else log_k
+        log_m = log_m if log_m > log_cutoff else log_cutoff
+        m = exp(log_m)
+        x = ax / m
+        # log sum_{n < tails} x**n / n!: about x, or the last term's geometric bound
+        spread = x if x <= tails - 1 else (
+            (tails - 1) * log(x) - spread_floor + log(x / (x - (tails - 1))))
+        cont = scale + 0.5 * log(m - k if m - k > 1.0 else 1.0) + growth * log_m + spread
+        peak = scale + growth * log_k + ax / k
+        top = head if head > cont else cont
+        top = top if top > peak else peak
+        budget = top + log(exp(head - top) + exp(cont - top) + exp(peak - top))
+        cost = k + _TERM_COST * (9.0 + 1.7 * ax / k + 18.0 / (log_k - log_a))
+        candidates.append((budget, cost, k))
+        if budget < best:
+            best = budget
+        elif budget > best + _BUDGET_SLACK and budget > last or cost > dearest:
+            # past the smallest budget (which falls, then rises along the
+            # ladder): out of the slack and rising, or the cost, convex in
+            # k, rises, so no later candidate can be picked
+            break
+        last, dearest, k = budget, cost, math.ceil(1.5 * k)
+        if k > _MAX_BOUNDARY:
+            break
+    return min((cost, k) for budget, cost, k in candidates
+               if budget <= best + _BUDGET_SLACK)[1]
 
 
 def _check_head(alpha: complex, k: int) -> None:

@@ -72,6 +72,12 @@ _CUTOFF = 4  # floor on the boundary M, the direct-sum length
 _DEPTH = 10  # number of B_{2j} correction terms
 _TRUNCATION_TARGET = 1e-15
 _MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
+# a boundary passes where the last correction is below the target and either
+# the asymptotic series is still converging there, (|w| + 2 _DEPTH - 1)
+# (|w| + 2 _DEPTH) / (2 pi M)**2 <= _LOOSE_RATIO, or the last correction is
+# below the target by _STRICT_MARGIN
+_LOOSE_RATIO = 0.9
+_STRICT_MARGIN = 100.0
 
 
 def _poch_magnitude(w0: complex, order: int) -> list:
@@ -84,6 +90,19 @@ def _poch_magnitude(w0: complex, order: int) -> list:
     return [p, p, w0, order]
 
 
+def _log_poch(sigma: float, t: float) -> float:
+    """log |(w)_{2 _DEPTH - 1}| at w = sigma + it, order 0, in closed form: the
+    integral of log|w + x| over x in [-1/2, 2 _DEPTH - 3/2], for models of
+    the boundary that must not walk the product."""
+    hi, lo = sigma + 2 * _DEPTH - 1.5, sigma - 0.5
+    if not t:
+        return (hi * math.log(abs(hi)) if hi else 0.0) - hi - (
+            (lo * math.log(abs(lo)) if lo else 0.0) - lo)
+    tt = t * t
+    return (0.5 * (hi * math.log(hi * hi + tt) - lo * math.log(lo * lo + tt)) - (hi - lo)
+            + abs(t) * (math.atan(hi / abs(t)) - math.atan(lo / abs(t))))
+
+
 def _boundary_ok(poch: list, sigma: float, boundary: float, absw: float, target: float) -> bool:
     """Whether boundary meets the target at the Pochhammer magnitude in
     [lo, hi] of poch = [lo, hi, w0, order]: as at hi if it holds there, as
@@ -91,12 +110,12 @@ def _boundary_ok(poch: list, sigma: float, boundary: float, absw: float, target:
     as at the magnitude itself, which then replaces poch in place."""
     power = boundary ** (1.0 - 2.0 * _DEPTH - sigma)
     loose = (absw + 2 * _DEPTH - 1) * (absw + 2 * _DEPTH) / (
-        4.0 * math.pi**2 * boundary * boundary) <= 0.9
+        4.0 * math.pi**2 * boundary * boundary) <= _LOOSE_RATIO
     last = abs(_EM_FACTOR[_DEPTH]) * poch[1] * power
-    if not last > target and (loose or last * 100.0 <= target):
+    if not last > target and (loose or last * _STRICT_MARGIN <= target):
         return True
     last = abs(_EM_FACTOR[_DEPTH]) * poch[0] * power
-    if last > target or not (loose or last * 100.0 <= target):
+    if last > target or not (loose or last * _STRICT_MARGIN <= target):
         return False
     poch[:] = _poch_magnitude(*poch[2:])
     return _boundary_ok(poch, sigma, boundary, absw, target)

@@ -1,5 +1,6 @@
 """tools/fingerprint.py: the same outputs give the same hash, and a one-ulp
-change to one coefficient gives another, in every group."""
+change to one coefficient gives another, in every group; --compare names
+the change and, for library results, each side's digits against mpmath."""
 
 import json
 import math
@@ -92,3 +93,27 @@ def test_compare_names_a_one_ulp_change_in_one_rhs(tmp_path):
         f"  {rec['identity']}.rhs\t1 records\tmax abs change {ulp:.2g}"
         f"\tmax rel change {ulp / abs(rhs):.2g}",
     ]
+
+
+def test_compare_counts_digits_against_mpmath(tmp_path):
+    pytest.importorskip("mpmath")
+    lines = fingerprint.group_lines("sweep_values", 1, few_ops("sweep_values"))
+    name, payload = lines[0].split("\t")
+    values, err = fingerprint._result(payload)
+    # three correct digits in coefficient 0, far outside the estimate
+    worse = EvalResult(Jet((values[0] + 1e-3 * max(1.0, abs(values[0])),)), err, 1, 1)
+    nudged = [f"{name}\t{worse!r}", *lines[1:]]
+    for dump, group_lines in (("a", lines), ("b", nudged)):
+        (tmp_path / dump).mkdir()
+        for group in fingerprint.GROUPS:
+            text = "".join(f"{x}\n" for x in group_lines) if group == "sweep_values" else ""
+            (tmp_path / dump / f"{group}.txt").write_text(text)
+    report = fingerprint.compare(tmp_path / "a", tmp_path / "b")
+    assert report[0] == f"sweep_values\t1 of {len(lines)} lines differ"
+    head, side_a, side_b = report[1].split("\t")
+    assert head == "  against mpmath (1 results)"
+    assert side_b == "B: worst 3.00 digits, 1 below 6, 1 missed"
+    digits_a = float(side_a.removeprefix("A: worst ").split(" ")[0])
+    assert digits_a > 6 and side_a.endswith(" digits, 0 below 6, 0 missed")
+    assert report[2:] == ["jets_deep\t0 of 0 lines differ", "cli_oneshot\t0 of 0 lines differ",
+                          "verify_all\t0 of 0 lines differ"]

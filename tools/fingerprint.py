@@ -28,12 +28,16 @@ compares two such dumps instead: for each group it prints how many lines
 differ, and for the differing JSON records (verify records, CLI outputs)
 each field that differs, with the largest absolute and relative change of
 a numeric field (a field whose record names an identity is listed under
-it).
+it).  For the differing lines of sweep_values and jets_deep that hold a
+result on both sides, it prints each side's accuracy against the mpmath
+references of perfbench/reference.py: the worst digits, the number of
+results below 6 digits and the number that miss their err_estimate.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -203,6 +207,60 @@ def compare_lines(lines_a: list[str], lines_b: list[str]) -> tuple[int, dict]:
     return differing, fields
 
 
+def _result(payload: str):
+    """The coefficients and err_estimate (None for a Laurent table) of a
+    library line's result repr, or None for a failure."""
+    try:
+        call = ast.parse(payload, mode="eval").body
+    except SyntaxError:
+        return None
+    if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Name):
+        return None
+    fields = {kw.arg: kw.value for kw in call.keywords}
+    if call.func.id == "EvalResult":
+        jet = fields["value"].keywords[0].value
+        return list(ast.literal_eval(jet)), ast.literal_eval(fields["err_estimate"])
+    if call.func.id == "LaurentExpansion":
+        gammas = ast.literal_eval(fields["gammas"])
+        return [ast.literal_eval(fields["pole_coeff"]), *gammas], None
+    return None
+
+
+def accuracy_lines(lines_a: list[str], lines_b: list[str]) -> list[str]:
+    """Each side's accuracy against mpmath over the differing lines of a
+    library group whose operation holds a result on both sides."""
+    pairs = []
+    for a, b in zip(lines_a, lines_b):
+        name, _, payload_a = a.partition("\t")
+        if a == b or b.partition("\t")[0] != name:
+            continue
+        results = _result(payload_a), _result(b.partition("\t")[2])
+        if None not in results:
+            pairs.append((ast.literal_eval(name.split(" ", 2)[2]), results))
+    if not pairs:
+        return []
+    import reference  # mpmath, only where a comparison needs it
+
+    refs = reference.References()
+    sides = ([], [])
+    for op, results in pairs:
+        if op["kind"] == "jet":
+            want = refs.jet(op["s"], op["alpha"], op["r"])
+        else:
+            pole, gammas = refs.laurent(op["alpha"], op["r"])
+            want = [pole, *gammas]
+        for side, (values, err) in zip(sides, results):
+            side.append(reference.check(values, want, err))
+    out = f"  against mpmath ({len(pairs)} results)"
+    for label, checks in zip("AB", sides):
+        worst = min((c["digits"] for c in checks if c["digits"] is not None),
+                    default=float("nan"))
+        below = sum(c["digits"] is None or c["digits"] < 6 for c in checks)
+        out += (f"\t{label}: worst {worst:.2f} digits, {below} below 6, "
+                f"{sum(bool(c['missed']) for c in checks)} missed")
+    return [out]
+
+
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
     """The report of --compare, one line per group and per differing field."""
     out = []
@@ -217,6 +275,8 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
             change = ("not numeric" if worst is None else
                       "max abs change {:.2g}\tmax rel change {:.2g}".format(*worst))
             out.append(f"  {field}\t{count} records\t{change}")
+        if group in ("sweep_values", "jets_deep"):
+            out.extend(accuracy_lines(lines_a, lines_b))
     return out
 
 

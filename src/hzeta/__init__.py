@@ -7,7 +7,6 @@ from .hurwitz import (
     EvalResult,
     SeriesParams,
     choose_k,
-    convergence_bound,
     hurwitz_alpha_derivative,
     hurwitz_jet,
     hurwitz_jet_many,
@@ -28,7 +27,7 @@ from .stieltjes import (
     stieltjes_constants,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DomainError",
@@ -43,7 +42,6 @@ __all__ = [
     "PoleAtOne",
     "SeriesParams",
     "choose_k",
-    "convergence_bound",
     "dalpha_of_sderiv",
     "dalpha_sderiv_at_zero",
     "dgamma_dalpha",

@@ -272,8 +272,8 @@ def _memo_tail(line: TailLine, w0: complex, k: int, *,
     key = (_exact(w0), k, regularized)
     tail = line.tails.get(key)
     if tail is None:
-        jet, err = em_tail_jet(w0, k, line.order, regularized=regularized, line=line)
-        tail = line.tails[key] = jet.coeffs, err
+        tail = line.tails[key] = em_tail_jet(w0, k, line.order, regularized=regularized,
+                                             line=line)
     return tail
 
 
@@ -505,21 +505,4 @@ def hurwitz_alpha_derivative(
         return (hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, r, p)
 
     return _alpha_derivative(s0, m, r, jet)
-
-
-def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
-    """A-priori majorant of the n >= 1 tail magnitude for Re s > 1:
-    zeta(sigma) (1 - |alpha|/k)**(-|s|) - zeta_k(sigma)."""
-    _check_count("k", k, 1)
-    s0 = complex(s0)
-    alpha = complex(alpha)
-    if not abs(alpha) < k:
-        raise ValueError("the bound requires |alpha| < k")
-    sigma = s0.real
-    if not sigma > 1:
-        raise ValueError("the bound is proved for Re s > 1 only")
-    zeta_sigma = em_tail_jet(sigma, 1, 0)[0].value.real
-    zeta_k_sigma = em_tail_jet(sigma, k, 0)[0].value.real
-    beta = abs(alpha) / k
-    return zeta_sigma * (1.0 - beta) ** (-abs(s0)) - zeta_k_sigma
 

@@ -1,21 +1,22 @@
 """Complex truncated-Taylor (jet) arithmetic in one formal variable.
 
 A jet of order R stores the Taylor coefficients [f, f', f''/2!, ...,
-f^(R)/R!] of an analytic function at a base point.  Sums are
-coefficientwise, products are truncated Cauchy products, so pushing jets
-through a formula yields the derivatives of the formula without symbolic
-work.  Coefficients are Taylor-normalized (divided by j!); multiply by
-j! to recover raw derivatives.
+f^(R)/R!] of an analytic function at a base point.  Products are
+truncated Cauchy products, so pushing jets through a formula yields the
+derivatives of the formula without symbolic work.  Coefficients are
+Taylor-normalized (divided by j!); multiply by j! to recover raw
+derivatives.
 
 All values are immutable and every operation is a pure function, so jets
 may be shared freely between threads.
 
-The arithmetic itself lives in three list kernels, ``mul_coeffs`` (the
-truncated product), ``times_linear`` (the product by a linear jet
-c0 + h, in O(r)) and ``pow_neg_coeffs`` (a power base**(-w) along a
-jet), which work on plain sequences of complex coefficients.  ``Jet``
-and ``pow_negs`` wrap them.  The series driver and the Euler-Maclaurin
-tail call the kernels directly and build a single ``Jet`` per result.
+The arithmetic is three list kernels, ``mul_coeffs`` (the truncated
+product), ``times_linear`` (the product by a linear jet c0 + h, in O(r))
+and ``pow_neg_coeffs`` (a power base**(-w) along a jet), which work on
+plain sequences of complex coefficients.  The series driver and the
+Euler-Maclaurin tail call them directly.  ``Jet`` is the result type:
+each evaluation builds one, and callers read its ``coeffs``, ``value``
+and ``derivative``.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def require_finite(z: complex, what: str = "value") -> complex:
 
 
 class Jet(Record):
-    """Truncated Taylor expansion with complex coefficients.
+    """Truncated Taylor expansion with complex coefficients, the type of
+    every evaluation's result.
 
-    coeffs[j] holds f^(j)(s0) / j!.  The order is len(coeffs) - 1.
-    Arithmetic between two jets requires equal order.  A tuple of complex
-    is kept as given; any other sequence is copied into one.
+    coeffs[j] holds f^(j)(s0) / j!.  The order is len(coeffs) - 1.  A tuple
+    of complex is kept as given; any other sequence is copied into one.
     """
 
     __slots__ = ("coeffs",)
@@ -92,22 +93,6 @@ class Jet(Record):
         if type(c) is not tuple or any(type(x) is not complex for x in c):
             object.__setattr__(self, "coeffs", tuple(map(complex, c)))
 
-    @classmethod
-    def constant(cls, value: complex, order: int) -> "Jet":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls((complex(value),) + (0j,) * order)
-
-    @classmethod
-    def variable(cls, value: complex, order: int) -> "Jet":
-        """Jet of the identity function at the given base point."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        c = [complex(value)] + [0j] * order
-        if order >= 1:
-            c[1] = 1 + 0j
-        return cls(tuple(c))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -120,34 +105,17 @@ class Jet(Record):
         """Raw j-th derivative at the base point, coeffs[j] * j!."""
         return self.coeffs[j] * math.factorial(j)
 
-    def norm(self) -> float:
-        """Sup norm over coefficients."""
-        return max(abs(c) for c in self.coeffs)
-
     def is_finite(self) -> bool:
         return all(math.isfinite(c.real) and math.isfinite(c.imag) for c in self.coeffs)
 
+    # Used only by __mul__, which is kept for perfbench's tracer.
     def _check_order(self, other: "Jet") -> None:
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError(
                 f"jet order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check_order(other)
-            return Jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        z = complex(other)
-        return Jet((self.coeffs[0] + z,) + self.coeffs[1:])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check_order(other)
-            return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-        return self + (-complex(other))
-
+    # Kept for perfbench's tracer, which wraps it by name; the package never calls it.
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_order(other)
@@ -229,6 +197,7 @@ def pow_neg_coeffs(base: complex, s) -> list[complex]:
     return _exp_coeffs(e0, [-log_b * c for c in s])
 
 
+# Kept for perfbench's tracer, which wraps it by name; the package never calls it.
 def pow_negs(base: complex, s_jet: Jet) -> Jet:
     """Jet of w -> base**(-w) along the given s-jet; see pow_neg_coeffs."""
     return Jet(tuple(pow_neg_coeffs(base, s_jet.coeffs)))

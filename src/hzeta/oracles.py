@@ -1,11 +1,12 @@
 """Independent ground-truth evaluators used by the tests.
 
-Nothing here shares code with the series evaluator beyond the jet
-arithmetic: the Hurwitz oracle applies Euler-Maclaurin directly to
-sum (n + alpha)**-s with its own Bernoulli table and boundary logic,
-closed forms come from Bernoulli polynomials, and the digamma family
-uses recurrence lifting plus asymptotic series.  Oracles favour
-independence over speed.
+Nothing here shares code with the series evaluator beyond ``Jet``, the
+Hurwitz oracle's return type, and ``require_finite``: the Hurwitz oracle
+applies Euler-Maclaurin directly to sum (n + alpha)**-s with its own
+Bernoulli table, boundary logic, powers and truncated products, closed
+forms come from Bernoulli polynomials, and the digamma family uses
+recurrence lifting plus asymptotic series.  Oracles favour independence
+over speed.  The module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DomainError, NearPole, PoleAtOne
-from .jets import Jet, pow_negs, require_finite
+from .errors import DomainError, NearPole, Nonconvergence, PoleAtOne
+from .jets import Jet, require_finite
 
 # Exact Bernoulli numbers B_0 .. B_32 (odd ones beyond B_1 vanish).
 _BERNOULLI: dict[int, Fraction] = {
@@ -87,6 +88,7 @@ def hurwitz_closed_form_oracle(n: int, alpha: complex) -> complex:
 # Euler-Maclaurin Hurwitz oracle
 
 _EM_FACTOR = {j: float(_bern(2 * j) / factorial(2 * j)) for j in range(1, 16)}
+_MAX_HEAD = 200000  # head length past which the oracle gives up
 
 
 def _oracle_boundary(s0: complex, alpha: complex, order: int, depth: int) -> int:
@@ -98,7 +100,7 @@ def _oracle_boundary(s0: complex, alpha: complex, order: int, depth: int) -> int
     for j in range(2 * depth - 1):
         pochmag = min(pochmag * (abs(s0 + j) + order), 1e280)
     m = max(0, math.ceil(2.0 - alpha.real))
-    while m <= 200000:
+    while m <= _MAX_HEAD:
         b = abs(m + alpha)
         if (m + alpha).real >= 1.0 and b >= 2.0:
             scale = max(b ** (-sigma), 1e-290)
@@ -107,16 +109,27 @@ def _oracle_boundary(s0: complex, alpha: complex, order: int, depth: int) -> int
             if last <= 1e-15 * scale and (ratio <= 0.9 or last * 100.0 <= 1e-15 * scale):
                 return m
         m += 1
-    return m
+    raise Nonconvergence(
+        f"oracle boundary search passed its cap M = {_MAX_HEAD} without meeting "
+        f"its target for s={s0}, alpha={alpha}, order={order}"
+    )
 
 
-def _linear_reciprocal(c0: complex, order: int) -> Jet:
-    """Jet of 1/(c0 + h): coefficient j is (-1)**j / c0**(j+1), each one
-    from the last by a division."""
-    out = [1.0 / c0]
-    for _ in range(order):
-        out.append(-out[-1] / c0)
-    return Jet(tuple(out))
+def _product(a: list, b: list) -> list:
+    """Cauchy product of two coefficient lists of equal length, truncated."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+def _power(b: complex, s0: complex, r: int) -> list:
+    """Coefficients of b**-(s0 + h) in h: exp(-s0 log b) (-log b)**j / j!."""
+    log_b = cmath.log(b)
+    try:
+        out = [cmath.exp(-s0 * log_b)]
+    except OverflowError:
+        raise DomainError(f"power with base {b!r} overflows binary64 at s={s0!r}") from None
+    for j in range(1, r + 1):
+        out.append(out[-1] * -log_b / j)
+    return out
 
 
 def hurwitz_em_oracle(
@@ -127,8 +140,8 @@ def hurwitz_em_oracle(
 ) -> Jet:
     """Order-r jet of zeta(s, alpha) by Euler-Maclaurin applied directly
     to the defining sum: head terms, the (M+alpha)**(1-s)/(s-1) integral
-    piece, the half term, and Bernoulli corrections, all in jet
-    arithmetic."""
+    piece, the half term, and Bernoulli corrections, all on coefficient
+    lists in h = s - s0.  Raises Nonconvergence past _MAX_HEAD head terms."""
     s0 = require_finite(complex(s0), "s")
     alpha = require_finite(complex(alpha), "alpha")
     if s0 == 1:
@@ -139,30 +152,31 @@ def hurwitz_em_oracle(
         raise ValueError("bernoulli_depth must be in 1..15")
 
     m_head = _oracle_boundary(s0, alpha, r, bernoulli_depth)
+    total = [0j] * (r + 1)
     for n in range(m_head):
         if abs(n + alpha) < 1e-12:
             raise DomainError(f"alpha={alpha} hits the excluded point {-n}")
-
-    s_jet = Jet.variable(s0, r)
-    total = Jet.constant(0.0, r)
-    for n in range(m_head):
-        total = total + pow_negs(n + alpha, s_jet)
+        total = [t + x for t, x in zip(total, _power(n + alpha, s0, r))]
 
     b = m_head + alpha
-    s_minus_1 = s_jet - 1.0
-    total = total + pow_negs(b, s_minus_1) * _linear_reciprocal(s_minus_1.value, r)
-    pb = pow_negs(b, s_jet)
-    total = total + 0.5 * pb
+    # b**(1-s) / (s-1), the coefficients of 1/(s-1) being (-1)**j / (s0-1)**(j+1)
+    reciprocal = [(-1.0) ** j / (s0 - 1.0) ** (j + 1) for j in range(r + 1)]
+    pole = _product(_power(b, s0 - 1.0, r), reciprocal)
+    pb = _power(b, s0, r)
+    total = [t + x + 0.5 * y for t, x, y in zip(total, pole, pb)]
 
-    poch = s_jet
+    poch = ([s0, 1 + 0j] + [0j] * r)[: r + 1]
     b_inv_sq = 1.0 / (b * b)
     for j in range(1, bernoulli_depth + 1):
-        term = (_EM_FACTOR[j] * (b * b_inv_sq**j)) * (poch * pb)
-        total = total + term
-        if term.norm() < 1e-30 * total.norm():
+        factor = _EM_FACTOR[j] * (b * b_inv_sq**j)
+        term = [factor * c for c in _product(poch, pb)]
+        total = [t + x for t, x in zip(total, term)]
+        if max(map(abs, term)) < 1e-30 * max(map(abs, total)):
             break
-        poch = poch * ((s_jet + (2 * j - 1)) * (s_jet + 2 * j))
-    return total
+        # times (s + 2j - 1)(s + 2j) = x0 + x1 h + h**2
+        x0, x1 = (s0 + (2 * j - 1)) * (s0 + 2 * j), 2.0 * s0 + (4 * j - 1)
+        poch = _product(poch, ([x0, x1, 1 + 0j] + [0j] * r)[: r + 1])
+    return Jet(tuple(total))
 
 
 def hurwitz_direct_sum(

@@ -98,7 +98,7 @@ def generalized_stieltjes(
 def _stieltjes_cached() -> tuple[complex, ...]:
     # One fixed-order evaluation; slicing it keeps the prefix of lower-R
     # requests bitwise stable.
-    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, regularized=True)[0].coeffs
+    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, regularized=True)[0]
 
 
 def stieltjes_constants(r_max: int) -> LaurentExpansion:

@@ -24,8 +24,8 @@ jets.times_linear, turning the pole term into plain M**(1-w); every
 summand is then an entire function of w and the formula is valid at
 w = 1 itself.
 
-em_tail_jet works on plain lists of Taylor coefficients in w and wraps
-the result in a Jet only when it returns.  Its integer powers split as
+em_tail_jet works on plain lists of Taylor coefficients in w and
+returns them as a tuple.  Its integer powers split as
 m**-w = m**-Re(w) * m**(-i Im w - h), where h = w - w0 is the jet
 variable.  The second factor, the phase m**(-i Im w) times
 (-log m)**j / j!, depends on w0 only through Im w0, so a TailLine
@@ -51,7 +51,7 @@ from itertools import accumulate, islice
 from operator import add, mul
 
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
-from .jets import Jet, pow_neg_coeffs, require_finite, times_linear
+from .jets import pow_neg_coeffs, require_finite, times_linear
 
 # B_{2j} / (2j)! for j = 1.._DEPTH, each rounded once to binary64 from the
 # exact rational: the factors of the Bernoulli corrections
@@ -257,9 +257,10 @@ def em_tail_jet(
     *,
     regularized: bool = False,
     line: TailLine | None = None,
-) -> tuple[Jet, float]:
-    """Jet of sum_{m >= start} m**-w at w0 (or of (w-1) times it when
-    regularized), together with an a-posteriori error estimate.
+) -> tuple[tuple[complex, ...], float]:
+    """Taylor coefficients in w of sum_{m >= start} m**-w at w0 (or of
+    (w-1) times it when regularized), order + 1 of them as a tuple,
+    together with an a-posteriori error estimate.
 
     line, when given, must be a TailLine for t = Im w0 and this order;
     callers that evaluate many tails along one horizontal line share it.
@@ -332,7 +333,7 @@ def em_tail_jet(
             f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "
             f"start={start}, M={boundary}"
         )
-    return Jet(tuple(total)), err
+    return tuple(total), err
 
 
 def _corrections(w0: complex, base: list, factors: list) -> tuple[list, float]:

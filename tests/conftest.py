@@ -39,22 +39,40 @@ def central_diff(f, x: complex, h: float, order: int = 1) -> complex:
     raise ValueError("stencils implemented for order 1..3 only")
 
 
-def measured_tail_sum(s0: complex, alpha: complex, r: int = 0) -> float:
+def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
+    """A-priori majorant of the n >= 1 tail magnitude of the series for
+    Re s > 1: zeta(sigma) (1 - |alpha|/k)**(-|s|) - zeta_k(sigma)."""
+    from hzeta.zetacore import em_tail_jet
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    s0 = complex(s0)
+    alpha = complex(alpha)
+    if not abs(alpha) < k:
+        raise ValueError("the bound requires |alpha| < k")
+    sigma = s0.real
+    if not sigma > 1:
+        raise ValueError("the bound is proved for Re s > 1 only")
+    zeta_sigma = em_tail_jet(sigma, 1, 0)[0][0].real
+    zeta_k_sigma = em_tail_jet(sigma, k, 0)[0][0].real
+    beta = abs(alpha) / k
+    return zeta_sigma * (1.0 - beta) ** (-abs(s0)) - zeta_k_sigma
+
+
+def measured_tail_sum(s0: complex, alpha: complex) -> float:
     """|sum of the n >= 1 tail terms| actually accumulated by the series,
     for comparison against convergence_bound."""
     from hzeta import hurwitz_jet
-    from hzeta.jets import Jet, pow_negs
+    from hzeta.jets import pow_neg_coeffs
     from hzeta.zetacore import em_tail_jet
 
-    res = hurwitz_jet(s0, alpha, r)
+    res = hurwitz_jet(s0, alpha)
     k = res.k_used
-    s_jet = Jet.variable(complex(s0), r)
-    head = Jet.constant(0.0, r)
+    head = 0j
     for n in range(k):
-        head = head + pow_negs(n + alpha, s_jet)
-    tail0, _ = em_tail_jet(complex(s0), k, r)
-    tail = res.value - head - tail0
-    return abs(tail.value)
+        head += pow_neg_coeffs(n + alpha, [complex(s0)])[0]
+    tail0, _ = em_tail_jet(complex(s0), k)
+    return abs(res.value.value - head - tail0[0])
 
 
 def cauchy_laurent(alpha, r_max, nodes=48):

@@ -11,7 +11,6 @@ import sys
 
 from hzeta import (
     choose_k,
-    convergence_bound,
     dalpha_sderiv_at_zero,
     dgamma_dalpha,
     generalized_stieltjes,
@@ -30,7 +29,7 @@ from hzeta.oracles import (
     stieltjes_gamma1_oracle,
 )
 
-from conftest import cauchy_laurent, central_diff, measured_tail_sum
+from conftest import cauchy_laurent, central_diff, convergence_bound, measured_tail_sum
 
 ALPHA_GRID = (0.3, 0.5, 1.0, 1.7, 2 + 1j)
 

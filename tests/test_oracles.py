@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from hzeta import DomainError, Jet, NearPole, PoleAtOne, hurwitz_jet, oracles
+import hzeta.jets
+from hzeta import DomainError, NearPole, Nonconvergence, PoleAtOne, hurwitz_jet, oracles
 from hzeta.oracles import (
     BernoulliPoly,
     bernoulli_poly,
@@ -84,14 +85,22 @@ class TestEmOracle:
         with pytest.raises(DomainError):
             hurwitz_em_oracle(2.0, -2.0)
 
-    def test_linear_reciprocal(self):
-        # 1/(1 + h) = 1 - h + h**2, and (c0 + h) times 1/(c0 + h) is 1
-        assert oracles._linear_reciprocal(1.0, 2).coeffs == (1, -1, 1)
-        c0 = 0.5 - 1.5j
-        prod = Jet((c0, 1, 0, 0)) * oracles._linear_reciprocal(c0, 3)
-        assert abs(prod.coeffs[0] - 1) < 1e-15
-        for c in prod.coeffs[1:]:
-            assert abs(c) < 1e-15
+    def test_independent_of_the_evaluator_kernels(self, monkeypatch):
+        # with the evaluator's list kernels broken the oracle gives the same bits
+        want = hurwitz_em_oracle(0.5 + 3j, 1.7, r=3).coeffs
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called an evaluator kernel")
+
+        for name in ("pow_neg_coeffs", "mul_coeffs", "times_linear", "_exp_coeffs", "_log_dd"):
+            monkeypatch.setattr(hzeta.jets, name, broken)
+        assert hurwitz_em_oracle(0.5 + 3j, 1.7, r=3).coeffs == want
+
+    def test_boundary_cap_raises(self):
+        # hurwitz_jet raises Nonconvergence here too; the oracle no longer
+        # sums 200001 head terms and returns a value that misses its target
+        with pytest.raises(Nonconvergence, match="M = 200000"):
+            oracles._oracle_boundary(0.5 + 4e5j, 1 + 0j, 0, 10)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("alpha", grid_alphas())

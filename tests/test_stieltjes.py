@@ -16,7 +16,6 @@ from hzeta import (
     hurwitz_regularized_jet,
     stieltjes_constants,
 )
-from hzeta.jets import Jet
 from hzeta.oracles import digamma_oracle, hurwitz_direct_sum, trigamma_oracle
 
 from conftest import assert_close, cauchy_laurent, central_diff
@@ -82,7 +81,7 @@ class TestGeneralizedStieltjes:
 
     def test_overflow_is_reported_as_overflow(self, monkeypatch):
         def infinite_tail(w0, start, order, *, regularized, line):
-            return Jet((complex(math.inf, 0.0),) * (order + 1)), 0.0
+            return (complex(math.inf, 0.0),) * (order + 1), 0.0
 
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_tail)
         with pytest.raises(Nonconvergence, match="overflowed") as info:

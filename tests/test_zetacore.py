@@ -36,17 +36,17 @@ def zeta_direct(sigma: float, start: int = 1, terms: int = 10**6) -> float:
 class TestRiemannZeta:
     def test_at_two(self):
         want = zeta_direct(2.0)
-        got = em_tail_jet(2.0, 1)[0].value
+        got = em_tail_jet(2.0, 1)[0][0]
         assert_close(got, want, 1e-12, label="zeta(2)")
         assert abs(got - math.pi**2 / 6) < 1e-13
 
     def test_at_zero(self):
         want = hurwitz_closed_form_oracle(0, 1.0)  # -1/2
-        assert_close(em_tail_jet(0.0, 1)[0].value, want, 1e-13, relative=False)
+        assert_close(em_tail_jet(0.0, 1)[0][0], want, 1e-13, relative=False)
 
     def test_at_minus_one(self):
         want = hurwitz_closed_form_oracle(1, 1.0)  # -1/12
-        assert_close(em_tail_jet(-1.0, 1)[0].value, want, 1e-13, relative=False)
+        assert_close(em_tail_jet(-1.0, 1)[0][0], want, 1e-13, relative=False)
 
     def test_pole_errors(self):
         with pytest.raises(PoleAtOne):
@@ -56,59 +56,59 @@ class TestRiemannZeta:
 
     def test_jet_matches_finite_differences(self):
         s0 = 2.0
-        jet = em_tail_jet(s0, 1, 3)[0]
+        coeffs = em_tail_jet(s0, 1, 3)[0]
         h = 1e-3
 
         def f(s):
-            return em_tail_jet(s, 1)[0].value
+            return em_tail_jet(s, 1)[0][0]
 
         for j in range(1, 4):
             fd = central_diff(f, s0, h, j)
-            assert_close(jet.derivative(j), fd, 1e-6, label=f"zeta^({j})(2)")
+            assert_close(coeffs[j] * math.factorial(j), fd, 1e-6, label=f"zeta^({j})(2)")
 
 
 class TestTail:
     def test_empty_head(self):
         # from start = 1 the tail is all of zeta(s) = zeta(s, 1)
         want = oracles.hurwitz_em_oracle(2.0, 1.0).value
-        assert_close(em_tail_jet(2.0, 1)[0].value, want, 1e-15)
+        assert_close(em_tail_jet(2.0, 1)[0][0], want, 1e-15)
 
     def test_k2(self):
         assert_close(
-            em_tail_jet(2.0, 2)[0].value, em_tail_jet(2.0, 1)[0].value - 1.0, 1e-13
+            em_tail_jet(2.0, 2)[0][0], em_tail_jet(2.0, 1)[0][0] - 1.0, 1e-13
         )
 
     def test_k3_direct_sum(self):
         want = zeta_direct(4.0, start=3)
-        assert_close(em_tail_jet(4.0, 3)[0].value, want, 1e-12, label="zeta_3(4)")
+        assert_close(em_tail_jet(4.0, 3)[0][0], want, 1e-12, label="zeta_3(4)")
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("s0", [2.0, -0.5, 3.0 + 2.0j, -2.3 + 1.0j])
     def test_tail_identity(self, k, s0):
         head = sum(n ** (-complex(s0)) for n in range(1, k))
-        got = em_tail_jet(s0, k)[0].value + head
-        assert_close(got, em_tail_jet(s0, 1)[0].value, 1e-12, label=f"k={k}")
+        got = em_tail_jet(s0, k)[0][0] + head
+        assert_close(got, em_tail_jet(s0, 1)[0][0], 1e-12, label=f"k={k}")
 
 
 class TestRegularizedTail:
     def test_value_at_pole(self):
-        assert_close(em_tail_jet(1.0, 1, regularized=True)[0].value, 1.0, 1e-13)
+        assert_close(em_tail_jet(1.0, 1, regularized=True)[0][0], 1.0, 1e-13)
 
     def test_first_coefficient_is_gamma(self):
-        jet = em_tail_jet(1.0, 1, 1, regularized=True)[0]
-        assert_close(jet.coeffs[0], 1.0, 1e-13)
-        assert_close(jet.coeffs[1], euler_mascheroni_oracle(), 1e-12)
+        coeffs = em_tail_jet(1.0, 1, 1, regularized=True)[0]
+        assert_close(coeffs[0], 1.0, 1e-13)
+        assert_close(coeffs[1], euler_mascheroni_oracle(), 1e-12)
 
     def test_at_two(self):
         want = zeta_direct(2.0)
-        assert_close(em_tail_jet(2.0, 1, regularized=True)[0].value, want, 1e-12)
+        assert_close(em_tail_jet(2.0, 1, regularized=True)[0][0], want, 1e-12)
 
     @pytest.mark.parametrize("angle", range(8))
     def test_pole_cancellation_on_circle(self, angle):
         w = 1.0 + 0.1 * cmath.exp(1j * math.pi * angle / 4)
-        reconstructed = em_tail_jet(w, 1, regularized=True)[0].value / (w - 1.0)
+        reconstructed = em_tail_jet(w, 1, regularized=True)[0][0] / (w - 1.0)
         assert_close(
-            reconstructed, em_tail_jet(w, 1)[0].value, 1e-10, label=f"w={w}"
+            reconstructed, em_tail_jet(w, 1)[0][0], 1e-10, label=f"w={w}"
         )
 
 
@@ -125,7 +125,7 @@ class TestEulerMaclaurinRobustness:
         def head_and_tail(start):
             head = [m ** -s for m in range(1, start)]
             tail, err = em_tail_jet(s, start, 0)
-            return sum(head) + tail.value, err, sum(map(abs, head))
+            return sum(head) + tail[0], err, sum(map(abs, head))
 
         small, err_small, mag_small = head_and_tail(24)
         big, err_big, mag_big = head_and_tail(48)
@@ -212,8 +212,9 @@ class TestTailAgainstMpmath:
     def test_coefficients(self, w, start, regularized, rel_tol, order):
         mpmath = pytest.importorskip("mpmath")
         got, err = em_tail_jet(w, start, order, regularized=regularized)
+        assert type(got) is tuple and len(got) == order + 1
         want = _mpmath_tail(mpmath, w, start, order, regularized)
-        diffs = [abs(g - x) for g, x in zip(got.coeffs, want)]
+        diffs = [abs(g - x) for g, x in zip(got, want)]
         assert max(diffs) <= err, f"error {max(diffs):.3e} above estimate {err:.3e}"
         if rel_tol is not None:
             for j, (d, x) in enumerate(zip(diffs, want)):

@@ -15,14 +15,8 @@ import os
 import re
 import sys
 
-from .errors import (
-    DomainError,
-    HZetaError,
-    NearPole,
-    Nonconvergence,
-    PoleAtOne,
-)
-from .hurwitz import SeriesParams, hurwitz_jet
+from .errors import DomainError, HZetaError, NearPole, Nonconvergence, PoleAtOne
+from .hurwitz import DEFAULT_PARAMS, SeriesParams, hurwitz_jet, nearest_excluded
 from .identities import IDENTITY_NAMES, verify_identity
 from .stieltjes import MAX_GENERALIZED_ORDER, generalized_stieltjes
 
@@ -105,10 +99,10 @@ def _k_arg(text: str):
 
 
 def _default_tol() -> float:
-    """The --tol default: HZ_DEFAULT_TOL when set, else 1e-12."""
+    """The --tol default: HZ_DEFAULT_TOL when set, else DEFAULT_PARAMS.tol."""
     env = os.environ.get("HZ_DEFAULT_TOL")
     if not env:
-        return 1e-12
+        return DEFAULT_PARAMS.tol
     try:
         tol = float(env)
         if 0 < tol < math.inf:
@@ -126,15 +120,13 @@ def _error_record(head: dict, exc: HZetaError) -> tuple[dict, int]:
 
 
 def cmd_eval(args) -> tuple[list[dict], int]:
-    # round() takes no inf or nan; hurwitz_jet rejects a non-finite alpha
-    if math.isfinite(args.alpha.real):
-        n = max(0, round(-args.alpha.real))  # the nearest excluded point is -n
-        if abs(n + args.alpha) < 1e-3:
-            print(
-                f"warning: alpha is within 1e-3 of the excluded point {-n}; "
-                "the evaluation is ill-conditioned",
-                file=sys.stderr,
-            )
+    n = nearest_excluded(args.alpha)  # hurwitz_jet rejects a non-finite alpha
+    if abs(n + args.alpha) < 1e-3:
+        print(
+            f"warning: alpha is within 1e-3 of the excluded point {-n}; "
+            "the evaluation is ill-conditioned",
+            file=sys.stderr,
+        )
     head = {
         "command": "eval",
         "inputs": {
@@ -354,7 +346,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--order", type=int, default=0, metavar="R")
     p_eval.add_argument("--k", type=_k_arg, default=None, metavar="K|auto")
     p_eval.add_argument("--tol", type=float, default=_default_tol())
-    p_eval.add_argument("--nmax", type=int, default=400)
+    p_eval.add_argument("--nmax", type=int, default=DEFAULT_PARAMS.n_max)
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -21,7 +21,9 @@ n**-Re s, and the tails B_k(s + n) at Re(s + n) < 0 sum up to a boundary
 M whose summands grow like (M/k)**-Re(s + n), so both too small and too
 large a shift lose digits: the shift is the cheapest of a short ladder
 of candidates from the first rule up whose a-priori error budget is
-within 2x of the smallest (_left_half_shift).
+within 2x of the smallest (_left_half_shift), each tail's boundary read
+off zetacore.boundary_model, which owns the boundary policy with
+zetacore.choose_boundary.
 
 Evaluating the split in jet arithmetic yields the s-derivatives; the
 alpha-derivatives follow analytically from
@@ -43,27 +45,10 @@ import cmath
 import math
 
 from ._record import Record
-from .errors import (
-    NEAR_POLE_RADIUS,
-    DomainError,
-    HZetaError,
-    NearPole,
-    Nonconvergence,
-    PoleAtOne,
-)
+from .errors import (NEAR_POLE_RADIUS, DomainError, HZetaError, NearPole, Nonconvergence,
+                     PoleAtOne)
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
-from .zetacore import (
-    _CUTOFF,
-    _DEPTH,
-    _EM_FACTOR,
-    _LOOSE_RATIO,
-    _MAX_BOUNDARY,
-    _STRICT_MARGIN,
-    _TRUNCATION_TARGET,
-    TailLine,
-    _log_poch,
-    em_tail_jet,
-)
+from .zetacore import _MAX_BOUNDARY, TailLine, boundary_model, em_tail_jet
 
 _ZERO_BASE_RADIUS = 1e-12
 # Within this distance d of its removable singularity a closed form takes the
@@ -154,12 +139,6 @@ def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
     return max(k, math.ceil(_RIGHT_HALF_SHIFT * abs(alpha)) + 1)
 
 
-# the constants of zetacore's boundary test, in logs
-_LOG_REACH = math.log(abs(_EM_FACTOR[_DEPTH]) / _TRUNCATION_TARGET)
-_LOG_STRICT = math.log(_STRICT_MARGIN)
-_LOOSE = _LOOSE_RATIO * 4.0 * math.pi**2
-
-
 def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
     """The automatic shift where Re s < 0: among the ladder k0, ceil(1.5 k0),
     ... (at most _LADDER_STEPS, none past the head's cap), the cheapest
@@ -172,7 +151,7 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
                       |(n+alpha)**-s| is convex in n, so these are the largest,
                       and each end counts for the inverse of its log slope;
       continuation    the tails B_k(s + n) at Re(s + n) < 0 sum up to their
-                      boundary M (zetacore.choose_boundary in closed form),
+                      boundary M, read off zetacore.boundary_model at s,
                       where the summands reach M**-Re(s + n); the terms
                       n < -Re s give 8 eps sqrt(M - k) M**(1 - Re s) / |s|
                       times sum (|alpha||s|/M)**n / n!;
@@ -180,14 +159,13 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
     The cost is k head powers plus _TERM_COST per predicted series term,
     9 + 1.7 |alpha||s|/k + 18 / log(k/|alpha|) (fitted on sweep pools).
 
-    The model holds for Re s > -_DEPTH, where the boundary test's degree
-    2 _DEPTH - 1 + Re s stays above _DEPTH - 1 (the documented range ends
-    at -8), and |s| < 2 pi _MAX_BOUNDARY, past which every tail's boundary
-    would pass its cap.  Elsewhere, and where a head base n + alpha
-    vanishes, the shift stays k0 and the evaluation fails as it would."""
+    Outside the boundary model's range (the documented range ends at
+    Re s = -8), and where a head base n + alpha vanishes, the shift stays
+    k0 and the evaluation fails as it would."""
     sigma, t, size, a = s0.real, s0.imag, abs(s0), abs(alpha)
-    if not (-_DEPTH < sigma and size < 2 * math.pi * _MAX_BOUNDARY and k0 < _MAX_BOUNDARY
-            and min(a, abs(k0 - 1 + alpha)) >= _ZERO_BASE_RADIUS):
+    log_boundary = boundary_model(sigma, t, size)
+    if log_boundary is None or not (
+            k0 < _MAX_BOUNDARY and min(a, abs(k0 - 1 + alpha)) >= _ZERO_BASE_RADIUS):
         return k0
     log, exp, clog = math.log, math.exp, cmath.log
     # the log bound of the head summand at n = 0, and its slope in n
@@ -195,14 +173,9 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
     low = -sigma * z.real + t * z.imag + log(4.0 + 3.0 * size * abs(z))
     slope = (-sigma * alpha.real - t * alpha.imag) / (a * a)
     low_width = 1.0 - 1.0 / slope if slope < 0 else math.inf
-    # log M >= (log(|c_D| / target) + log|(w)_{2D-1}| + sigma log k) / degree
-    degree = 2 * _DEPTH - 1 + sigma
-    reach = (_LOG_REACH + _log_poch(sigma, t)) / degree
-    strict = _LOG_STRICT / degree
-    loose = 0.5 * log((size + 2 * _DEPTH - 1) * (size + 2 * _DEPTH) / _LOOSE)
     tails = math.ceil(-sigma)  # the tails B_k(s + n) at Re(s + n) < 0
     spread_floor = math.lgamma(tails)
-    scale, log_eps, log_a, log_cutoff = log(8.0 * _EPS / size), log(_EPS), log(a), log(_CUTOFF)
+    scale, log_eps, log_a = log(8.0 * _EPS / size), log(_EPS), log(a)
     growth, ax, shear = 1.0 - sigma, a * size, t * alpha.imag
     candidates, k, best, last, dearest = [], k0, math.inf, math.inf, math.inf
     for _ in range(_LADDER_STEPS):
@@ -215,11 +188,7 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
         if slope > 0:
             high += log(k if k * slope < slope + 1.0 else 1.0 + 1.0 / slope)
         head = log_eps + (head if head > high else high)
-        truncation = reach + sigma * log_k / degree
-        log_m = loose if loose < truncation + strict else truncation + strict
-        log_m = truncation if truncation > log_m else log_m
-        log_m = log_m if log_m > log_k else log_k
-        log_m = log_m if log_m > log_cutoff else log_cutoff
+        log_m = log_boundary(log_k)
         m = exp(log_m)
         x = ax / m
         # log sum_{n < tails} x**n / n!: about x, or the last term's geometric bound
@@ -246,18 +215,23 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
                if budget <= best + _BUDGET_SLACK)[1]
 
 
+def nearest_excluded(alpha: complex) -> int:
+    """n with -n the excluded point nearest alpha (0 where Re alpha is not
+    finite): no other head base n + alpha lies as close to zero."""
+    return max(0, round(-alpha.real)) if math.isfinite(alpha.real) else 0
+
+
 def _check_head(alpha: complex, k: int) -> None:
     if k > _MAX_BOUNDARY:
         raise Nonconvergence(
             f"the shift k={k} for alpha={alpha} would make the head a direct "
             f"sum longer than its cap {_MAX_BOUNDARY}"
         )
-    for n in range(k):
-        if abs(n + alpha) < _ZERO_BASE_RADIUS:
-            raise DomainError(
-                f"alpha={alpha} is within {_ZERO_BASE_RADIUS} of the excluded "
-                f"point {-n}"
-            )
+    n = nearest_excluded(alpha)
+    if n < k and abs(n + alpha) < _ZERO_BASE_RADIUS:
+        raise DomainError(
+            f"alpha={alpha} is within {_ZERO_BASE_RADIUS} of the excluded point {-n}"
+        )
 
 
 def _exact(z: complex) -> tuple:

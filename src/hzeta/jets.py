@@ -157,11 +157,13 @@ def pow_neg_coeffs(base: complex, s) -> list[complex]:
 
     The order-0 coefficient is assembled from a magnitude/phase split
     rather than exp(-s*log base): the magnitude |base|**(-sigma) comes
-    from a single real pow, and for integer bases the phase t*log(base)
-    is formed with an extended-precision log so that no |s*log base|
-    amplification of rounding enters.  This keeps the large summands of
-    the continuation formulas at a few ulps even at strongly negative
-    Re s.
+    from a single real pow.  For integer bases the phase t*log(base)
+    comes from a double-double log: cos and sin take the head p of the
+    exact product t*hi unreduced, as libm reduces by 2 pi exactly where
+    binary64 2 pi would err by 2.4e-16 a turn, and the small rest of the
+    phase joins as a first-order rotation.  A row m**(-it) is then within
+    about an ulp, and the large summands of the continuation formulas
+    stay at a few ulps even at strongly negative Re s.
     """
     b = complex(base)
     if b == 0:
@@ -175,9 +177,9 @@ def pow_neg_coeffs(base: complex, s) -> list[complex]:
             hi, lo = _log_dd(m)
             mag = float(m) ** (-sigma)
             p, err = _two_prod(t, hi)
-            # reduce the dominant product mod 2*pi before the small parts join
-            phase = math.remainder(p, 2.0 * math.pi) + (err + t * lo)
-            e0 = mag * complex(math.cos(phase), -math.sin(phase))
+            # libm reduces p exactly; the small part e joins as a first-order rotation
+            cos_p, sin_p, e = math.cos(p), math.sin(p), err + t * lo
+            e0 = mag * complex(cos_p - e * sin_p, -(sin_p + e * cos_p))
             log_b = complex(hi + lo, 0.0)
         else:
             r = abs(b)

@@ -17,7 +17,10 @@ under control at large |Im w|.  The policy is fixed: M is at least 4
 is a function of (w0, start, order, regularized) alone, the key of the
 tails memo in hurwitz._series_eval.  Along a line the search continues
 from the last boundary, with bounds on its Pochhammer magnitude carried
-from w0 - 1, and finds the same M (see choose_boundary).
+from w0 - 1, and finds the same M (see choose_boundary).  boundary_model
+is the same test in closed form, at order 0 and with no grid, for the
+shift ladder in hurwitz, which predicts M before any tail exists; it
+holds for Re w > -_DEPTH and |w| < 2 pi _MAX_BOUNDARY.
 
 The regularized variant multiplies through by (w - 1), in O(r) by
 jets.times_linear, turning the pole term into plain M**(1-w); every
@@ -169,6 +172,33 @@ def choose_boundary(w0: complex, start: int, order: int, *,
     if warm:
         line._start, line._marks, line._last, line._poch = start, marks, i, poch
     return marks[i]
+
+
+def boundary_model(sigma: float, t: float, size: float):
+    """choose_boundary in closed form at w = sigma + it, |w| = size, order 0:
+    log M as a function of log start, or None outside Re w > -_DEPTH, where
+    the test's degree 2 _DEPTH - 1 + Re w stays above _DEPTH - 1, and
+    |w| < 2 pi _MAX_BOUNDARY, past which every boundary passes its cap.
+
+    It solves the test for a continuous M with _log_poch for the Pochhammer
+    magnitude, where the search takes the first candidate on its grid: it
+    lies below the search's M by up to one step of the grid (the widest is
+    4 to 5), and above it only by _log_poch's error, 1e-3 off the real axis
+    and a few percent next to a zero of (w)_{2 _DEPTH - 1} on it."""
+    if not (-_DEPTH < sigma and size < 2 * math.pi * _MAX_BOUNDARY):
+        return None
+    log, degree, log_cutoff = math.log, 2 * _DEPTH - 1 + sigma, math.log(_CUTOFF)
+    # log M >= (log(|c_D| / target) + log|(w)_{2D-1}| + sigma log start) / degree
+    reach = (log(abs(_EM_FACTOR[_DEPTH]) / _TRUNCATION_TARGET) + _log_poch(sigma, t)) / degree
+    strict = log(_STRICT_MARGIN) / degree
+    loose = 0.5 * log((size + 2 * _DEPTH - 1) * (size + 2 * _DEPTH)
+                      / (_LOOSE_RATIO * 4.0 * math.pi**2))
+
+    def log_boundary(log_start: float) -> float:
+        truncation = reach + sigma * log_start / degree
+        return max(truncation, min(loose, truncation + strict), log_start, log_cutoff)
+
+    return log_boundary
 
 
 class TailLine:

@@ -112,8 +112,10 @@ def test_compare_counts_digits_against_mpmath(tmp_path):
     assert report[0] == f"sweep_values\t1 of {len(lines)} lines differ"
     head, side_a, side_b = report[1].split("\t")
     assert head == "  against mpmath (1 results)"
-    assert side_b == "B: worst 3.00 digits, 1 below 6, 1 missed"
-    digits_a = float(side_a.removeprefix("A: worst ").split(" ")[0])
-    assert digits_a > 6 and side_a.endswith(" digits, 0 below 6, 0 missed")
+    assert side_b == "B: worst 3.00 digits, mean 3.000, 1 below 6, 1 missed"
+    # one result, so its worst digits are its mean
+    worst_a, mean_a = side_a.removeprefix("A: worst ").split(" digits, mean ")
+    assert float(worst_a) > 6 and abs(float(mean_a.split(",")[0]) - float(worst_a)) <= 0.005
+    assert side_a.endswith(", 0 below 6, 0 missed")
     assert report[2:] == ["jets_deep\t0 of 0 lines differ", "cli_oneshot\t0 of 0 lines differ",
                           "verify_all\t0 of 0 lines differ"]

@@ -127,6 +127,26 @@ class TestErrors:
         with pytest.raises(DomainError):
             hurwitz_jet(2.0, alpha)
 
+    def test_excluded_point_far_from_origin(self):
+        with pytest.raises(DomainError, match=r"within 1e-12 of the excluded point -150$"):
+            hurwitz_jet(2.0, -150.0 + 1e-13j)
+
+    def test_one_base_decides_the_head(self):
+        # the head check (and the CLI's warning) reads only the base nearest
+        # zero; walking every base finds the same one
+        import random
+
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            alpha = complex(-rng.randint(0, 40) + rng.choice([0.0, 1e-13, 0.5, rng.uniform(-1, 1)]),
+                            rng.choice([0.0, 1e-13, rng.uniform(-1, 1)]))
+            k = rng.randint(1, 50)
+            n = hzeta.hurwitz.nearest_excluded(alpha)
+            walk = min(range(k), key=lambda j: abs(j + alpha))
+            assert (n < k and abs(n + alpha) < 1e-12) == (abs(walk + alpha) < 1e-12)
+            assert abs(n + alpha) == min(abs(j + alpha) for j in range(max(k, n + 2)))
+        assert hzeta.hurwitz.nearest_excluded(complex(math.inf, 0.0)) == 0
+
     def test_nonconvergence_reports_partial(self):
         with pytest.raises(Nonconvergence) as info:
             hurwitz_jet(2.0, 0.97, p=SeriesParams(k=1, n_max=50))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,20 @@ class TestPowNegs:
             fd = (g(s0 + h) - g(s0 - h)) / (2 * h)
             raw = jet.derivative(j)
             assert_close(raw, fd, 1e-6, label=f"base={base} j={j}")
+
+    def test_integer_base_phase_within_two_ulps(self):
+        # t log m turns up to 120 times here; a phase reduced by the binary64
+        # 2 pi, which is 2.4e-16 short, missed by up to 133 ulps
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261020)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(3000):
+                m, t = rng.randint(2, 2000), rng.uniform(-100.0, 100.0)
+                want = mpmath.power(m, mpmath.mpc(0, -t))
+                got = pow_neg_coeffs(m, [complex(0.0, t)])[0]
+                worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)) / 2.0**-52)
+        assert worst <= 2.0, f"{worst:.2f} ulps"
 
     def test_matches_cmath_exp_route(self):
         coeffs = pow_neg_coeffs(7, variable(-3.0 + 9.0j, 0))

@@ -30,8 +30,9 @@ each field that differs, with the largest absolute and relative change of
 a numeric field (a field whose record names an identity is listed under
 it).  For the differing lines of sweep_values and jets_deep that hold a
 result on both sides, it prints each side's accuracy against the mpmath
-references of perfbench/reference.py: the worst digits, the number of
-results below 6 digits and the number that miss their err_estimate.
+references of perfbench/reference.py: the worst and the mean digits, the
+number of results below 6 digits and the number that miss their
+err_estimate.
 """
 
 from __future__ import annotations
@@ -253,10 +254,11 @@ def accuracy_lines(lines_a: list[str], lines_b: list[str]) -> list[str]:
             side.append(reference.check(values, want, err))
     out = f"  against mpmath ({len(pairs)} results)"
     for label, checks in zip("AB", sides):
-        worst = min((c["digits"] for c in checks if c["digits"] is not None),
-                    default=float("nan"))
+        digits = [c["digits"] for c in checks if c["digits"] is not None]
+        worst = min(digits, default=float("nan"))
+        mean = sum(digits) / len(digits) if digits else float("nan")
         below = sum(c["digits"] is None or c["digits"] < 6 for c in checks)
-        out += (f"\t{label}: worst {worst:.2f} digits, {below} below 6, "
+        out += (f"\t{label}: worst {worst:.2f} digits, mean {mean:.3f}, {below} below 6, "
                 f"{sum(bool(c['missed']) for c in checks)} missed")
     return [out]
 

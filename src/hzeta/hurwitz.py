@@ -36,7 +36,9 @@ The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
 a memo on their line Im w = Im s (zetacore.TailLine) computes each once
 for the evaluations that share the line and a shift: the alphas of a
 hurwitz_jet_many batch with equal shifts, and verify's point, whose
-evaluations all take one shift per line (_shared_params).
+evaluations all take one shift per line (_shared_params).  At Re s >= 0
+that shift is priced for the line, a tail once and a head per evaluation,
+so its evaluations agree with their solo calls within estimate, not bitwise.
 """
 
 from __future__ import annotations
@@ -109,10 +111,12 @@ _EPS = 2.220446049250313e-16
 # damping rule's shift and then ceil(1.5 k) per step, whose predicted error
 # budget is within _BUDGET_SLACK of the smallest; a series term (an
 # Euler-Maclaurin tail and an O(r**2) product) costs about _TERM_COST head
-# powers at order 0.
+# powers at order 0, and each further evaluation sharing its tail
+# _PRODUCT_COST (fitted on verify_all grids).
 _LADDER_STEPS = 8
 _BUDGET_SLACK = math.log(2.0)
 _TERM_COST = 10.0
+_PRODUCT_COST = 3.0
 
 
 def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
@@ -156,8 +160,7 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
                       n < -Re s give 8 eps sqrt(M - k) M**(1 - Re s) / |s|
                       times sum (|alpha||s|/M)**n / n!;
       series peak     8 eps k**(1 - Re s) exp(|alpha||s| / k) / |s|.
-    The cost is k head powers plus _TERM_COST per predicted series term,
-    9 + 1.7 |alpha||s|/k + 18 / log(k/|alpha|) (fitted on sweep pools).
+    The cost is _line_cost for one evaluation.
 
     Outside the boundary model's range (the documented range ends at
     Re s = -8), and where a head base n + alpha vanishes, the shift stays
@@ -175,7 +178,7 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
     low_width = 1.0 - 1.0 / slope if slope < 0 else math.inf
     tails = math.ceil(-sigma)  # the tails B_k(s + n) at Re(s + n) < 0
     spread_floor = math.lgamma(tails)
-    scale, log_eps, log_a = log(8.0 * _EPS / size), log(_EPS), log(a)
+    scale, log_eps = log(8.0 * _EPS / size), log(_EPS)
     growth, ax, shear = 1.0 - sigma, a * size, t * alpha.imag
     candidates, k, best, last, dearest = [], k0, math.inf, math.inf, math.inf
     for _ in range(_LADDER_STEPS):
@@ -199,7 +202,7 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
         top = head if head > cont else cont
         top = top if top > peak else peak
         budget = top + log(exp(head - top) + exp(cont - top) + exp(peak - top))
-        cost = k + _TERM_COST * (9.0 + 1.7 * ax / k + 18.0 / (log_k - log_a))
+        cost = _line_cost(k, a, size)
         candidates.append((budget, cost, k))
         if budget < best:
             best = budget
@@ -213,6 +216,15 @@ def _left_half_shift(s0: complex, alpha: complex, k0: int) -> int:
             break
     return min((cost, k) for budget, cost, k in candidates
                if budget <= best + _BUDGET_SLACK)[1]
+
+
+def _line_cost(k: int, a: float, size: float, evals: int = 1) -> float:
+    """The cost in head powers of evals evaluations at shift k sharing their
+    tails, at |alpha| <= a and |s| <= size: k head powers each, and per series
+    term (9 + 1.7 |alpha||s|/k + 18 / log(k/|alpha|), fitted on sweep pools)
+    a tail and product, _TERM_COST, plus _PRODUCT_COST per further evaluation."""
+    terms = 9.0 + 1.7 * (a * size) / k + 18.0 / (math.log(k) - math.log(a))
+    return evals * k + terms * (_TERM_COST + (evals - 1) * _PRODUCT_COST)
 
 
 def nearest_excluded(alpha: complex) -> int:
@@ -262,11 +274,25 @@ def _shift(s0, alpha, p: SeriesParams) -> int | None:
 
 
 def _shared_params(points, p: SeriesParams) -> SeriesParams:
-    """p with the largest shift of the evaluations at the (s0, alpha) of
-    points (see _shift); p itself if it fixes k or no shift is left."""
-    shifts = [_shift(s0, alpha, p) for s0, alpha in points] if p.k is None else []
-    k = max((k for k in shifts if k is not None), default=None)
-    return p if k is None else SeriesParams(k, p.n_max, p.tol)
+    """p with one shift for the evaluations at the (s0, alpha) of points that
+    have a shift (see _shift); p itself if it fixes k or none has.  With all
+    of them at Re s >= 0, where a longer head costs no accuracy, it is the
+    cheapest by _line_cost on the ladder k0, ceil(1.5 k0), ... to the head's
+    cap, k0 their largest shift; elsewhere k0, since past each shift's error
+    budget a longer head loses digits."""
+    shifts = [(complex(s0), abs(complex(alpha)), k) for s0, alpha in points
+              if (k := _shift(s0, alpha, p)) is not None] if p.k is None else []
+    if not shifts:
+        return p
+    ws, alphas, ks = zip(*shifts)
+    a, size, k = max(alphas), max(map(abs, ws)), max(ks)
+    best = (math.inf, k)
+    while a > 0 and all(w.real >= 0 for w in ws) and k <= _MAX_BOUNDARY:
+        cost = _line_cost(k, a, size, len(ws))
+        if cost > best[0]:  # convex in k: no later candidate is cheaper
+            break
+        best, k = (cost, k), math.ceil(1.5 * k)
+    return SeriesParams(best[1], p.n_max, p.tol)
 
 
 def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, shared: SeriesParams,
@@ -277,7 +303,7 @@ def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, shared: Series
     try:
         return _series_eval(s0, alpha, order, shared, regularized, line)
     except (HZetaError, ValueError):
-        if line.order == order and shared.k == _shared_params([(s0, alpha)], p).k:
+        if line.order == order and shared.k == _shift(s0, alpha, p):
             raise
         return _series_eval(s0, alpha, order, p, regularized)
 

@@ -21,10 +21,12 @@ keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized),
 and its m = 1 jets by (w0, "dalpha").  They lie on two lines, Im s = Im s0
 and Im s = 0 (at 0, 1 and 2), each with one zetacore.TailLine holding its
 Euler-Maclaurin tails (see hurwitz._series_eval) at the largest order it
-needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p fixes k: the
-largest automatic shift of alpha and alpha +- h at its points.  Both
-depend on the point alone, so no report depends on the order of the calls.
-A failing evaluation raises its solo call's error, and is not kept.
+needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p fixes k:
+hurwitz._shared_params of alpha and alpha +- h at its points, priced for
+the line where they all lie at Re s >= 0.  Both depend on the point alone,
+so no report depends on the order of the calls.  An evaluation agrees with
+its solo call within the two estimates, and a failing one raises its solo
+call's error, and is not kept.
 """
 
 from __future__ import annotations

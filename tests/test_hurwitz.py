@@ -329,7 +329,9 @@ class TestBatch:
         p = hzeta.hurwitz.DEFAULT_PARAMS
         shifts = [hzeta.hurwitz._resolve_k(s0, alpha, p) for alpha in BATCH_ALPHAS]
         assert 2 <= len(set(shifts)) < len(shifts)
-        k = max(shifts)
+        # the line's shift, priced for the whole batch, is past every solo shift
+        k = hzeta.hurwitz._shared_params([(s0, alpha) for alpha in BATCH_ALPHAS], p).k
+        assert k > max(shifts)
         # whichever alpha runs first computes the shared tails
         for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
             batch = _per_alpha(s0, alphas, order, p, regularized=regularized)
@@ -376,34 +378,40 @@ class TestBatch:
         assert str(info.value) == str(want)
 
     def test_alpha_past_the_head_cap_sets_no_shift(self, monkeypatch):
-        # the shift of 1.4e5, 245001, passes the head's cap, so the shared
-        # shift stays 2, that of 0.5, and 1.4e5 raises what it raises alone
-        alphas = (0.5, 1.4e5)
+        # the shift of 1.4e5, 245001, passes the head's cap, so the line's
+        # shift is that of 0.5 alone, and 1.4e5 raises what it raises alone;
+        # hurwitz_jet_many keeps 0.5's own shift 2
+        alphas, p = (0.5, 1.4e5), SeriesParams()
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 2) for alpha in alphas]
         assert solo[0].k_used == 2 and isinstance(solo[1], Nonconvergence)
+        k = hzeta.hurwitz._shared_params([(2.0, 0.5)], p).k
+        assert hzeta.hurwitz._shared_params([(2.0, alpha) for alpha in alphas], p).k == k
+        at_k = hurwitz_jet(2.0, 0.5, 2, SeriesParams(k=k))
         calls = _count_tails(monkeypatch)
-        for batch in (lambda: _per_alpha(2.0, alphas, 2, SeriesParams()),
-                      lambda: hurwitz_jet_many(2.0, alphas, 2)):
+        for batch, first in ((lambda: _per_alpha(2.0, alphas, 2, p), at_k),
+                             (lambda: hurwitz_jet_many(2.0, alphas, 2), solo[0])):
             calls.clear()
             with pytest.raises(Nonconvergence) as info:
                 batch()
             assert str(info.value) == str(solo[1])
-            assert len(calls) == 1 + solo[0].terms_used
-            assert {start for _, start in calls} == {2}
+            assert len(calls) == 1 + first.terms_used
+            assert {start for _, start in calls} == {first.k_used}
 
     def test_first_failure_stops_the_batch(self, monkeypatch):
-        # 0.05 converges within the cap, alone and at the shared shift 5,
-        # that of 2 + 1j, and 0.5 does not, there or alone at its shift 2;
-        # 2 + 1j would hit the cap too, and 0.0 is excluded
+        # 0.05 converges within the cap, alone and at the line's shift k,
+        # and 0.5 does not, there or alone at its shift 2; 2 + 1j would hit
+        # the cap too, and 0.0 is excluded
         p, alphas = SeriesParams(n_max=8), (0.05, 0.5, 2 + 1j, 0.0)
+        k = hzeta.hurwitz._shared_params([(2.0, alpha) for alpha in alphas], p).k
+        assert k > 5  # the largest solo shift, that of 2 + 1j
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 1, p) for alpha in alphas]
         assert not isinstance(solo[0], Exception)
         assert isinstance(solo[1], Nonconvergence) and solo[1].result.k_used == 2
         calls = _count_tails(monkeypatch)
-        # on the shared line every tail of the shift 5 once, then those of
+        # on the shared line every tail of the shift k once, then those of
         # the solo call of 0.5; in hurwitz_jet_many those of the shift 2
         # once; none of the shift 1 of 0.0 in either
-        for batch, starts in ((lambda: _per_alpha(2.0, alphas, 1, p), [5] * 9 + [2] * 9),
+        for batch, starts in ((lambda: _per_alpha(2.0, alphas, 1, p), [k] * 9 + [2] * 9),
                               (lambda: hurwitz_jet_many(2.0, alphas, 1, p), [2] * 9)):
             calls.clear()
             with pytest.raises(Nonconvergence) as info:
@@ -447,6 +455,111 @@ class TestBatch:
             hurwitz_jet_many(float("nan"), [])
         with pytest.raises(ValueError, match="^r must be >= 0"):
             hurwitz_jet_many(2.0, [], r=-1)
+
+
+def _line(rng, n, re_s=(0.0, 3.0)) -> list:
+    """n seeded (s0, alpha) pairs on one line Im s = const, as verify makes
+    them: alpha and alpha +- h at each of a few s."""
+    t = rng.uniform(0.0, 2.0)
+    alpha = complex(rng.uniform(0.3, 6.0), rng.uniform(-2.0, 2.0))
+    ws = [complex(rng.uniform(*re_s), t) for _ in range(n)]
+    return [(w, a) for w in ws for a in (alpha, alpha + 1e-4, alpha - 1e-4)]
+
+
+class TestLineShift:
+    """A line of evaluations sharing their tails takes, where every point has
+    Re s >= 0, the cheapest shift by _line_cost on the ladder k0, ceil(1.5 k0),
+    ... from the largest automatic shift k0; elsewhere k0."""
+
+    P = hzeta.hurwitz.DEFAULT_PARAMS
+
+    def _k0(self, points) -> int:
+        return max(k for s0, alpha in points
+                   if (k := hzeta.hurwitz._shift(s0, alpha, self.P)) is not None)
+
+    def test_cheapest_on_the_ladder(self):
+        import random
+
+        rng, longer = random.Random(25), 0
+        for _ in range(200):
+            points = _line(rng, rng.randrange(1, 4))
+            k0 = k = self._k0(points)
+            a = max(abs(alpha) for _, alpha in points)
+            size = max(abs(s0) for s0, _ in points)
+            ladder = []
+            while k <= hzeta.hurwitz._MAX_BOUNDARY:
+                ladder.append((hzeta.hurwitz._line_cost(k, a, size, len(points)), k))
+                k = math.ceil(1.5 * k)
+            got = hzeta.hurwitz._shared_params(points, self.P).k
+            assert got == min(ladder)[1] and got >= k0
+            longer += got > k0
+        assert longer >= 150
+
+    def test_readme_point(self):
+        # verify's lines at s = 0.5 + 1i, alpha = 1.3 + 0.4i: each takes 14
+        # where the largest automatic shift is 4
+        alphas = (1.3 + 0.4j, 1.3001 + 0.4j, 1.2999 + 0.4j)
+        for ws in ((0.5 + 1j, 1.5 + 1j), (0.0, 1.0, 2.0)):
+            points = [(w, a) for w in ws for a in alphas]
+            assert self._k0(points) == 4
+            assert hzeta.hurwitz._shared_params(points, self.P).k == 14
+
+    def test_explicit_k_passes_through(self):
+        import random
+
+        rng = random.Random(26)
+        for k in (1, 7, 40):
+            p = SeriesParams(k=k, n_max=50, tol=1e-10)
+            for re_s in ((0.0, 3.0), (-2.5, 3.0)):
+                assert hzeta.hurwitz._shared_params(_line(rng, 2, re_s), p) is p
+
+    def test_left_half_plane_keeps_the_largest_shift(self):
+        import random
+
+        rng = random.Random(27)
+        for _ in range(100):
+            points = _line(rng, 2) + [(complex(rng.uniform(-2.5, -1e-9), 1.0), 1.5 + 1j)]
+            assert hzeta.hurwitz._shared_params(points, self.P).k == self._k0(points)
+        # -0.0 is at Re s >= 0, as it is for the solo shift
+        points = [(complex(-0.0, 1.0), 1.3 + 0.4j)]
+        assert hzeta.hurwitz._shared_params(points, self.P).k > self._k0(points)
+
+    @pytest.mark.parametrize("cap", [2000, None])
+    def test_head_cap_and_excluded_points(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(hzeta.hurwitz, "_MAX_BOUNDARY", cap)
+        cap = hzeta.hurwitz._MAX_BOUNDARY
+        # |alpha| up to where the largest automatic shift reaches the cap,
+        # and alphas next to the excluded points -n
+        big = [0.5 * cap / 1.75, 0.9 * cap / 1.75, (cap - 2) / 1.75, (cap - 1) / 1.75]
+        near = [-n + d for n in (1, 2, 5, 30) for d in (5e-13, 2e-12, 0.3, -0.3)]
+        for alpha in big + near:
+            for ws in ((0.5 + 1j, 1.5 + 1j), (0.0, 1.0, 2.0), (3.0,)):
+                points = [(w, a) for w in ws for a in (alpha, alpha + 1e-4)]
+                k = hzeta.hurwitz._shared_params(points, self.P).k
+                assert self._k0(points) <= k <= cap
+                for s0, a in points:
+                    shift = hzeta.hurwitz._shift(s0, a, self.P)
+                    if shift is None:  # past the cap alone: no part of the line
+                        continue
+                    solo = _outcome(hzeta.hurwitz._check_head, complex(a), shift)
+                    line = _outcome(hzeta.hurwitz._check_head, complex(a), k)
+                    assert type(line) is type(solo), (alpha, s0)
+
+    def test_one_evaluation_costs_what_the_solo_ladder_does(self):
+        import random
+
+        rng = random.Random(28)
+        for _ in range(1000):
+            a, size = rng.uniform(1e-3, 50.0), rng.uniform(0.0, 120.0)
+            k = choose_k(a) + rng.randrange(0, 500)
+            log_k, log_a = math.log(k), math.log(a)
+            # the cost _left_half_shift priced its candidates with before
+            solo = k + hzeta.hurwitz._TERM_COST * (
+                9.0 + 1.7 * (a * size) / k + 18.0 / (log_k - log_a))
+            assert hzeta.hurwitz._line_cost(k, a, size) == solo
+            assert hzeta.hurwitz._line_cost(k, a, size, 1) == solo
+            assert hzeta.hurwitz._line_cost(k, a, size, 2) > solo
 
 
 class TestHeadCap:

@@ -19,6 +19,7 @@ from hzeta import (
     dgamma_dalpha,
     hurwitz_alpha_derivative,
     hurwitz_jet,
+    hurwitz_regularized_jet,
     verify_identity,
 )
 from hzeta.oracles import hurwitz_em_oracle
@@ -225,9 +226,43 @@ class TestSharedEvaluations:
         assert cli.main(["verify", "--identity", "all", "--grid", str(grid)]) == 0
         capsys.readouterr()
         # one shift and one order per line: order r + 1 = 3 on Im s = 0 and
-        # r = 2 on Im s = 1; six identities on fresh points make 187
-        assert sorted(set(calls)) == [(0.0, 4, 3), (1.0, 4, 2)]
-        assert len(calls) == 65
+        # r = 2 on Im s = 1, both lines at Re s >= 0, where the shift is
+        # priced for the line (65 tails at the largest solo shift, 4); six
+        # identities on fresh points make 95
+        assert sorted(set(calls)) == [(0.0, 14, 3), (1.0, 14, 2)]
+        assert len(calls) == 34
+
+    def test_line_evaluations_agree_with_solo_calls(self, monkeypatch):
+        # a seeded grid over the verify box, a real s0 (whose Im s = 0 line
+        # holds five points) and a few points at r = 12: each evaluation on
+        # a shared line agrees with its solo call within both estimates
+        rng = random.Random(2025)
+        points = [(complex(rng.uniform(-2.5, 3.0), rng.uniform(0.0, 2.0)),
+                   complex(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2.0)), r)
+                  for r in (*range(5), *range(5), *range(5), 12, 12)]
+        points.append((0.7 + 0j, 1.3 + 0.4j, 2))
+        seen = []
+        shared_eval = identities._shared_eval
+
+        def recording(w0, alpha, order, p, shared, regularized, line):
+            result = shared_eval(w0, alpha, order, p, shared, regularized, line)
+            seen.append((w0, alpha, order, regularized, result))
+            return result
+
+        monkeypatch.setattr(identities, "_point", (None, {}, {}))
+        monkeypatch.setattr(identities, "_shared_eval", recording)
+        for s0, alpha, r in points:
+            for name in IDENTITY_NAMES:
+                verify_identity(name, s0, alpha, r)
+        longer = 0
+        for w0, alpha, order, regularized, got in seen:
+            solo = (hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, order)
+            longer += got.k_used > solo.k_used
+            bound = got.err_estimate + solo.err_estimate
+            for g, w in zip(got.value.coeffs, solo.value.coeffs):
+                assert abs(g - w) <= bound + 4 * math.ulp(max(abs(g), abs(w))), (
+                    w0, alpha, order, regularized)
+        assert len(seen) > 150 and longer > len(seen) // 2
 
     def test_any_call_order_matches_fresh_reports(self, monkeypatch):
         tests_dir = os.path.dirname(os.path.abspath(__file__))

@@ -21,6 +21,14 @@ side that goes first alternating from round to round:
                    (M runs from 27 down to 15): the cost of one tail, per
                    tail, over TAIL_PASSES passes.
 
+With --workload verify_all the measures are instead "verify total" and
+"verify p90 pair": one pass over every identity of every point of the
+perfbench verify_all grids of --seed, in the order `hzeta verify --identity
+all` takes them, with identities._point reset first; the pass's total, and
+the 90th percentile of its times per (identity, point) pair, the unit of
+perfbench's latency.  perfbench's own verify_all throughput also counts each
+grid process's start-up and import; this is the library's share alone.
+
 One process and interleaved rounds put both sides on the same machine
 state, so the ratio work/ref is steadier than two separate runs.  For each
 measure it prints each side's median over the rounds and the per-round
@@ -47,6 +55,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 LIBRARY_POOLS = ("sweep_values", "jets_deep")
+VERIFY = "verify_all"
 LINE_W0, LINE_START, LINE_TAILS = complex(-3.5, 20.0), 8, 37
 TAIL_ORDERS = (0, 6, 12)
 TAIL_PASSES = 4  # passes along the line per reading
@@ -95,6 +104,25 @@ def time_pool(pkg, pool: list[dict]) -> float:
     return time.process_time() - t0
 
 
+def verify_timer(pkg, points: list[dict]):
+    """A function giving the CPU seconds of one pass over points, each
+    identity of each point in turn, and of the pass's 90th-percentile pair."""
+    identities = sys.modules[pkg.__name__ + ".identities"]
+
+    def one_pass() -> tuple[float, float]:
+        identities._point = (None, {}, {})
+        pairs = []
+        for op in points:
+            for name in identities.IDENTITY_NAMES:
+                t0 = time.process_time()
+                identities.verify_identity(name, op["s"], op["alpha"], op["r"])
+                pairs.append(time.process_time() - t0)
+        pairs.sort()
+        return sum(pairs), pairs[int(0.9 * len(pairs))]
+
+    return one_pass
+
+
 def tail_timer(pkg, order: int):
     """A function giving the CPU seconds per tail of TAIL_PASSES passes
     along the line, on a line warmed by one pass so rows are computed once."""
@@ -116,7 +144,7 @@ def tail_timer(pkg, order: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git revision or path of the other tree")
-    parser.add_argument("--workload", choices=LIBRARY_POOLS, default="sweep_values")
+    parser.add_argument("--workload", choices=(*LIBRARY_POOLS, VERIFY), default="sweep_values")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=8)
     args = parser.parse_args(argv)
@@ -127,32 +155,43 @@ def main(argv=None) -> int:
         sides = {"work": load_package(ROOT / "src", "hzeta_work"),
                  "ref": load_package(ref_src(args.ref, tmp), "hzeta_ref")}
     pool = workloads.POOLS[args.workload](args.seed)
-    left = [op["kind"] == "jet" and op["s"].real < 0 for op in pool]
-    halves = {"pool Re s<0": [op for op, at in zip(pool, left) if at],
-              "pool Re s>=0": [op for op, at in zip(pool, left) if not at]}
-    measures = {name: {side: (lambda pkg=pkg, ops=ops: time_pool(pkg, ops))
-                       for side, pkg in sides.items()}
-                for name, ops in halves.items()}
-    for r in TAIL_ORDERS:
-        measures[f"tail r={r}"] = {side: tail_timer(pkg, r) for side, pkg in sides.items()}
+    # each measure's timers, one per side, give one reading per name
+    measures: dict[tuple, dict] = {}
+    if args.workload == VERIFY:
+        pool = [op for grid in pool for op in grid]
+        measures[("verify total", "verify p90 pair")] = {
+            side: verify_timer(pkg, pool) for side, pkg in sides.items()}
+        sizes = f"{len(pool)} points"
+    else:
+        left = [op["kind"] == "jet" and op["s"].real < 0 for op in pool]
+        halves = {"pool Re s<0": [op for op, at in zip(pool, left) if at],
+                  "pool Re s>=0": [op for op, at in zip(pool, left) if not at]}
+        for name, ops in halves.items():
+            measures[(name,)] = {side: (lambda pkg=pkg, ops=ops: (time_pool(pkg, ops),))
+                                 for side, pkg in sides.items()}
+        for r in TAIL_ORDERS:
+            measures[(f"tail r={r}",)] = {side: (lambda t=tail_timer(pkg, r): (t(),))
+                                          for side, pkg in sides.items()}
+        sizes = f"{' + '.join(str(len(ops)) for ops in halves.values())} ops"
     # the warm-up of perfbench's worker, so lazy tables are filled before timing
     for pkg in sides.values():
         pkg.hurwitz_jet(0.5 + 3j, 1.7, 0)
         pkg.generalized_stieltjes(0.5, 0)
 
-    times = {name: {side: [] for side in sides} for name in measures}
+    times = {name: {side: [] for side in sides} for names in measures for name in names}
     for n in range(args.rounds):
         order = ("work", "ref") if n % 2 == 0 else ("ref", "work")
-        for name, timers in measures.items():
+        for names, timers in measures.items():
             for side in order:
-                times[name][side].append(timers[side]())
+                for name, reading in zip(names, timers[side]()):
+                    times[name][side].append(reading)
 
     print(f"work = {ROOT / 'src'}, ref = {args.ref}; {args.workload} seed {args.seed} "
-          f"({' + '.join(str(len(ops)) for ops in halves.values())} ops), "
-          f"{args.rounds} rounds, CPU time")
+          f"({sizes}), {args.rounds} rounds, CPU time")
     print("measure\twork\tref\tratio median\tratio range")
+    units = {"pool": ("s", 1.0), "verify": ("ms", 1e3), "tail": ("us", 1e6)}
     for name, by_side in times.items():
-        unit, scale = ("s", 1.0) if name.startswith("pool") else ("us", 1e6)
+        unit, scale = units[name.split()[0]]
         ratios = [w / r for w, r in zip(by_side["work"], by_side["ref"])]
         print(f"{name}\t{scale * statistics.median(by_side['work']):.3f} {unit}\t"
               f"{scale * statistics.median(by_side['ref']):.3f} {unit}\t"

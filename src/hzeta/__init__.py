@@ -15,6 +15,7 @@ from .hurwitz import (
 from .identities import (
     IDENTITY_NAMES,
     IdentityReport,
+    VerifyPoint,
     dalpha_of_sderiv,
     dalpha_sderiv_at_zero,
     verify_identity,
@@ -41,6 +42,7 @@ __all__ = [
     "Nonconvergence",
     "PoleAtOne",
     "SeriesParams",
+    "VerifyPoint",
     "choose_k",
     "dalpha_of_sderiv",
     "dalpha_sderiv_at_zero",

@@ -17,7 +17,7 @@ import sys
 
 from .errors import DomainError, HZetaError, NearPole, Nonconvergence, PoleAtOne
 from .hurwitz import DEFAULT_PARAMS, SeriesParams, hurwitz_jet, nearest_excluded
-from .identities import IDENTITY_NAMES, verify_identity
+from .identities import IDENTITY_NAMES, VerifyPoint, verify_identity
 from .stieltjes import MAX_GENERALIZED_ORDER, generalized_stieltjes
 
 EXIT_OK = 0
@@ -208,14 +208,10 @@ def _load_grid(path: str) -> list[tuple[complex, complex, int]]:
     return points
 
 
-def _default_grid(identity: str) -> list[tuple[complex, complex, int]]:
-    if identity in ("AT_ZERO", "AT_ONE", "GAMMA_DERIV"):
-        s_grid = (0j,)
-    else:
-        s_grid = _DEFAULT_S_GRID
+def _default_grid(at_zero: bool) -> list[tuple[complex, complex, int]]:
     return [
         (complex(s), complex(a), r)
-        for s in s_grid
+        for s in ((0j,) if at_zero else _DEFAULT_S_GRID)
         for a in _DEFAULT_ALPHA_GRID
         for r in _DEFAULT_R_GRID
     ]
@@ -228,40 +224,42 @@ def cmd_verify(args) -> tuple[list[dict], int]:
         name = args.identity.upper()
         names = ["MIXED_PARTIALS" if name == "MIXED" else name]
     points = None if args.grid == "default" else _load_grid(args.grid)
-    pairs = [(name, point) for name in names
-             for point in (_default_grid(name) if points is None else points)]
-
-    # Run the pairs point by point, so that the identities of one point share
-    # its evaluations (see identities._point); report them identity by identity.
-    first: dict[tuple, int] = {}  # each point's first pair
-    for i, (_, point) in enumerate(pairs):
-        first.setdefault(point, i)
-    outcomes = [None] * len(pairs)
-    for i in sorted(range(len(pairs)), key=lambda i: first[pairs[i][1]]):
-        name, (s, alpha, r) = pairs[i]
-        try:
-            outcomes[i] = verify_identity(name, s, alpha, r, h=args.h)
-        except (HZetaError, ValueError) as exc:
-            outcomes[i] = exc
+    # A grid row is a point: the names on its grid run on one VerifyPoint,
+    # which shares their evaluations; report them identity by identity.  On
+    # the default grid, the names that do not read s have rows at s = 0.
+    groups: dict[bool, list[str]] = {}
+    for name in names:
+        at_zero = points is None and name in ("AT_ZERO", "AT_ONE", "GAMMA_DERIV")
+        groups.setdefault(at_zero, []).append(name)
+    outcomes: dict[str, list] = {name: [] for name in names}
+    for at_zero, group in groups.items():
+        for row in _default_grid(at_zero) if points is None else points:
+            point = VerifyPoint(*row, h=args.h)
+            for name in group:
+                try:
+                    outcomes[name].append((row, verify_identity(name, point)))
+                except (HZetaError, ValueError) as exc:
+                    outcomes[name].append((row, exc))
 
     records = []
     max_residual = 0.0
     error_exit = None  # the exit code of the first errored pair
-    for (name, (s, alpha, r)), rep in zip(pairs, outcomes):
-        if isinstance(rep, ValueError):
-            raise rep
-        head = {"command": "verify", "identity": name, "s": s, "alpha": alpha, "r": r}
-        if isinstance(rep, HZetaError):
-            record, code = _error_record(head, rep)
-            records.append(record)
-            error_exit = error_exit or code
-            continue
-        max_residual = max(max_residual, rep.rel_residual)
-        records.append({
-            **head, "lhs": rep.lhs, "rhs": rep.rhs,
-            "abs_residual": rep.abs_residual, "rel_residual": rep.rel_residual,
-            "status": "OK" if rep.rel_residual <= _VERIFY_TOL else "FAIL",
-        })
+    for name in names:
+        for (s, alpha, r), rep in outcomes[name]:
+            if isinstance(rep, ValueError):
+                raise rep
+            head = {"command": "verify", "identity": name, "s": s, "alpha": alpha, "r": r}
+            if isinstance(rep, HZetaError):
+                record, code = _error_record(head, rep)
+                records.append(record)
+                error_exit = error_exit or code
+                continue
+            max_residual = max(max_residual, rep.rel_residual)
+            records.append({
+                **head, "lhs": rep.lhs, "rhs": rep.rhs,
+                "abs_residual": rep.abs_residual, "rel_residual": rep.rel_residual,
+                "status": "OK" if rep.rel_residual <= _VERIFY_TOL else "FAIL",
+            })
     statuses = [record["status"] for record in records]
     failures, errors = statuses.count("FAIL"), statuses.count("ERROR")
     records.append({

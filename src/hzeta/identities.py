@@ -16,17 +16,17 @@ so the 0 * pole product at s = 0 is never formed.  The finite-difference
 route differentiates the s-jet numerically in alpha and is what
 verify_identity compares against.
 
-verify_identity keeps the evaluations of its last point (s0, alpha, r, p, h),
-keyed exactly (to the sign of a zero) by (w0, alphas, order, regularized),
-and its m = 1 jets by (w0, "dalpha").  They lie on two lines, Im s = Im s0
-and Im s = 0 (at 0, 1 and 2), each with one zetacore.TailLine holding its
-Euler-Maclaurin tails (see hurwitz._series_eval) at the largest order it
-needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p fixes k:
-hurwitz._shared_params of alpha and alpha +- h at its points, priced for
-the line where they all lie at Re s >= 0.  Both depend on the point alone,
-so no report depends on the order of the calls.  An evaluation agrees with
-its solo call within the two estimates, and a failing one raises its solo
-call's error, and is not kept.
+A VerifyPoint (s0, alpha, r, p, h) keeps the evaluations its identities
+share, keyed exactly (to the sign of a zero) by (w0, alphas, order,
+regularized), and its m = 1 jets by (w0, "dalpha").  They lie on two lines,
+Im s = Im s0 and Im s = 0 (at 0, 1 and 2), each with one zetacore.TailLine
+holding its Euler-Maclaurin tails (see hurwitz._series_eval) at the largest
+order it needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p
+fixes k: hurwitz._shared_params of alpha and alpha +- h at its points,
+priced for the line where they all lie at Re s >= 0.  Both depend on the
+point alone, so a report is the one a fresh point gives, in any order of
+the calls.  An evaluation agrees with its solo call within the two
+estimates, and a failing one raises its solo call's error, and is not kept.
 """
 
 from __future__ import annotations
@@ -96,106 +96,99 @@ def dalpha_sderiv_at_zero(
     return dalpha_of_sderiv(0.0, alpha, r, p)
 
 
-# the last point's key, its evaluations and its lines
-_point: tuple = (None, {}, {})
+class VerifyPoint:
+    """One point (s0, alpha, r, p, h) of verify_identity and the evaluations
+    its identities share, kept for as long as the object lives.  s0, alpha
+    and r are kept as given, so error messages name the point as passed."""
+
+    def __init__(self, s0: complex, alpha: complex, r: int,
+                 p: SeriesParams | None = None, h: float = 1e-4):
+        if not 0 < h < math.inf:
+            raise ValueError(
+                f"finite-difference step h must be a positive finite number, got {h!r}"
+            )
+        self.s0, self.alpha, self.r, self.p, self.h = s0, alpha, r, p or DEFAULT_PARAMS, h
+        self.evals, self._lines = {}, {}
+
+    def _line(self, w0: complex) -> tuple:
+        # the shared params and TailLine of w0's line, fixed by the point:
+        # Im s = Im s0 at order r, or Im s = +0, with 0, 1 and 2, at r + 1
+        zero = _exact(complex(w0).imag) == _exact(0.0)
+        if zero not in self._lines:
+            s0, alpha, h = complex(self.s0), self.alpha, self.h
+            ws = [0.0, 1.0, 2.0] if zero else []
+            ws += [s0, s0 + 1] if (_exact(s0.imag) == _exact(0.0)) == zero else []
+            pairs = [(w, a) for w in ws for a in (alpha, alpha + h, alpha - h)]
+            line = TailLine(complex(w0).imag, self.r + 1 if zero else self.r)
+            self._lines[zero] = _shared_params(pairs, self.p), line
+        return self._lines[zero]
+
+    def _batch(self, w0: complex, alphas: tuple, order: int, regularized=False) -> list:
+        # alphas is (alpha,) or (alpha + h, alpha - h)
+        at = (_exact(complex(w0)), len(alphas), order, regularized)
+        if at not in self.evals:
+            shared, line = self._line(w0)
+            self.evals[at] = [_shared_eval(w0, a, order, self.p, shared, regularized, line)
+                              for a in alphas]
+        return self.evals[at]
+
+    def jet(self, w0: complex, regularized: bool = False):
+        return self._batch(w0, (self.alpha,), self.r, regularized)[0]
+
+    def fd_sderiv(self, w0: complex) -> complex:
+        r, h = self.r, self.h
+        plus, minus = self._batch(w0, (self.alpha + h, self.alpha - h), r)
+        return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
+
+    def dalpha(self, w0: complex) -> Jet:
+        # the jet in s of d/d alpha zeta(s, alpha) at w0, on this point's evaluations
+        at = (_exact(complex(w0)), "dalpha")
+        if at not in self.evals:
+            self.evals[at] = _alpha_derivative(w0, 1, self.r, self.jet).value
+        return self.evals[at]
+
+    def fd_gamma(self) -> complex:
+        r, h = self.r, self.h
+        _check_order("r", r)
+        plus, minus = self._batch(1.0, (self.alpha + h, self.alpha - h), r + 1, True)
+        return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
 
 
-def verify_identity(
-    name: str,
-    s0: complex,
-    alpha: complex,
-    r: int,
-    p: SeriesParams | None = None,
-    h: float = 1e-4,
-) -> IdentityReport:
-    """Check one identity at one point: lhs from central finite
-    differences in alpha, rhs from the closed form.  The name must be one
-    of IDENTITY_NAMES."""
-    global _point
-    p = p or DEFAULT_PARAMS
-    if not 0 < h < math.inf:
-        raise ValueError(
-            f"finite-difference step h must be a positive finite number, got {h!r}"
-        )
+def verify_identity(name: str, point: VerifyPoint) -> IdentityReport:
+    """Check the identity name, one of IDENTITY_NAMES, at point: lhs from
+    central finite differences in alpha, rhs from the closed form."""
     key = name.upper()
     if key not in IDENTITY_NAMES:
         raise ValueError(
             f"unknown identity {name!r}; expected one of {', '.join(IDENTITY_NAMES)}"
         )
-    point_key = (_exact(complex(s0)), _exact(complex(alpha)), r, p, h)
-    point = _point
-    if point[0] != point_key:
-        point = _point = (point_key, {}, {})
-    _, evals, lines = point
-
-    s0c = complex(s0)
-
-    def line_of(w0: complex) -> tuple:
-        # the shared params and TailLine of w0's line, fixed by the point:
-        # Im s = Im s0 at order r, or Im s = +0, with 0, 1 and 2, at r + 1
-        zero = _exact(complex(w0).imag) == _exact(0.0)
-        if zero not in lines:
-            ws = [0.0, 1.0, 2.0] if zero else []
-            ws += [s0c, s0c + 1] if (_exact(s0c.imag) == _exact(0.0)) == zero else []
-            pairs = [(w, a) for w in ws for a in (alpha, alpha + h, alpha - h)]
-            line = TailLine(complex(w0).imag, r + 1 if zero else r)
-            lines[zero] = _shared_params(pairs, p), line
-        return lines[zero]
-
-    def batch(w0: complex, alphas: tuple, order: int, regularized: bool = False) -> list:
-        # alphas is (alpha,) or (alpha + h, alpha - h)
-        at = (_exact(complex(w0)), len(alphas), order, regularized)
-        if at not in evals:
-            shared, line = line_of(w0)
-            evals[at] = [_shared_eval(w0, a, order, p, shared, regularized, line)
-                         for a in alphas]
-        return evals[at]
-
-    def jet(w0: complex, regularized: bool = False):
-        return batch(w0, (alpha,), r, regularized)[0]
-
-    def fd_sderiv(w0: complex) -> complex:
-        plus, minus = batch(w0, (alpha + h, alpha - h), r)
-        return (plus.value.derivative(r) - minus.value.derivative(r)) / (2.0 * h)
-
-    def dalpha(w0: complex) -> Jet:
-        # the jet in s of d/d alpha zeta(s, alpha) at w0, on this point's evaluations
-        at = (_exact(complex(w0)), "dalpha")
-        if at not in evals:
-            evals[at] = _alpha_derivative(w0, 1, r, jet).value
-        return evals[at]
-
-    def fd_gamma() -> complex:
-        _check_order("r", r)
-        plus, minus = batch(1.0, (alpha + h, alpha - h), r + 1, True)
-        return (plus.value.coeffs[r + 1] - minus.value.coeffs[r + 1]) / (2.0 * h)
-
+    s0, alpha, r, h = point.s0, point.alpha, point.r, point.h
     try:
         # before any line is built, so that a bad r raises the evaluation's error
         _check_count("r", r, 0)
         if key in ("RECURRENCE", "MIXED_PARTIALS"):
-            lhs = fd_sderiv(s0)
-            rhs = dalpha(s0).derivative(r)
+            lhs = point.fd_sderiv(s0)
+            rhs = point.dalpha(s0).derivative(r)
             notes = (f"fd(h={h:g}) of sderiv r={r} at s={s0} vs shifted closed form"
                      if key == "RECURRENCE" else
                      f"fd(h={h:g}) in alpha of d^{r}/ds^{r} vs analytic mixed partial")
         elif key == "INTERCHANGE":
-            lhs = fd_sderiv(s0)
+            lhs = point.fd_sderiv(s0)
             # d^r/ds^r of -s*zeta(s+1,alpha), via the entire product jet
-            rhs = -jet(complex(s0) + 1, True).value.derivative(r)
+            rhs = -point.jet(complex(s0) + 1, True).value.derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} vs jet of -s*zeta(s+1,a)"
         elif key == "AT_ZERO":
-            lhs = fd_sderiv(0.0)
+            lhs = point.fd_sderiv(0.0)
             _check_order("r", r, MAX_GENERALIZED_ORDER + 1)
-            rhs = complex(-1.0) if r == 0 else dalpha(0.0).derivative(r)
+            rhs = complex(-1.0) if r == 0 else point.dalpha(0.0).derivative(r)
             notes = f"fd(h={h:g}) of sderiv r={r} at s=0 vs -r! gamma_(r-1)"
         elif key == "AT_ONE":
-            lhs = math.factorial(r) * fd_gamma()
-            rhs = dalpha(1.0).derivative(r)
+            lhs = math.factorial(r) * point.fd_gamma()
+            rhs = point.dalpha(1.0).derivative(r)
             notes = f"r! * fd(h={h:g}) of gamma_{r}(alpha) vs defined value at s=1"
         else:  # GAMMA_DERIV
-            lhs = fd_gamma()
-            rhs = dalpha(1.0).coeffs[r]
+            lhs = point.fd_gamma()
+            rhs = point.dalpha(1.0).coeffs[r]
             notes = f"fd(h={h:g}) of gamma_{r}(alpha) vs closed form at s=2"
     except (HZetaError, ValueError) as exc:
         # the same exception, so its type, result and traceback survive

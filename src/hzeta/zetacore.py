@@ -298,7 +298,8 @@ def em_tail_jet(
 
     The estimate is twice the largest coefficient of the last Bernoulli
     correction, c_10 (w)_19 M**-w, plus a rounding allowance proportional
-    to the largest summand, bounded through the rows' majorants.  A total
+    to the largest summand, bounded through the rows' majorants, and 4 eps
+    times the pole term, the base and the corrections added at M.  A total
     or estimate that is not finite raises DomainError.
     """
     w0 = require_finite(complex(w0), "s")
@@ -355,9 +356,12 @@ def em_tail_jet(
     corr, last = _corrections(w0, base, line.factors(boundary))
     total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
 
-    err = 2.0 * last + 8.0 * 2.220446049250313e-16 * peak * math.sqrt(
-        max(boundary - start, 1)
-    )
+    # row M's majorant (major's last) times the pole term (over w - 1 unless
+    # regularized), the base, and the corrections, which the base bounds
+    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
+             else pole_mag / abs(wm1) + 2.0 * edge_mag)
+    err = 2.0 * last + 2.220446049250313e-16 * (
+        8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * next(major) * large)
     if not (math.isfinite(err) and all(map(cmath.isfinite, total))):
         raise DomainError(
             f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "

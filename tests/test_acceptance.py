@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from hzeta import (
+    VerifyPoint,
     choose_k,
     dalpha_sderiv_at_zero,
     dgamma_dalpha,
@@ -120,7 +121,7 @@ def test_recurrence():
     for s0 in (-2.5, -1.0, -0.3, 0.5, 2.0, 3 + 2j):
         for alpha in (0.3, 1.0, 1.7, 2 + 2j):
             for r in range(4):
-                rep = verify_identity("RECURRENCE", s0, alpha, r, h=1e-4)
+                rep = verify_identity("RECURRENCE", VerifyPoint(s0, alpha, r, h=1e-4))
                 worst = max(worst, rep.rel_residual)
                 assert rep.rel_residual <= 1e-5, (
                     f"s={s0} alpha={alpha} r={r}: {rep.rel_residual:.2e}"
@@ -128,7 +129,7 @@ def test_recurrence():
     # the defined value at s = 1 against the Laurent route
     for alpha in (0.3, 1.0, 1.7, 2 + 2j):
         for r in range(4):
-            rep = verify_identity("AT_ONE", 1.0, alpha, r, h=1e-4)
+            rep = verify_identity("AT_ONE", VerifyPoint(1.0, alpha, r, h=1e-4))
             worst = max(worst, rep.rel_residual)
             assert rep.rel_residual <= 1e-5, f"s=1 alpha={alpha} r={r}"
     print(f"  worst residual {worst:.2e}")

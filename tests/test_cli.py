@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from hzeta import cli
-from hzeta.identities import verify_identity
+from hzeta import cli, identities
+from hzeta.identities import VerifyPoint, verify_identity
 
 CLI = [sys.executable, "-m", "hzeta"]
 
@@ -297,25 +297,31 @@ class TestVerify:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[:4])
+            calls.append((args, kwargs))
             return verify_identity(*args, **kwargs)
 
+        # the function perfbench times per pair, and its tracer spans
+        assert cli.verify_identity is identities.verify_identity
         grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "-0.5,2,1.3,0.4,0"])
         monkeypatch.setattr(cli, "verify_identity", counting)
         code, out, _ = run_main(monkeypatch, capsys, "verify", "--identity", "all",
                                 "--grid", grid)
         assert code == 0
         records = json_lines(out)
-        assert len(calls) == 6 * 2 == len(set(calls))
+        # as (name, point): one VerifyPoint per row, shared by its six identities
+        assert all(len(args) == 2 and isinstance(args[1], VerifyPoint) and not kwargs
+                   for args, kwargs in calls)
+        assert len(calls) == 6 * 2 == len({args for args, _ in calls})
+        assert len({args[1] for args, _ in calls}) == 2
         assert len(records) - 1 == records[-1]["points"] == len(calls)
 
     def test_runs_point_by_point_reports_identity_by_identity(self, tmp_path,
                                                               monkeypatch, capsys):
         calls = []
 
-        def recording(*args, **kwargs):
-            calls.append((args[0], args[1]))
-            return verify_identity(*args, **kwargs)
+        def recording(name, point):
+            calls.append((name, point.s0))
+            return verify_identity(name, point)
 
         grid = grid_file(tmp_path, ["1.6,0,0.9,0,1", "-0.5,2,1.3,0.4,0"])
         monkeypatch.setattr(cli, "verify_identity", recording)
@@ -328,6 +334,26 @@ class TestVerify:
         assert [(r["identity"], r["s"]["re"]) for r in records] == [
             (name, s) for name in names for s in (1.6, -0.5)
         ]
+
+    def test_rows_that_differ_in_the_sign_of_a_zero_are_points_of_their_own(
+            self, tmp_path, monkeypatch, capsys):
+        # at alpha = 0.3, r = 3 the rows at s = +0 and s = 0-0i differ in lhs
+        # and rhs; the CLI prints each row's reports from a fresh point
+        grid = grid_file(tmp_path, ["0,0,0.3,0,3", "-0,0,0.3,0,3", "0,-0,0.3,0,3"])
+        code, out, _ = run_main(monkeypatch, capsys, "verify", "--identity", "all",
+                                "--grid", grid)
+        assert code == 0
+        got = [tuple(repr(rec[key][part]) for key in ("s", "lhs", "rhs")
+                     for part in ("re", "im"))
+               for rec in json_lines(out)[:-1]]
+        want = []
+        for name in cli.IDENTITY_NAMES:
+            for s, alpha, r in cli._load_grid(grid):
+                rep = verify_identity(name, VerifyPoint(s, alpha, r))
+                want.append(tuple(repr(part) for z in (s, rep.lhs, rep.rhs)
+                                  for part in (z.real, z.imag)))
+        assert got == want
+        assert want[0] != want[2]
 
     def test_usage_error_of_the_first_pair_in_report_order(self, tmp_path):
         # point-major, AT_ONE at r = 13 (past R = 12) would come first

@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -13,6 +10,7 @@ from hzeta import (
     DomainError,
     Nonconvergence,
     SeriesParams,
+    VerifyPoint,
     cli,
     dalpha_of_sderiv,
     dalpha_sderiv_at_zero,
@@ -144,28 +142,28 @@ class TestAtZero:
 
 class TestVerifyIdentity:
     def test_interchange_example(self):
-        rep = verify_identity("INTERCHANGE", 2.0, 0.7, 2, h=1e-4)
+        rep = verify_identity("INTERCHANGE", VerifyPoint(2.0, 0.7, 2, h=1e-4))
         assert rep.rel_residual < 1e-5
 
     def test_recurrence_example(self):
-        rep = verify_identity("RECURRENCE", -1.5, 2.2, 1)
+        rep = verify_identity("RECURRENCE", VerifyPoint(-1.5, 2.2, 1))
         assert rep.rel_residual < 1e-6
 
     def test_at_zero_example(self):
-        rep = verify_identity("AT_ZERO", 0.0, 1.3, 3)
+        rep = verify_identity("AT_ZERO", VerifyPoint(0.0, 1.3, 3))
         assert rep.rel_residual < 1e-5
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown identity"):
-            verify_identity("BOGUS", 2.0, 0.5, 1)
+            verify_identity("BOGUS", VerifyPoint(2.0, 0.5, 1))
 
     def test_bad_step(self):
         for h in (0.0, -1e-4, math.nan, math.inf):
             with pytest.raises(ValueError, match="step h must be a positive finite"):
-                verify_identity("RECURRENCE", 2.0, 0.5, 1, h=h)
+                VerifyPoint(2.0, 0.5, 1, h=h)
 
     def test_report_fields(self):
-        rep = verify_identity("GAMMA_DERIV", 0.0, 0.5, 1)
+        rep = verify_identity("GAMMA_DERIV", VerifyPoint(0.0, 0.5, 1))
         assert rep.abs_residual == abs(rep.lhs - rep.rhs)
         assert rep.rel_residual == rep.abs_residual / max(
             1.0, abs(rep.lhs), abs(rep.rhs)
@@ -178,14 +176,13 @@ class TestRecurrenceGrid:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_residuals(self, s0, alpha):
         for r in (0, 1, 2, 3):
-            rep = verify_identity("RECURRENCE", s0, alpha, r, h=1e-4)
+            rep = verify_identity("RECURRENCE", VerifyPoint(s0, alpha, r, h=1e-4))
             assert rep.rel_residual <= 1e-5, (
                 f"s={s0} alpha={alpha} r={r}: {rep.rel_residual:.2e}"
             )
 
 
-# Points that share s and alpha but not r, the sign of a zero, h or p, so an
-# inexact cache key would hand one of them another's evaluations.
+# Points that share s and alpha but not r, the sign of a zero, h or p.
 SHARED_POINTS = (
     (2 + 0j, 0.7, 1, None, 1e-4),
     (complex(2, -0.0), 0.7, 1, None, 1e-4),
@@ -195,18 +192,6 @@ SHARED_POINTS = (
     (0j, 1.3 + 0.4j, 0, None, 1e-4),
     (complex(0.0, -0.0), 1.3 + 0.4j, 0, None, 1e-4),
 )
-
-FRESH_REPORTS = """
-import sys
-import hzeta.identities as identities
-from hzeta import IDENTITY_NAMES, SeriesParams
-from test_identities import SHARED_POINTS
-for point in SHARED_POINTS:
-    for name in IDENTITY_NAMES:
-        identities._point = (None, {}, {})
-        s0, alpha, r, p, h = point
-        print(repr(identities.verify_identity(name, s0, alpha, r, p, h)))
-"""
 
 
 class TestSharedEvaluations:
@@ -220,7 +205,6 @@ class TestSharedEvaluations:
 
         grid = tmp_path / "grid.csv"
         grid.write_text("s_re,s_im,alpha_re,alpha_im,r\n0.5,1,1.3,0.4,2\n")
-        monkeypatch.setattr(identities, "_point", (None, {}, {}))
         monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
         monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
         assert cli.main(["verify", "--identity", "all", "--grid", str(grid)]) == 0
@@ -249,11 +233,11 @@ class TestSharedEvaluations:
             seen.append((w0, alpha, order, regularized, result))
             return result
 
-        monkeypatch.setattr(identities, "_point", (None, {}, {}))
         monkeypatch.setattr(identities, "_shared_eval", recording)
         for s0, alpha, r in points:
+            point = VerifyPoint(s0, alpha, r)
             for name in IDENTITY_NAMES:
-                verify_identity(name, s0, alpha, r)
+                verify_identity(name, point)
         longer = 0
         for w0, alpha, order, regularized, got in seen:
             solo = (hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, order)
@@ -264,36 +248,34 @@ class TestSharedEvaluations:
                     w0, alpha, order, regularized)
         assert len(seen) > 150 and longer > len(seen) // 2
 
-    def test_any_call_order_matches_fresh_reports(self, monkeypatch):
-        tests_dir = os.path.dirname(os.path.abspath(__file__))
-        env = dict(os.environ)
-        paths = (tests_dir, env.get("PYTHONPATH"))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-        proc = subprocess.run([sys.executable, "-c", FRESH_REPORTS], capture_output=True,
-                              text=True, env=env, timeout=300, check=True)
-        fresh = proc.stdout.splitlines()
+    def test_any_call_order_matches_fresh_reports(self):
+        # each report from a fresh point of its own
+        fresh = [repr(verify_identity(name, VerifyPoint(*point)))
+                 for point in SHARED_POINTS for name in IDENTITY_NAMES]
         # (2+0j) == (2-0j), so the pairs go by their index
-        pairs = list(enumerate((name, *point) for point in SHARED_POINTS
+        pairs = list(enumerate((name, j) for j in range(len(SHARED_POINTS))
                                for name in IDENTITY_NAMES))
-        assert len(fresh) == len(pairs)
-        # shuffled, then round-robin over the points
+        # shuffled, then round-robin over the points, each order on points
+        # that all live at once and share each one's evaluations
         random.Random(8).shuffle(pairs)
         interleaved = sorted(pairs, key=lambda pair: IDENTITY_NAMES.index(pair[1][0]))
-        for i, args in pairs + interleaved:
-            rep = verify_identity(*args)
-            assert repr(rep) == fresh[i], args
-            assert rep == eval(fresh[i], vars(identities))
+        for order in (pairs, interleaved):
+            points = [VerifyPoint(*point) for point in SHARED_POINTS]
+            for i, (name, j) in order:
+                rep = verify_identity(name, points[j])
+                assert repr(rep) == fresh[i], (name, SHARED_POINTS[j])
+                assert rep == eval(fresh[i], vars(identities))
 
-    def test_cache_holds_one_point(self):
+    def test_point_keeps_its_evaluations(self):
         for s0 in (0.5, 1.5, 2.5):
-            verify_identity("RECURRENCE", s0, 0.7, 1)
-            key, evals, tails = identities._point
-            assert key[0][0] == s0
-            # the difference at s0, the jet at s0 + 1 and the m = 1 jet at
-            # s0, over one set of tails
-            assert len(evals) == 3 and tails
-        verify_identity("INTERCHANGE", 2.5, 0.7, 1)
-        assert identities._point[0][0][0] == 2.5 and len(identities._point[1]) == 4
+            point = VerifyPoint(s0, 0.7, 1)
+            assert point.evals == {}
+            verify_identity("RECURRENCE", point)
+            # the difference at s0, the jet at s0 + 1 and the m = 1 jet at s0
+            assert len(point.evals) == 3
+        verify_identity("INTERCHANGE", point)
+        assert len(point.evals) == 4
+        assert VerifyPoint(2.5, 0.7, 1).evals == {}
 
     @pytest.mark.parametrize("s0,alpha,code,failing,r", [
         # AT_ZERO evaluates only at alpha +- h here
@@ -308,9 +290,10 @@ class TestSharedEvaluations:
         names = list(IDENTITY_NAMES)
         random.Random(3).shuffle(names)
         raised = []
+        point = VerifyPoint(s0, alpha, r)
         for name in names * 2:
             try:
-                verify_identity(name, s0, alpha, r)
+                verify_identity(name, point)
             except code as exc:
                 raised.append(name)
                 assert str(exc).startswith(f"{name} at s={s0}, alpha={alpha}, r={r}: ")
@@ -331,17 +314,18 @@ class TestOnePointOneClosedForm:
             bases.append(w0)
             return original(w0, *args)
 
-        monkeypatch.setattr(identities, "_point", (None, {}, {}))
         monkeypatch.setattr(identities, "_alpha_derivative", counting)
+        point = VerifyPoint(*self.POINT)
         for name in IDENTITY_NAMES:
-            verify_identity(name, *self.POINT)
+            verify_identity(name, point)
         # RECURRENCE and MIXED_PARTIALS at s, AT_ZERO at 0, AT_ONE and
         # GAMMA_DERIV at 1
         assert bases == [self.POINT[0], 0.0, 1.0]
 
     def test_recurrence_and_mixed_partials_share_their_sides(self):
-        recurrence = verify_identity("RECURRENCE", *self.POINT)
-        mixed = verify_identity("MIXED_PARTIALS", *self.POINT)
+        point = VerifyPoint(*self.POINT)
+        recurrence = verify_identity("RECURRENCE", point)
+        mixed = verify_identity("MIXED_PARTIALS", point)
         assert (recurrence.lhs, recurrence.rhs) == (mixed.lhs, mixed.rhs)
         assert recurrence.method_notes != mixed.method_notes
 
@@ -352,7 +336,7 @@ def test_failure_keeps_its_result_and_traceback():
     with pytest.raises(Nonconvergence) as solo:
         hurwitz_jet(2.0, 0.5 + h, 1, p)
     with pytest.raises(Nonconvergence) as info:
-        verify_identity("RECURRENCE", 2.0, 0.5, 1, p, h)
+        verify_identity("RECURRENCE", VerifyPoint(2.0, 0.5, 1, p, h))
     assert str(info.value) == f"RECURRENCE at s=2.0, alpha=0.5, r=1: {solo.value}"
     assert info.value.result is not None
     assert info.value.result == solo.value.result

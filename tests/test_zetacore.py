@@ -227,8 +227,9 @@ class TestTailEstimateCalibration:
     Re w in [-8, 4], |Im w| <= 100, start 2..40, order 0, each tail plain and
     regularized: 600 tails."""
 
-    # (grid index, regularized): error / estimate, each at Re w < -7.5
-    MISSES = {
+    # (grid index, regularized): error / estimate, each at Re w < -7.5, before
+    # the estimate counted the rounding of the terms added at M (at most 0.88 since)
+    FORMER_MISSES = {
         (14, True): 1.15,  # w = -7.741-17.019i, start 11
         (74, False): 1.67,  # w = -7.572-6.934i, start 26
         (74, True): 1.63,
@@ -256,15 +257,14 @@ class TestTailEstimateCalibration:
         missed = []
         for i, (w, start) in enumerate(self.grid()):
             for regularized in (False, True):
-                if (i, regularized) not in self.MISSES:
+                if (i, regularized) not in self.FORMER_MISSES:
                     error, err = self.error_and_estimate(w, start, regularized)
                     if error > err:
                         missed.append((i, w, start, regularized, error / err))
         assert missed == []
 
-    @pytest.mark.xfail(strict=True, reason="the estimate misses by up to 1.67x at Re w < -7.5")
-    @pytest.mark.parametrize("i,regularized", sorted(MISSES))
-    def test_known_miss(self, i, regularized):
+    @pytest.mark.parametrize("i,regularized", sorted(FORMER_MISSES))
+    def test_former_miss(self, i, regularized):
         w, start = self.grid()[i]
         error, err = self.error_and_estimate(w, start, regularized)
         assert error <= err

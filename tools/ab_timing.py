@@ -22,12 +22,14 @@ side that goes first alternating from round to round:
                    tail, over TAIL_PASSES passes.
 
 With --workload verify_all the measures are instead "verify total" and
-"verify p90 pair": one pass over every identity of every point of the
-perfbench verify_all grids of --seed, in the order `hzeta verify --identity
-all` takes them, with identities._point reset first; the pass's total, and
-the 90th percentile of its times per (identity, point) pair, the unit of
-perfbench's latency.  perfbench's own verify_all throughput also counts each
-grid process's start-up and import; this is the library's share alone.
+"verify p90 pair": one pass of each side's own CLI, `cli.main(["verify",
+"--identity", "all", "--grid", FILE])` with its stdout captured, over the
+perfbench verify_all grid files of --seed; the pass's total, and the 90th
+percentile of its times per (identity, point) pair, the unit of perfbench's
+latency, timed around the side's cli.verify_identity as perfbench's
+cliboot.py times it.  So the two sides may differ in how verify_identity is
+called.  perfbench's own verify_all throughput also counts each grid
+process's start-up and import; this is the in-process share alone.
 
 One process and interleaved rounds put both sides on the same machine
 state, so the ratio work/ref is steadier than two separate runs.  For each
@@ -39,6 +41,8 @@ tree is faster.  Times are process CPU time (time.process_time).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import importlib.util
 import io
 import statistics
@@ -104,21 +108,47 @@ def time_pool(pkg, pool: list[dict]) -> float:
     return time.process_time() - t0
 
 
-def verify_timer(pkg, points: list[dict]):
-    """A function giving the CPU seconds of one pass over points, each
-    identity of each point in turn, and of the pass's 90th-percentile pair."""
-    identities = sys.modules[pkg.__name__ + ".identities"]
+def write_grids(grids: list[list[dict]], tmp: str) -> list[str]:
+    """The grids as verify grid files in tmp, written as perfbench/run.py
+    writes them."""
+    paths = []
+    for n, points in enumerate(grids):
+        paths.append(str(Path(tmp) / f"verify_all-grid-{n}.csv"))
+        with open(paths[-1], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["s_re", "s_im", "alpha_re", "alpha_im", "r"])
+            for p in points:
+                writer.writerow([repr(p["s"].real), repr(p["s"].imag),
+                                 repr(p["alpha"].real), repr(p["alpha"].imag), p["r"]])
+    return paths
+
+
+def verify_timer(pkg, paths: list[str]):
+    """A function giving the CPU seconds of one pass of pkg's CLI over the
+    grid files, and of the pass's 90th-percentile pair."""
+    cli = importlib.import_module(pkg.__name__ + ".cli")
+    verify_identity, pairs = cli.verify_identity, []
+
+    def timed_pair(*args, **kwargs):
+        t0 = time.process_time()
+        try:
+            return verify_identity(*args, **kwargs)
+        finally:
+            pairs.append(time.process_time() - t0)
+
+    cli.verify_identity = timed_pair
 
     def one_pass() -> tuple[float, float]:
-        identities._point = (None, {}, {})
-        pairs = []
-        for op in points:
-            for name in identities.IDENTITY_NAMES:
-                t0 = time.process_time()
-                identities.verify_identity(name, op["s"], op["alpha"], op["r"])
-                pairs.append(time.process_time() - t0)
+        pairs.clear()
+        t0 = time.process_time()
+        for path in paths:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["verify", "--identity", "all", "--grid", path])
+            if code != 0:
+                raise SystemExit(f"{pkg.__name__}: hzeta verify on {path} exited {code}")
+        total = time.process_time() - t0
         pairs.sort()
-        return sum(pairs), pairs[int(0.9 * len(pairs))]
+        return total, pairs[int(0.9 * len(pairs))]
 
     return one_pass
 
@@ -151,52 +181,53 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
 
+    # the reference tree's files, which its CLI imports on first use, and the grids
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"work": load_package(ROOT / "src", "hzeta_work"),
                  "ref": load_package(ref_src(args.ref, tmp), "hzeta_ref")}
-    pool = workloads.POOLS[args.workload](args.seed)
-    # each measure's timers, one per side, give one reading per name
-    measures: dict[tuple, dict] = {}
-    if args.workload == VERIFY:
-        pool = [op for grid in pool for op in grid]
-        measures[("verify total", "verify p90 pair")] = {
-            side: verify_timer(pkg, pool) for side, pkg in sides.items()}
-        sizes = f"{len(pool)} points"
-    else:
-        left = [op["kind"] == "jet" and op["s"].real < 0 for op in pool]
-        halves = {"pool Re s<0": [op for op, at in zip(pool, left) if at],
-                  "pool Re s>=0": [op for op, at in zip(pool, left) if not at]}
-        for name, ops in halves.items():
-            measures[(name,)] = {side: (lambda pkg=pkg, ops=ops: (time_pool(pkg, ops),))
-                                 for side, pkg in sides.items()}
-        for r in TAIL_ORDERS:
-            measures[(f"tail r={r}",)] = {side: (lambda t=tail_timer(pkg, r): (t(),))
-                                          for side, pkg in sides.items()}
-        sizes = f"{' + '.join(str(len(ops)) for ops in halves.values())} ops"
-    # the warm-up of perfbench's worker, so lazy tables are filled before timing
-    for pkg in sides.values():
-        pkg.hurwitz_jet(0.5 + 3j, 1.7, 0)
-        pkg.generalized_stieltjes(0.5, 0)
+        pool = workloads.POOLS[args.workload](args.seed)
+        # each measure's timers, one per side, give one reading per name
+        measures: dict[tuple, dict] = {}
+        if args.workload == VERIFY:
+            paths = write_grids(pool, tmp)
+            measures[("verify total", "verify p90 pair")] = {
+                side: verify_timer(pkg, paths) for side, pkg in sides.items()}
+            sizes = f"{sum(map(len, pool))} points"
+        else:
+            left = [op["kind"] == "jet" and op["s"].real < 0 for op in pool]
+            halves = {"pool Re s<0": [op for op, at in zip(pool, left) if at],
+                      "pool Re s>=0": [op for op, at in zip(pool, left) if not at]}
+            for name, ops in halves.items():
+                measures[(name,)] = {side: (lambda pkg=pkg, ops=ops: (time_pool(pkg, ops),))
+                                     for side, pkg in sides.items()}
+            for r in TAIL_ORDERS:
+                measures[(f"tail r={r}",)] = {side: (lambda t=tail_timer(pkg, r): (t(),))
+                                              for side, pkg in sides.items()}
+            sizes = f"{' + '.join(str(len(ops)) for ops in halves.values())} ops"
+        # the warm-up of perfbench's worker, so lazy tables are filled before timing
+        for pkg in sides.values():
+            pkg.hurwitz_jet(0.5 + 3j, 1.7, 0)
+            pkg.generalized_stieltjes(0.5, 0)
 
-    times = {name: {side: [] for side in sides} for names in measures for name in names}
-    for n in range(args.rounds):
-        order = ("work", "ref") if n % 2 == 0 else ("ref", "work")
-        for names, timers in measures.items():
-            for side in order:
-                for name, reading in zip(names, timers[side]()):
-                    times[name][side].append(reading)
+        times = {name: {side: [] for side in sides} for names in measures for name in names}
+        for n in range(args.rounds):
+            order = ("work", "ref") if n % 2 == 0 else ("ref", "work")
+            for names, timers in measures.items():
+                for side in order:
+                    for name, reading in zip(names, timers[side]()):
+                        times[name][side].append(reading)
 
-    print(f"work = {ROOT / 'src'}, ref = {args.ref}; {args.workload} seed {args.seed} "
-          f"({sizes}), {args.rounds} rounds, CPU time")
-    print("measure\twork\tref\tratio median\tratio range")
-    units = {"pool": ("s", 1.0), "verify": ("ms", 1e3), "tail": ("us", 1e6)}
-    for name, by_side in times.items():
-        unit, scale = units[name.split()[0]]
-        ratios = [w / r for w, r in zip(by_side["work"], by_side["ref"])]
-        print(f"{name}\t{scale * statistics.median(by_side['work']):.3f} {unit}\t"
-              f"{scale * statistics.median(by_side['ref']):.3f} {unit}\t"
-              f"x{statistics.median(ratios):.3f}\t"
-              f"x{min(ratios):.3f}..x{max(ratios):.3f}")
+        print(f"work = {ROOT / 'src'}, ref = {args.ref}; {args.workload} seed {args.seed} "
+              f"({sizes}), {args.rounds} rounds, CPU time")
+        print("measure\twork\tref\tratio median\tratio range")
+        units = {"pool": ("s", 1.0), "verify": ("ms", 1e3), "tail": ("us", 1e6)}
+        for name, by_side in times.items():
+            unit, scale = units[name.split()[0]]
+            ratios = [w / r for w, r in zip(by_side["work"], by_side["ref"])]
+            print(f"{name}\t{scale * statistics.median(by_side['work']):.3f} {unit}\t"
+                  f"{scale * statistics.median(by_side['ref']):.3f} {unit}\t"
+                  f"x{statistics.median(ratios):.3f}\t"
+                  f"x{min(ratios):.3f}..x{max(ratios):.3f}")
     return 0
 
 

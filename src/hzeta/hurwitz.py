@@ -337,8 +337,8 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
 
     The loop works on plain coefficient lists: head terms from
     pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
-    compensated sum held as two lists.  The only Jet it builds is the
-    result's."""
+    compensated sum held as two lists; at order 0 each norm max_j |x_j|
+    reads |x_0|.  The only Jet it builds is the result's."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", order, 0)
     alpha = require_finite(complex(alpha), "alpha")
@@ -362,15 +362,15 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
     # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
     # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
     # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
-    head_round = 0.0
+    head_round, lead, spread = 0.0, 4.0 + order, 3.0 * abs(s0)
     for n in range(k):
-        term = pow_neg_coeffs(n + alpha, s_coeffs)
+        base = n + alpha
+        term = pow_neg_coeffs(base, s_coeffs)
         if factor is not None:
             term = times_linear(factor, term)
         _kahan_add(total, comp, term)
-        head_round += max(map(abs, term)) * (
-            4.0 + order + 3.0 * abs(s0) * abs(cmath.log(n + alpha))
-        )
+        head_round += (max(map(abs, term)) if order else abs(term[0])) * (
+            lead + spread * abs(cmath.log(base)))
 
     tail0, err_cont = _memo_tail(line, s0, k, regularized=regularized)
     _kahan_add(total, comp, tail0[:order + 1])
@@ -391,11 +391,14 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
                 f"series converged; k={k} is too small for alpha={alpha}"
             )
         _kahan_add(total, comp, term)
-        err_cont += max(map(abs, a_n)) * em_err * pole_scale
-        last_norm = max(map(abs, term))
+        if order:
+            size, last_norm, scale = max(map(abs, a_n)), max(map(abs, term)), max(map(abs, total))
+        else:
+            size, last_norm, scale = abs(a_n[0]), abs(term[0]), abs(total[0])
+        err_cont += size * em_err * pole_scale
         # <= so that exactly-zero terms count as small even when the
         # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
-        if last_norm <= p.tol * max(max(map(abs, total)), 5e-324):
+        if last_norm <= p.tol * max(scale, 5e-324):
             small += 1
             if small == 3:
                 break

@@ -163,7 +163,10 @@ def pow_neg_coeffs(base: complex, s) -> list[complex]:
     binary64 2 pi would err by 2.4e-16 a turn, and the small rest of the
     phase joins as a first-order rotation.  A row m**(-it) is then within
     about an ulp, and the large summands of the continuation formulas
-    stay at a few ulps even at strongly negative Re s.
+    stay at a few ulps even at strongly negative Re s.  An int base (a
+    tail row) takes the memoized log of itself; any other integer base m
+    (a head's n + alpha) that of m0, m to 8 significant bits, so the memo
+    keeps at most 2**7 logs an octave however long the head.
     """
     b = complex(base)
     if b == 0:
@@ -174,7 +177,12 @@ def pow_neg_coeffs(base: complex, s) -> list[complex]:
     try:
         if b.imag == 0.0 and b.real > 0.0 and b.real.is_integer() and b.real <= 9e15:
             m = int(b.real)
-            hi, lo = _log_dd(m)
+            shift = 0 if type(base) is int else max(m.bit_length() - 8, 0)
+            m0 = m >> shift << shift
+            hi, lo = _log_dd(m0)
+            if m != m0:  # log m = log m0 + log1p((m - m0) / m0), within 1e-18
+                x = math.log1p((m - m0) / m0)
+                hi, lo = hi + x, (hi - (hi + x)) + x + lo
             mag = float(m) ** (-sigma)
             p, err = _two_prod(t, hi)
             # libm reduces p exactly; the small part e joins as a first-order rotation

@@ -33,25 +33,25 @@ m**-w = m**-Re(w) * m**(-i Im w - h), where h = w - w0 is the jet
 variable.  The second factor, the phase m**(-i Im w) times
 (-log m)**j / j!, depends on w0 only through Im w0, so a TailLine
 holds it for one imaginary part and order, and every summand is a real
-magnitude times a table row.  The shifted series of the Hurwitz
-evaluator moves only Re w from term to term, so one line serves all of
-its tails, bitwise as fresh lines would.  The Bernoulli corrections
-c_j (w)_{2j-1} M**-w, with c_j = B_{2j}/(2j)! M**(1-2j), are carried on
+magnitude times a table row, read from the line's columns by slice.
+The shifted series moves only Re w from term to term, so one line
+serves all of its tails, bitwise as fresh lines would.  The Bernoulli
+corrections c_j (w)_{2j-1} M**-w, c_j = B_{2j}/(2j)! M**(1-2j), ride on
 the jet of M**-w itself: starting from w M**-w, each term is the last
 times (w + 2j - 3)(w + 2j - 2), whose jet has three nonzero coefficients,
-so the chain runs over j one coefficient at a time (_corrections), with
-no O(r^2) product and no list per term; the pole term
-M**(1-w) / (w - 1) is an O(r) division recurrence.  The boundary search
-raises Nonconvergence rather than use a boundary that misses the target,
-and a tail that is not finite in binary64 raises DomainError.
+so the chain runs over j one coefficient at a time (_corrections, which
+at order 0 stops after its one column), with no O(r^2) product; the pole
+term M**(1-w) / (w - 1) is an O(r) division recurrence.  The boundary
+search raises Nonconvergence rather than use a boundary that misses the
+target, and a tail that is not finite in binary64 raises DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate, islice
-from operator import add, mul
+from itertools import accumulate
+from operator import mul
 
 from .errors import NEAR_POLE_RADIUS, DomainError, NearPole, Nonconvergence, PoleAtOne
 from .jets import pow_neg_coeffs, require_finite, times_linear
@@ -73,6 +73,7 @@ _EM_FACTOR = {
 
 _CUTOFF = 4  # floor on the boundary M, the direct-sum length
 _DEPTH = 10  # number of B_{2j} correction terms
+_ODD = range(1, 2 * _DEPTH - 1, 2)  # w + n, n odd: first factors of the chain's quadratics
 _TRUNCATION_TARGET = 1e-15
 _MAX_BOUNDARY = 200000  # direct-sum length beyond which the tail gives up
 # a boundary passes where the last correction is below the target and either
@@ -212,8 +213,8 @@ class TailLine:
     up to the largest stop, and kept for the life of the line, as are
     choose_boundary's place and bounds and the Bernoulli factor row of
     each boundary M met; tails is a memo for the caller's own use.
-    Columns are read in place, not copied, beside each row's majorant
-    max_j |coefficient j|.
+    em_tail_jet slices the columns it sums and reads row M at one index,
+    as it does each row's majorant max_j |coefficient j|.
     """
 
     __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_major", "_start",
@@ -247,12 +248,6 @@ class TailLine:
                 col.extend(new)
             self._major.extend(max(map(abs, row)) for row in rows)
         return start - self._first
-
-    def columns(self, start: int, stop: int) -> tuple[list[islice], islice]:
-        """Coefficient j of the rows start..stop-1, read in place as one
-        iterator per j, and an iterator over the same rows' majorants."""
-        lo, hi = self._reach(start, stop), stop - self._first
-        return [islice(col, lo, hi) for col in self._cols], islice(self._major, lo, hi)
 
     def row(self, m: int) -> list[complex]:
         """The coefficients of row m."""
@@ -293,8 +288,9 @@ def em_tail_jet(
     together with an a-posteriori error estimate.
 
     line, when given, must be a TailLine for t = Im w0 and this order;
-    callers that evaluate many tails along one horizontal line share it.
-    Without it the call builds a line of its own.
+    callers that evaluate many tails along one horizontal line share it,
+    and without it the call builds one of its own.  Either way the rows
+    start..M-1 are sliced from its columns and row M is read at one index.
 
     The estimate is twice the largest coefficient of the last Bernoulli
     correction, c_10 (w)_19 M**-w, plus a rounding allowance proportional
@@ -323,8 +319,9 @@ def em_tail_jet(
     boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
 
-    # m**-w = m**-Re(w) * row m, for m = start..boundary
-    cols, major = line.columns(start, boundary + 1)
+    # m**-w = m**-Re(w) * row m, for m = start..boundary, at indices lo..hi of the columns
+    lo = line._reach(start, boundary + 1)
+    hi = lo + boundary - start
     sigma = w0.real
     try:
         mags = [float(m) ** -sigma for m in range(start, boundary)]
@@ -335,33 +332,30 @@ def em_tail_jet(
             f"a power m**-w with m <= {boundary} overflows binary64 at w={w0!r}"
         ) from None
 
-    # mags stops one short of each column, so map leaves out row boundary
-    total = [sum(map(mul, mags, col), 0j) for col in cols]
-    peak = max(map(mul, mags, major), default=0.0)
-    edge = line.row(boundary)
-    pole = [pole_mag * c for c in edge]
+    cols = line._cols
+    total = [sum(map(mul, mags, col[lo:hi]), 0j) for col in cols]
+    peak = max(map(mul, mags, line._major[lo:hi]), default=0.0)
+    edge = [col[hi] for col in cols]
+    # the pole term (over w - 1 unless regularized) and the jet of M**-w, times
+    # w - 1 when regularized; row M's majorant times large bounds them and the corrections
     if regularized:
-        total = list(map(add, times_linear(wm1, total), pole))
+        total = [t + pole_mag * c for t, c in zip(times_linear(wm1, total), edge)]
+        base = times_linear(wm1, [edge_mag * c for c in edge])
+        large = pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0)
     else:
         # pole / (w - 1) by the division recurrence (w0 - 1) q_i = p_i - q_{i-1}
         q, inv = 0j, 1.0 / wm1
-        for i, p in enumerate(pole):
-            q = (p - q) * inv
+        for i, c in enumerate(edge):
+            q = (pole_mag * c - q) * inv
             total[i] += q
-    # the jet of M**-w, times (w - 1) when regularized
-    base = [edge_mag * c for c in edge]
-    if regularized:
-        base = times_linear(wm1, base)
-    peak = max(peak, max(map(abs, total)))
+        base = [edge_mag * c for c in edge]
+        large = pole_mag / abs(wm1) + 2.0 * edge_mag
+    peak = max(peak, max(map(abs, total)) if order else abs(total[0]))
     corr, last = _corrections(w0, base, line.factors(boundary))
     total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
 
-    # row M's majorant (major's last) times the pole term (over w - 1 unless
-    # regularized), the base, and the corrections, which the base bounds
-    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
-             else pole_mag / abs(wm1) + 2.0 * edge_mag)
     err = 2.0 * last + 2.220446049250313e-16 * (
-        8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * next(major) * large)
+        8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * line._major[hi] * large)
     if not (math.isfinite(err) and all(map(cmath.isfinite, total))):
         raise DomainError(
             f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "
@@ -374,14 +368,16 @@ def _corrections(w0: complex, base: list, factors: list) -> tuple[list, float]:
     """sum_j c_j x_j, x_j = (w)_{2j-1} M**-w, from base = M**-w and factors =
     c_j, and its last term's largest coefficient.  Column i (coefficient i of
     every x_j) needs only columns i-2..i, as x_j = x_{j-1}(w+2j-3)(w+2j-2)."""
-    shifted = [w0 + n for n in range(1, 2 * _DEPTH - 1)]
-    q0s = list(map(mul, shifted[::2], shifted[1::2]))
-    q1s = list(map(add, shifted[::2], shifted[1::2])) if len(base) > 1 else ()
-    corr, tops, col1, col2 = [], [], (), ()
-    for i, x in enumerate(times_linear(w0, base)):
-        if i == 0:
-            col = list(accumulate(q0s, mul, initial=x))
-        elif i == 1:
+    q0s = [(w0 + n) * (w0 + (n + 1)) for n in _ODD]
+    col = list(accumulate(q0s, mul, initial=w0 * base[0]))
+    corr, tops = [sum(map(mul, factors, col), 0j)], [abs(factors[-1] * col[-1])]
+    if len(base) == 1:
+        return corr, tops[0]
+    q1s = [(w0 + n) + (w0 + (n + 1)) for n in _ODD]
+    col1, col2 = col, ()
+    for i in range(1, len(base)):
+        x = w0 * base[i] + base[i - 1]
+        if i == 1:
             col = [x, *[x := b * q1 + x * q0 for b, q0, q1 in zip(col1, q0s, q1s)]]
         else:
             col = [x, *[x := a + b * q1 + x * q0 for a, b, q0, q1 in zip(col2, col1, q0s, q1s)]]

@@ -119,3 +119,38 @@ def test_compare_counts_digits_against_mpmath(tmp_path):
     assert side_a.endswith(", 0 below 6, 0 missed")
     assert report[2:] == ["jets_deep\t0 of 0 lines differ", "cli_oneshot\t0 of 0 lines differ",
                           "verify_all\t0 of 0 lines differ"]
+
+
+def test_compare_names_a_field_of_a_cli_record_and_of_a_csv_row(tmp_path):
+    # few_ops("cli_oneshot") is an order-0 eval printed as JSON, then as CSV
+    lines = fingerprint.group_lines("cli_oneshot", 1, few_ops("cli_oneshot"))
+    nudged = []
+    for line in lines:
+        name, payload = line.split("\t")
+        out = json.loads(payload)
+        header, *rows = out["stdout"].splitlines()
+        if not rows:
+            rec = json.loads(header)
+            err = rec["err_estimate"]
+            rec["err_estimate"] = one_ulp_up(err)
+            out["stdout"] = json.dumps(rec) + "\n"
+        else:
+            cells = rows[0].split(",")
+            at = header.split(",").index("value_re")
+            value = float(cells[at])
+            cells[at] = format(one_ulp_up(value), ".17g")
+            out["stdout"] = f"{header}\n{','.join(cells)}\n"
+        nudged.append(f"{name}\t{json.dumps(out)}")
+    for dump, group_lines in (("a", lines), ("b", nudged)):
+        (tmp_path / dump).mkdir()
+        for group in fingerprint.GROUPS:
+            text = "".join(f"{x}\n" for x in group_lines) if group == "cli_oneshot" else ""
+            (tmp_path / dump / f"{group}.txt").write_text(text)
+    report = fingerprint.compare(tmp_path / "a", tmp_path / "b")
+    assert report[2:5] == [
+        "cli_oneshot\t2 of 2 lines differ",
+        f"  stdout.0.value_re\t1 records\tmax abs change {math.ulp(value):.2g}"
+        f"\tmax rel change {math.ulp(value) / abs(value):.2g}",
+        f"  stdout.err_estimate\t1 records\tmax abs change {math.ulp(err):.2g}"
+        f"\tmax rel change {math.ulp(err) / err:.2g}",
+    ]

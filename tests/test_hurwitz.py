@@ -4,6 +4,7 @@ import math
 import pytest
 
 import hzeta.hurwitz
+import hzeta.jets
 from hzeta import (
     DomainError,
     Jet,
@@ -152,6 +153,28 @@ class TestErrors:
             hurwitz_jet(2.0, 0.97, p=SeriesParams(k=1, n_max=50))
         assert info.value.result is not None
         assert info.value.result.terms_used == 50
+
+    def test_term_cap_names_itself_and_attaches_the_partial_sum(self):
+        with pytest.raises(Nonconvergence, match="term cap n_max=50 ") as info:
+            hurwitz_jet(2.0, 0.97, 2, p=SeriesParams(k=1, n_max=50))
+        assert str(info.value).endswith("k=1, alpha=(0.97+0j), s=(2+0j)")
+        result = info.value.result
+        assert (result.k_used, result.terms_used, result.value.order) == (1, 50, 2)
+        assert 0.0 < result.err_estimate < math.inf and result.value.is_finite()
+
+    def test_coefficient_overflow_names_its_term(self, monkeypatch):
+        # tails that are infinite from w0 = s0 + 4 on overflow the fourth term
+        original = hzeta.hurwitz.em_tail_jet
+
+        def infinite_from_four(w0, start, order, *, regularized, line):
+            coeffs, err = original(w0, start, order, regularized=regularized, line=line)
+            return (complex(math.inf, 0.0),) * (order + 1) if w0.real >= 6.0 else coeffs, err
+
+        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_from_four)
+        with pytest.raises(Nonconvergence, match="overflowed at n=4 before") as info:
+            hurwitz_jet(2.0, 0.5, 1)
+        assert "k=2 is too small for alpha=(0.5+0j)" in str(info.value)
+        assert info.value.result is None
 
     def test_explicit_k_must_cover_alpha(self):
         with pytest.raises(ValueError):
@@ -592,6 +615,19 @@ class TestHeadCap:
         # a head of 1.75e9 terms would run for hours
         with pytest.raises(Nonconvergence, match="k=1750000001 "):
             hurwitz_jet(2.0, 1e9)
+
+    def test_integer_alpha_head_keeps_few_logs(self):
+        # the head bases 3000..8250 are integers; each new one took a
+        # 40-digit log kept for the life of the process, where now 2**7 an
+        # octave do, and the tails' rows add their own
+        mpmath = pytest.importorskip("mpmath")
+        before = set(hzeta.jets._LOG_DD)
+        res = hurwitz_jet(2.0, 3000.0)
+        assert res.k_used == 5251
+        assert len(set(hzeta.jets._LOG_DD) - before) <= 3 * 2**7 + 16
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(2, 3000))
+        assert abs(res.value.value - want) <= res.err_estimate <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("cap", [10, 200000])
     def test_explicit_k(self, monkeypatch, cap):

@@ -194,6 +194,20 @@ class TestPowNegs:
                 worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)) / 2.0**-52)
         assert worst <= 2.0, f"{worst:.2f} ulps"
 
+    def test_head_integer_base_phase_within_two_ulps(self):
+        # an integer base that is not an int, as a head's n + alpha at an
+        # integer alpha, takes the log of m to 8 bits plus a log1p
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261020)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(3000):
+                m, t = rng.randint(256, 200000), rng.uniform(-100.0, 100.0)
+                want = mpmath.power(m, mpmath.mpc(0, -t))
+                got = pow_neg_coeffs(complex(m), [complex(0.0, t)])[0]
+                worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)) / 2.0**-52)
+        assert worst <= 2.0, f"{worst:.2f} ulps"
+
     def test_matches_cmath_exp_route(self):
         coeffs = pow_neg_coeffs(7, variable(-3.0 + 9.0j, 0))
         assert_close(coeffs[0], naive_pow(7, -3 + 9j), 1e-13)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,8 @@ from hzeta.oracles import (
     stieltjes_gamma1_oracle,
 )
 from hzeta import oracles, zetacore
-from hzeta.jets import pow_neg_coeffs, times_linear
+from hzeta.errors import NEAR_POLE_RADIUS
+from hzeta.jets import pow_neg_coeffs, require_finite, times_linear
 from hzeta.zetacore import TailLine, choose_boundary, em_tail_jet
 
 from conftest import assert_close, central_diff
@@ -323,33 +325,29 @@ class TestBoundaryCap:
 
 
 def _read(line: TailLine, start: int, stop: int) -> tuple[list[list[complex]], list[float]]:
-    """Rows start..stop-1 of line, one list per coefficient, and their majorants."""
-    cols, major = line.columns(start, stop)
-    return [list(col) for col in cols], list(major)
+    """Rows start..stop-1 of line and their majorants."""
+    rows = [line.row(m) for m in range(start, stop)]
+    return rows, line._major[start - line._first:stop - line._first]
 
 
 class TestPhaseTable:
     def test_rows_are_unit_phase_power_jets(self):
         line = TailLine(-3.5, 2)
-        cols, major = _read(line, 3, 6)
-        for i, m in enumerate(range(3, 6)):
-            row = [col[i] for col in cols]
+        rows, major = _read(line, 3, 6)
+        for row, top, m in zip(rows, major, range(3, 6)):
             assert row == pow_neg_coeffs(m, [-3.5j, 1 + 0j, 0j])
-            assert row == line.row(m)
-            assert major[i] == max(map(abs, row))
+            assert top == max(map(abs, row))
             assert abs(abs(row[0]) - 1.0) < 1e-15
 
     def test_extends_past_earlier_requests(self):
         table = TailLine(7.25, 1)
-        # columns are read in place, so these are read only after the line grew
-        early_cols, early_major = table.columns(5, 9)
+        first, first_major = _read(table, 5, 9)
         whole, whole_major = _read(table, 5, 12)
-        first, first_major = [list(col) for col in early_cols], list(early_major)
         assert (whole, whole_major) == _read(TailLine(7.25, 1), 5, 12)
-        assert [col[:4] for col in whole] == first and whole_major[:4] == first_major
-        assert _read(table, 6, 8) == ([col[1:3] for col in first], first_major[1:3])
+        assert whole[:4] == first and whole_major[:4] == first_major
+        assert _read(table, 6, 8) == (first[1:3], first_major[1:3])
         with pytest.raises(ValueError, match="tail line starts at m = 5"):
-            table.columns(4, 12)
+            table.row(4)
 
     # a tail reads the line from the row of its own start
     @pytest.mark.parametrize("regularized", [False, True])
@@ -466,6 +464,90 @@ def _outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - compared between two routes
         return type(exc), str(exc)
+
+
+def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: bool = False):
+    """em_tail_jet as it read its line through iterators over the columns,
+    on a fresh line of its own, with _reference_corrections for the
+    Bernoulli chain: the reference for the bits of em_tail_jet."""
+    w0 = require_finite(complex(w0), "s")
+    if start < 1:
+        raise ValueError("start must be >= 1")
+    if not regularized:
+        if w0 == 1:
+            raise PoleAtOne("zeta has a simple pole at s = 1")
+        if abs(w0 - 1) < NEAR_POLE_RADIUS:
+            raise NearPole("s within 1e-8 of the pole; use the regularized form")
+    line = TailLine(w0.imag, order)
+    boundary = choose_boundary(w0, start, order, line=line)
+    wm1 = w0 - 1.0
+
+    rows = [line.row(m) for m in range(start, boundary + 1)]
+    cols, major = [iter(col) for col in zip(*rows)], iter([max(map(abs, row)) for row in rows])
+    sigma = w0.real
+    try:
+        mags = [float(m) ** -sigma for m in range(start, boundary)]
+        edge_mag = float(boundary) ** -sigma
+        pole_mag = float(boundary) ** -wm1.real
+    except OverflowError:
+        raise DomainError(
+            f"a power m**-w with m <= {boundary} overflows binary64 at w={w0!r}"
+        ) from None
+
+    # mags stops one short of each column, so map leaves out row boundary
+    total = [sum(map(mul, mags, col), 0j) for col in cols]
+    peak = max(map(mul, mags, major), default=0.0)
+    edge = line.row(boundary)
+    pole = [pole_mag * c for c in edge]
+    if regularized:
+        total = list(map(add, times_linear(wm1, total), pole))
+    else:
+        q, inv = 0j, 1.0 / wm1
+        for i, p in enumerate(pole):
+            q = (p - q) * inv
+            total[i] += q
+    base = [edge_mag * c for c in edge]
+    if regularized:
+        base = times_linear(wm1, base)
+    peak = max(peak, max(map(abs, total)))
+    corr, last = _reference_corrections(w0, base, boundary)
+    total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
+
+    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
+             else pole_mag / abs(wm1) + 2.0 * edge_mag)
+    err = 2.0 * last + 2.220446049250313e-16 * (
+        8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * next(major) * large)
+    if not (math.isfinite(err) and all(map(cmath.isfinite, total))):
+        raise DomainError(
+            f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "
+            f"start={start}, M={boundary}"
+        )
+    return tuple(total), err
+
+
+class TestTailKernel:
+    """em_tail_jet reads its line by slice and stops the Bernoulli chain at
+    its one column at order 0; every bit of its coefficients and estimate
+    (repr tells -0.0 from 0.0), and the type and message of every failure,
+    is the reference's, on a fresh line and on a warm one."""
+
+    @DERANDOMIZED
+    @given(re=st.floats(-8.0, 4.0),
+           im=st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0]),
+           start=st.integers(1, 60), order=st.integers(0, 14), regularized=st.booleans())
+    @example(re=1.0, im=0.0, start=1, order=0, regularized=False)  # PoleAtOne
+    @example(re=1.0, im=1e-9, start=3, order=2, regularized=False)  # NearPole
+    @example(re=-100.0, im=3.0, start=1150, order=0, regularized=False)  # a power overflows
+    @example(re=-100.0, im=0.0, start=1000, order=0, regularized=False)  # the tail is not finite
+    @example(re=-120.0, im=0.0, start=1, order=0, regularized=True)  # the search overflows
+    def test_tail_is_the_reference(self, re, im, start, order, regularized):
+        line = TailLine(im, order)
+        # Re w + 0 would turn -0.0 into 0.0, so the first point is taken as is
+        for n, w in enumerate([complex(re, im), complex(re + 1, im), complex(re + 2, im)]):
+            want = repr(_outcome(_reference_tail, w, start, order, regularized=regularized))
+            for on in (line, None):
+                got = _outcome(em_tail_jet, w, start, order, regularized=regularized, line=on)
+                assert repr(got) == want, f"n={n}, line={on is line}"
 
 
 LINES = dict(

@@ -28,7 +28,9 @@ compares two such dumps instead: for each group it prints how many lines
 differ, and for the differing JSON records (verify records, CLI outputs)
 each field that differs, with the largest absolute and relative change of
 a numeric field (a field whose record names an identity is listed under
-it).  For the differing lines of sweep_values and jets_deep that hold a
+it).  A CLI output's stdout is read as its JSON record, or as its CSV rows
+under their header, so a field reads stdout.err_estimate or
+stdout.0.value_re (row 0).  For the differing lines of sweep_values and jets_deep that hold a
 result on both sides, it prints each side's accuracy against the mpmath
 references of perfbench/reference.py: the worst and the mean digits, the
 number of results below 6 digits and the number that miss their
@@ -141,16 +143,46 @@ def digest(lines: list[str]) -> str:
     return h.hexdigest()
 
 
+def _number(cell: str):
+    """A CSV cell as an int or a float where it reads as one."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _stdout(text: str):
+    """A CLI's stdout decoded: its JSON record (a list of them where it
+    printed several), or its CSV rows as objects keyed by the header, with
+    numbers read as numbers; the text itself where it is neither."""
+    lines = text.splitlines()
+    try:
+        records = [json.loads(line) for line in lines]
+    except ValueError:
+        rows = list(csv.reader(lines))
+        if len(rows) < 2 or len(rows[0]) < 2 or any(len(row) != len(rows[0]) for row in rows):
+            return text
+        return [{key: _number(cell) for key, cell in zip(rows[0], row)} for row in rows[1:]]
+    return records[0] if len(records) == 1 else records or text
+
+
 def _record(payload: str):
     """A line's payload as a JSON object, or None.  A verify line holds one
-    printed line of JSON, encoded as a JSON string."""
+    printed line of JSON, encoded as a JSON string; the stdout of a CLI
+    line is decoded by _stdout, so its fields read as stdout.<name>."""
     try:
         value = json.loads(payload)
         if isinstance(value, str):
             value = json.loads(value)
     except ValueError:
         return None
-    return value if isinstance(value, dict) else None
+    if not isinstance(value, dict):
+        return None
+    if isinstance(value.get("stdout"), str):
+        value = {**value, "stdout": _stdout(value["stdout"])}
+    return value
 
 
 def _fields(value, name: str = ""):

@@ -33,10 +33,10 @@ The head, a direct sum of k terms, is capped like an Euler-Maclaurin
 boundary: k is at most zetacore._MAX_BOUNDARY.
 
 The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
-a memo on their line Im w = Im s (zetacore.TailLine) computes each once
-for the evaluations that share the line and a shift: the alphas of a
-hurwitz_jet_many batch with equal shifts, and verify's point, whose
-evaluations all take one shift per line (_shared_params).  At Re s >= 0
+a line of tails (zetacore.TailLine) is one Im w = Im s, one order and one
+shift k, and computes each tail once for the evaluations given it: the
+alphas of a hurwitz_jet_many batch with equal shifts, and verify's point,
+whose evaluations take one shift per line (_shared_shift).  At Re s >= 0
 that shift is priced for the line, a tail once and a head per evaluation,
 so its evaluations agree with their solo calls within estimate, not bitwise.
 """
@@ -50,7 +50,7 @@ from ._record import Record
 from .errors import (NEAR_POLE_RADIUS, DomainError, HZetaError, NearPole, Nonconvergence,
                      PoleAtOne)
 from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
-from .zetacore import _MAX_BOUNDARY, TailLine, boundary_model, em_tail_jet
+from .zetacore import _MAX_BOUNDARY, TailLine, boundary_model
 
 _ZERO_BASE_RADIUS = 1e-12
 # Within this distance d of its removable singularity a closed form takes the
@@ -121,10 +121,6 @@ _PRODUCT_COST = 3.0
 
 def _resolve_k(s0: complex, alpha: complex, p: SeriesParams) -> int:
     if p.k is not None:
-        if not abs(alpha) < p.k:
-            raise ValueError(
-                f"explicit k={p.k} violates |alpha| < k for alpha={alpha}"
-            )
         return p.k
     # The series terms scale like (|alpha| |s| / k)**n / n! before the
     # factorial takes over, peaking near exp(|alpha| |s| / k).  The shift
@@ -234,6 +230,8 @@ def nearest_excluded(alpha: complex) -> int:
 
 
 def _check_head(alpha: complex, k: int) -> None:
+    if not abs(alpha) < k:
+        raise ValueError(f"k={k} violates |alpha| < k for alpha={alpha}")
     if k > _MAX_BOUNDARY:
         raise Nonconvergence(
             f"the shift k={k} for alpha={alpha} would make the head a direct "
@@ -246,23 +244,6 @@ def _check_head(alpha: complex, k: int) -> None:
         )
 
 
-def _exact(z: complex) -> tuple:
-    """z as a dict key that tells -0.0 from 0.0, which == does not."""
-    return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
-
-
-def _memo_tail(line: TailLine, w0: complex, k: int, *,
-               regularized: bool) -> tuple[tuple, float]:
-    """The coefficients and error estimate of the tail at (w0, k) on line,
-    at the line's order, from its memo or from em_tail_jet."""
-    key = (_exact(w0), k, regularized)
-    tail = line.tails.get(key)
-    if tail is None:
-        tail = line.tails[key] = em_tail_jet(w0, k, line.order, regularized=regularized,
-                                             line=line)
-    return tail
-
-
 def _shift(s0, alpha, p: SeriesParams) -> int | None:
     """The shift of the evaluation at (s0, alpha) under p, or None where it
     fails before its shift is known or the shift passes the head's cap."""
@@ -273,17 +254,19 @@ def _shift(s0, alpha, p: SeriesParams) -> int | None:
     return k if k <= _MAX_BOUNDARY else None
 
 
-def _shared_params(points, p: SeriesParams) -> SeriesParams:
-    """p with one shift for the evaluations at the (s0, alpha) of points that
-    have a shift (see _shift); p itself if it fixes k or none has.  With all
-    of them at Re s >= 0, where a longer head costs no accuracy, it is the
-    cheapest by _line_cost on the ladder k0, ceil(1.5 k0), ... to the head's
-    cap, k0 their largest shift; elsewhere k0, since past each shift's error
-    budget a longer head loses digits."""
+def _shared_shift(points, p: SeriesParams) -> int | None:
+    """One shift under p for the evaluations at the (s0, alpha) of points
+    that have a shift (see _shift): p.k if p fixes it, None if none has.
+    With all of them at Re s >= 0, where a longer head costs no accuracy, it
+    is the cheapest by _line_cost on the ladder k0, ceil(1.5 k0), ... to the
+    head's cap, k0 their largest shift; elsewhere k0, since past each
+    shift's error budget a longer head loses digits."""
+    if p.k is not None:
+        return p.k
     shifts = [(complex(s0), abs(complex(alpha)), k) for s0, alpha in points
-              if (k := _shift(s0, alpha, p)) is not None] if p.k is None else []
+              if (k := _shift(s0, alpha, p)) is not None]
     if not shifts:
-        return p
+        return None
     ws, alphas, ks = zip(*shifts)
     a, size, k = max(alphas), max(map(abs, ws)), max(ks)
     best = (math.inf, k)
@@ -292,20 +275,21 @@ def _shared_params(points, p: SeriesParams) -> SeriesParams:
         if cost > best[0]:  # convex in k: no later candidate is cheaper
             break
         best, k = (cost, k), math.ceil(1.5 * k)
-    return SeriesParams(best[1], p.n_max, p.tol)
+    return best[1]
 
 
-def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, shared: SeriesParams,
-                 regularized: bool, line: TailLine) -> EvalResult:
-    """_series_eval on line under the shared params or, where that fails,
-    the solo call's result or error, so sharing never fails an evaluation.
-    A solo call at the same shift and order would fail the same way."""
-    try:
-        return _series_eval(s0, alpha, order, shared, regularized, line)
-    except (HZetaError, ValueError):
-        if line.order == order and shared.k == _shift(s0, alpha, p):
-            raise
-        return _series_eval(s0, alpha, order, p, regularized)
+def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, regularized: bool,
+                 line: TailLine | None) -> EvalResult:
+    """_series_eval on line, at its shift, or where that fails or there is no
+    line the solo call's result or error, so sharing never fails an
+    evaluation.  A solo call at the line's shift and order fails the same."""
+    if line is not None:
+        try:
+            return _series_eval(s0, alpha, order, p, regularized, line)
+        except (HZetaError, ValueError):
+            if line.order == order and line.start == _shift(s0, alpha, p):
+                raise
+    return _series_eval(s0, alpha, order, p, regularized)
 
 
 def _kahan_add(total: list, comp: list, term) -> None:
@@ -327,13 +311,12 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
     zeta_k(s0), then the terms a_n B_k(s0 + n) until three in a row fall
     below tol relative to the sum, or n reaches n_max.
 
-    Every tail goes through the memo of line, a TailLine for Im s0 (a fresh
-    one when none is given), keyed by (w0, k, regularized) with w0 exact to
-    the sign of a zero, and is computed only when missing, at the line's
-    order; the loop reads a longer tail as its prefix.  Evaluations that
-    share a line and a shift k share every tail, zeta_k(s0) and B_k(s0 + n),
-    and so does one at s0 + 1, whose term n is term n + 1 at s0.  A failed
-    tail is not kept, so a failure is that of a fresh line.
+    The shift k is that of line, a TailLine for Im s0 (a fresh one at the
+    shift p gives when none is given), and every tail comes from its memo
+    (TailLine.tail), at the line's order; the loop reads a longer tail as
+    its prefix.  Evaluations that share a line share every tail, zeta_k(s0)
+    and B_k(s0 + n), and so does one at s0 + 1, whose term n is term n + 1
+    at s0.
 
     The loop works on plain coefficient lists: head terms from
     pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
@@ -350,9 +333,10 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
                 "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
                 "meaningful there"
             )
-    k = _resolve_k(s0, alpha, p)
+    if line is None:
+        line = TailLine(s0.imag, order, _resolve_k(s0, alpha, p))
+    k = line.start
     _check_head(alpha, k)
-    line = TailLine(s0.imag, order) if line is None else line
 
     s_coeffs = [s0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     # every term of the regularized series carries the factor s - 1
@@ -372,7 +356,7 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
         head_round += (max(map(abs, term)) if order else abs(term[0])) * (
             lead + spread * abs(cmath.log(base)))
 
-    tail0, err_cont = _memo_tail(line, s0, k, regularized=regularized)
+    tail0, err_cont = line.tail(s0, regularized)
     _kahan_add(total, comp, tail0[:order + 1])
     pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
     # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
@@ -381,7 +365,7 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
     last_norm = math.inf
     while n < p.n_max:
         n += 1
-        b_k, em_err = _memo_tail(line, s0 + n, k, regularized=True)
+        b_k, em_err = line.tail(s0 + n, True)
         term = mul_coeffs(a_n, b_k)
         if factor is not None:
             term = times_linear(factor, term)
@@ -440,11 +424,10 @@ def hurwitz_jet_many(
     p, lines = p or DEFAULT_PARAMS, {}
     results = []
     for alpha in alphas:
-        # one line per shift, since a line's rows begin at its first start
         k = _shift(s0, alpha, p)
-        if k not in lines:
-            lines[k] = TailLine(s0.imag, r)
-        results.append(_series_eval(s0, alpha, r, p, line=lines[k]))
+        if k is not None and k not in lines:
+            lines[k] = TailLine(s0.imag, r, k)
+        results.append(_series_eval(s0, alpha, r, p, line=lines.get(k)))
     return results
 
 

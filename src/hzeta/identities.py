@@ -17,16 +17,17 @@ route differentiates the s-jet numerically in alpha and is what
 verify_identity compares against.
 
 A VerifyPoint (s0, alpha, r, p, h) keeps the evaluations its identities
-share, keyed exactly (to the sign of a zero) by (w0, alphas, order,
-regularized), and its m = 1 jets by (w0, "dalpha").  They lie on two lines,
-Im s = Im s0 and Im s = 0 (at 0, 1 and 2), each with one zetacore.TailLine
-holding its Euler-Maclaurin tails (see hurwitz._series_eval) at the largest
-order it needs, r + 1 on Im s = 0 for fd_gamma, and one shift unless p
-fixes k: hurwitz._shared_params of alpha and alpha +- h at its points,
-priced for the line where they all lie at Re s >= 0.  Both depend on the
-point alone, so a report is the one a fresh point gives, in any order of
-the calls.  An evaluation agrees with its solo call within the two
-estimates, and a failing one raises its solo call's error, and is not kept.
+share, keyed exactly (to the sign of a zero) by (w0, number of alphas,
+order, regularized), the alphas being alpha alone or alpha +- h, and its
+m = 1 jets by (w0, "dalpha").  They lie on two lines, Im s = Im s0 and
+Im s = 0 (at 0, 1 and 2), each one zetacore.TailLine holding its
+Euler-Maclaurin tails (see hurwitz._series_eval) at the largest order it
+needs, r + 1 on Im s = 0 for fd_gamma, and at one shift: p.k if p fixes it,
+else hurwitz._shared_shift of alpha and alpha +- h at its points, priced
+for the line where they all lie at Re s >= 0.  Both depend on the point
+alone, so a report is the one a fresh point gives, in any order of the
+calls.  An evaluation agrees with its solo call within the two estimates,
+and a failing one raises its solo call's error, and is not kept.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from .hurwitz import (
     SeriesParams,
     _alpha_derivative,
     _check_count,
-    _exact,
     _shared_eval,
-    _shared_params,
+    _shared_shift,
     hurwitz_alpha_derivative,
 )
 from .jets import Jet
 from .stieltjes import MAX_GENERALIZED_ORDER, _check_order
-from .zetacore import TailLine
+from .zetacore import TailLine, _exact
 
 IDENTITY_NAMES = (
     "INTERCHANGE",
@@ -110,25 +110,25 @@ class VerifyPoint:
         self.s0, self.alpha, self.r, self.p, self.h = s0, alpha, r, p or DEFAULT_PARAMS, h
         self.evals, self._lines = {}, {}
 
-    def _line(self, w0: complex) -> tuple:
-        # the shared params and TailLine of w0's line, fixed by the point:
-        # Im s = Im s0 at order r, or Im s = +0, with 0, 1 and 2, at r + 1
+    def _line(self, w0: complex) -> TailLine | None:
+        # w0's TailLine, fixed by the point: Im s = Im s0 at order r, or Im s
+        # = +0, with 0, 1 and 2, at r + 1; None where no evaluation has a shift
         zero = _exact(complex(w0).imag) == _exact(0.0)
         if zero not in self._lines:
             s0, alpha, h = complex(self.s0), self.alpha, self.h
             ws = [0.0, 1.0, 2.0] if zero else []
             ws += [s0, s0 + 1] if (_exact(s0.imag) == _exact(0.0)) == zero else []
-            pairs = [(w, a) for w in ws for a in (alpha, alpha + h, alpha - h)]
-            line = TailLine(complex(w0).imag, self.r + 1 if zero else self.r)
-            self._lines[zero] = _shared_params(pairs, self.p), line
+            k = _shared_shift([(w, a) for w in ws for a in (alpha, alpha + h, alpha - h)], self.p)
+            self._lines[zero] = None if k is None else TailLine(
+                complex(w0).imag, self.r + 1 if zero else self.r, k)
         return self._lines[zero]
 
     def _batch(self, w0: complex, alphas: tuple, order: int, regularized=False) -> list:
         # alphas is (alpha,) or (alpha + h, alpha - h)
         at = (_exact(complex(w0)), len(alphas), order, regularized)
         if at not in self.evals:
-            shared, line = self._line(w0)
-            self.evals[at] = [_shared_eval(w0, a, order, self.p, shared, regularized, line)
+            line = self._line(w0)
+            self.evals[at] = [_shared_eval(w0, a, order, self.p, regularized, line)
                               for a in alphas]
         return self.evals[at]
 

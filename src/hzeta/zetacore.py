@@ -14,10 +14,11 @@ boundaries keep the summands small, which is what limits accuracy at
 negative Re w, while the prediction keeps the asymptotic truncation
 under control at large |Im w|.  The policy is fixed: M is at least 4
 (_CUTOFF) and at most _MAX_BOUNDARY, and j runs to 10 (_DEPTH).  So a tail
-is a function of (w0, start, order, regularized) alone, the key of the
-tails memo in hurwitz._series_eval.  Along a line the search continues
-from the last boundary, with bounds on its Pochhammer magnitude carried
-from w0 - 1, and finds the same M (see choose_boundary).  boundary_model
+is a function of (w0, start, order, regularized) alone: on a TailLine, one
+Im w0, order and start, of (w0, regularized), the key of its tails memo.
+Along a line the search continues from the last boundary, with bounds on
+its Pochhammer magnitude carried from w0 - 1, and finds the same M (see
+choose_boundary).  boundary_model
 is the same test in closed form, at order 0 and with no grid, for the
 shift ladder in hurwitz, which predicts M before any tail exists; it
 holds for Re w > -_DEPTH and |w| < 2 pi _MAX_BOUNDARY.
@@ -32,8 +33,8 @@ returns them as a tuple.  Its integer powers split as
 m**-w = m**-Re(w) * m**(-i Im w - h), where h = w - w0 is the jet
 variable.  The second factor, the phase m**(-i Im w) times
 (-log m)**j / j!, depends on w0 only through Im w0, so a TailLine
-holds it for one imaginary part and order, and every summand is a real
-magnitude times a table row, read from the line's columns by slice.
+holds it for one imaginary part, order and start, and every summand is a
+real magnitude times a table row, read from the line's columns.
 The shifted series moves only Re w from term to term, so one line
 serves all of its tails, bitwise as fresh lines would.  The Bernoulli
 corrections c_j (w)_{2j-1} M**-w, c_j = B_{2j}/(2j)! M**(1-2j), ride on
@@ -84,6 +85,11 @@ _LOOSE_RATIO = 0.9
 _STRICT_MARGIN = 100.0
 
 
+def _exact(z: complex) -> tuple:
+    """z as a dict key that tells -0.0 from 0.0, which == does not."""
+    return z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
 def _poch_magnitude(w0: complex, order: int) -> list:
     """[p, p, w0, order]: bounds of no width on p = |(w)_{2*_DEPTH-1}|, each
     factor padded by the jet order so the bound holds for derivative
@@ -131,10 +137,11 @@ def choose_boundary(w0: complex, start: int, order: int, *,
     truncation target relative to the leading magnitude start**(-Re w).
 
     Candidates step up from max(_CUTOFF, start) by max(1, M // 8).  On a
-    line, the search steps down from the last one chosen there while the
-    one below passes, then up while it fails: where Re w > 1 - 2 _DEPTH
-    the test is monotone in M, so this is the cold search's M, as it is
-    with bounds on its magnitude from TailLine._poch_bounds.
+    line (a TailLine for this start and order), the search steps down from
+    the last one chosen there while the one below passes, then up while it
+    fails: where Re w > 1 - 2 _DEPTH the test is monotone in M, so this is
+    the cold search's M, as it is with bounds on its magnitude from
+    TailLine._poch_bounds.
 
     Raises Nonconvergence when the search passes _MAX_BOUNDARY; at
     start = 1 and Re w = 1/2 that happens from about |Im w| = 3e5.
@@ -147,10 +154,7 @@ def choose_boundary(w0: complex, start: int, order: int, *,
     poch = line._poch_bounds(w0, order) if warm else _poch_magnitude(w0, order)
     scale = max(float(max(start, 1)) ** (-sigma), 1e-290)
     target = _TRUNCATION_TARGET * scale
-    if warm and line._start == start:
-        marks, i = line._marks, line._last
-    else:
-        marks, i = [max(_CUTOFF, start)], 0
+    marks, i = (line._marks, line._last) if warm else ([max(_CUTOFF, start)], 0)
     try:
         while i > 0 and _boundary_ok(poch, sigma, float(marks[i - 1]), absw, target):
             i -= 1
@@ -171,7 +175,7 @@ def choose_boundary(w0: complex, start: int, order: int, *,
             f"for w0={w0}, start={start}, order={order}"
         ) from None
     if warm:
-        line._start, line._marks, line._last, line._poch = start, marks, i, poch
+        line._last, line._poch = i, poch
     return marks[i]
 
 
@@ -206,53 +210,51 @@ class TailLine:
     """What the tails along the line Im w = t share at one order and start.
 
     Rows m**(-i t - h) = m**(-i t) * (-log m)**j / j!, j = 0..order, for
-    integer m >= 1: the factor of m**-w that every w on the line shares,
-    as coefficients in h = w - w0.  Row m is pow_neg_coeffs(m, [i t, 1, 0,
-    ...]), so its phase carries the extended-precision log of the power
-    kernel.  Rows are computed on request, from the first start asked for
-    up to the largest stop, and kept for the life of the line, as are
-    choose_boundary's place and bounds and the Bernoulli factor row of
-    each boundary M met; tails is a memo for the caller's own use.
-    em_tail_jet slices the columns it sums and reads row M at one index,
-    as it does each row's majorant max_j |coefficient j|.
+    integer m >= start: the factor of m**-w that every w on the line
+    shares, as coefficients in h = w - w0.  Row m is pow_neg_coeffs(m,
+    [i t, 1, 0, ...]), so its phase carries the extended-precision log of
+    the power kernel.  Rows are computed on request, up to the largest
+    stop, and kept for the life of the line, as are choose_boundary's
+    place and bounds, the Bernoulli factor row of each boundary M met and
+    the tails themselves (tail).  em_tail_jet sums the columns from their
+    first entry, row start, and reads row M at one index, as it does each
+    row's majorant max_j |coefficient j|.
     """
 
-    __slots__ = ("t", "order", "tails", "_w", "_first", "_cols", "_major", "_start",
+    __slots__ = ("t", "order", "start", "_tails", "_w", "_cols", "_major",
                  "_marks", "_last", "_factors", "_poch")
 
-    def __init__(self, t: float, order: int):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.t = float(t)
-        self.order = order
-        self.tails = {}
+    def __init__(self, t: float, order: int, start: int):
+        if order < 0 or start < 1:
+            raise ValueError("a tail line needs order >= 0 and start >= 1, "
+                             f"got order {order}, start {start}")
+        self.t, self.order, self.start, self._tails = float(t), order, start, {}
         self._w = [complex(0.0, self.t)] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
-        self._first = self._start = None
-        # _cols[j][i] is coefficient j of row _first + i, _major[i] its majorant
+        # _cols[j][i] is coefficient j of row start + i, _major[i] its majorant
         self._cols = [[] for _ in range(order + 1)]
         self._major = []
+        self._marks, self._last = [max(_CUTOFF, start)], 0
         self._factors, self._poch = {}, None
 
-    def _reach(self, start: int, stop: int) -> int:
-        """Compute the rows up to stop - 1; the index of row start."""
-        if self._first is None:
-            self._first = start
-        elif start < self._first:
-            raise ValueError(
-                f"tail line starts at m = {self._first}; start={start} lies below it"
-            )
-        end = self._first + len(self._major)
+    def _reach(self, stop: int) -> None:
+        """Compute the rows up to stop - 1."""
+        end = self.start + len(self._major)
         if stop > end:
             rows = [pow_neg_coeffs(m, self._w) for m in range(end, stop)]
             for col, new in zip(self._cols, zip(*rows)):
                 col.extend(new)
             self._major.extend(max(map(abs, row)) for row in rows)
-        return start - self._first
 
-    def row(self, m: int) -> list[complex]:
-        """The coefficients of row m."""
-        i = self._reach(m, m + 1)
-        return [col[i] for col in self._cols]
+    def tail(self, w0: complex, regularized: bool) -> tuple[tuple[complex, ...], float]:
+        """em_tail_jet at w0 on this line, computed once: the memo is keyed
+        by w0 exact to the sign of a zero and regularized.  A failed tail
+        is not kept, so its failure is that of a fresh line."""
+        key = (_exact(w0), regularized)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = em_tail_jet(w0, self.start, self.order,
+                                                  regularized=regularized, line=self)
+        return tail
 
     def factors(self, boundary: int) -> list[float]:
         """c_j = B_{2j}/(2j)! M**(1-2j), j = 1.._DEPTH, at M = boundary."""
@@ -287,10 +289,11 @@ def em_tail_jet(
     (w-1) times it when regularized), order + 1 of them as a tuple,
     together with an a-posteriori error estimate.
 
-    line, when given, must be a TailLine for t = Im w0 and this order;
-    callers that evaluate many tails along one horizontal line share it,
-    and without it the call builds one of its own.  Either way the rows
-    start..M-1 are sliced from its columns and row M is read at one index.
+    line, when given, must be a TailLine for t = Im w0, this order and
+    this start; callers that evaluate many tails along one horizontal line
+    share it, and without it the call builds one of its own.  Either way
+    the rows start..M-1 are the first entries of its columns, and row M is
+    read at one index.
 
     The estimate is twice the largest coefficient of the last Bernoulli
     correction, c_10 (w)_19 M**-w, plus a rounding allowance proportional
@@ -309,19 +312,19 @@ def em_tail_jet(
                 "s within 1e-8 of the pole; use the regularized form"
             )
     if line is None:
-        line = TailLine(w0.imag, order)
-    elif line.t != w0.imag or line.order != order:
+        line = TailLine(w0.imag, order, start)
+    elif line.t != w0.imag or line.order != order or line.start != start:
         raise ValueError(
-            f"tail line for Im w = {line.t}, order {line.order} does not "
-            f"match w0={w0}, order {order}"
+            f"tail line for Im w = {line.t}, order {line.order}, start {line.start} "
+            f"does not match w0={w0}, order {order}, start {start}"
         )
 
     boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
 
-    # m**-w = m**-Re(w) * row m, for m = start..boundary, at indices lo..hi of the columns
-    lo = line._reach(start, boundary + 1)
-    hi = lo + boundary - start
+    # m**-w = m**-Re(w) * row m, for m = start..boundary, at indices 0..hi of the columns
+    line._reach(boundary + 1)
+    hi = boundary - start
     sigma = w0.real
     try:
         mags = [float(m) ** -sigma for m in range(start, boundary)]
@@ -332,9 +335,10 @@ def em_tail_jet(
             f"a power m**-w with m <= {boundary} overflows binary64 at w={w0!r}"
         ) from None
 
+    # mags stops at row boundary - 1, and map with it
     cols = line._cols
-    total = [sum(map(mul, mags, col[lo:hi]), 0j) for col in cols]
-    peak = max(map(mul, mags, line._major[lo:hi]), default=0.0)
+    total = [sum(map(mul, mags, col), 0j) for col in cols]
+    peak = max(map(mul, mags, line._major), default=0.0)
     edge = [col[hi] for col in cols]
     # the pole term (over w - 1 unless regularized) and the jet of M**-w, times
     # w - 1 when regularized; row M's majorant times large bounds them and the corrections

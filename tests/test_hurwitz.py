@@ -5,6 +5,7 @@ import pytest
 
 import hzeta.hurwitz
 import hzeta.jets
+import hzeta.zetacore
 from hzeta import (
     DomainError,
     Jet,
@@ -164,13 +165,13 @@ class TestErrors:
 
     def test_coefficient_overflow_names_its_term(self, monkeypatch):
         # tails that are infinite from w0 = s0 + 4 on overflow the fourth term
-        original = hzeta.hurwitz.em_tail_jet
+        original = hzeta.zetacore.em_tail_jet
 
         def infinite_from_four(w0, start, order, *, regularized, line):
             coeffs, err = original(w0, start, order, regularized=regularized, line=line)
             return (complex(math.inf, 0.0),) * (order + 1) if w0.real >= 6.0 else coeffs, err
 
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_from_four)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", infinite_from_four)
         with pytest.raises(Nonconvergence, match="overflowed at n=4 before") as info:
             hurwitz_jet(2.0, 0.5, 1)
         assert "k=2 is too small for alpha=(0.5+0j)" in str(info.value)
@@ -235,13 +236,13 @@ class TestSharedPhaseTable:
     @pytest.mark.parametrize("regularized", [False, True])
     def test_one_tail_per_term_on_one_table(self, monkeypatch, regularized):
         seen = []
-        original = hzeta.hurwitz.em_tail_jet
+        original = hzeta.zetacore.em_tail_jet
 
         def counting(*args, line=None, **kwargs):
             seen.append(line)
             return original(*args, line=line, **kwargs)
 
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
         evaluate = hurwitz_regularized_jet if regularized else hurwitz_jet
         res = evaluate(0.5 + 20j, 1.5 - 0.5j, 2)
         assert len(seen) == 1 + res.terms_used
@@ -273,26 +274,26 @@ class TestTailMemo:
             return (complex(len(names)),), 0.0
 
         names = []
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", named)
-        line = TailLine(0.0, 0)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", named)
+        line = TailLine(0.0, 0, 2)
         points = (2 + 0j, complex(2, -0.0), complex(-0.0, 1.0), 1j)
         for _ in range(2):
-            got = [hzeta.hurwitz._memo_tail(line, w, 2, regularized=True)[0]
-                   for w in points]
+            got = [line.tail(w, True)[0] for w in points]
             assert got == [(complex(i),) for i in range(1, 5)]
         assert names == [repr(w) for w in points]
-        assert len(line.tails) == 4
+        assert len(line._tails) == 4
 
     def test_memo_serves_a_shifted_evaluation(self, monkeypatch):
         calls = []
-        original = hzeta.hurwitz.em_tail_jet
+        original = hzeta.zetacore.em_tail_jet
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
-        p, line = SeriesParams(), TailLine(1.0, 2)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
+        p = SeriesParams()
+        line = TailLine(1.0, 2, hzeta.hurwitz._shift(0.5 + 1j, 0.7, p))
         at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, 0.7, 2, p, False, line)
         before = len(calls)
         at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, 0.7, 2, p, True, line)
@@ -316,9 +317,9 @@ def _outcome(call, *args, **kwargs):
 def _per_alpha(s0, alphas, order, p, regularized=False) -> list:
     """The series driver on each alpha in turn at the batch's shift over
     one shared line, as verify's evaluations call it."""
-    shared = hzeta.hurwitz._shared_params([(s0, alpha) for alpha in alphas], p)
-    line = TailLine(complex(s0).imag, order)
-    return [hzeta.hurwitz._shared_eval(s0, alpha, order, p, shared, regularized, line)
+    k = hzeta.hurwitz._shared_shift([(s0, alpha) for alpha in alphas], p)
+    line = TailLine(complex(s0).imag, order, k)
+    return [hzeta.hurwitz._shared_eval(s0, alpha, order, p, regularized, line)
             for alpha in alphas]
 
 
@@ -326,13 +327,13 @@ def _count_tails(monkeypatch) -> list:
     """The (w0, start) of every em_tail_jet call the series driver makes
     from now on."""
     calls = []
-    original = hzeta.hurwitz.em_tail_jet
+    original = hzeta.zetacore.em_tail_jet
 
     def counting(w0, start, *args, **kwargs):
         calls.append((w0, start))
         return original(w0, start, *args, **kwargs)
 
-    monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+    monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
     return calls
 
 
@@ -353,7 +354,7 @@ class TestBatch:
         shifts = [hzeta.hurwitz._resolve_k(s0, alpha, p) for alpha in BATCH_ALPHAS]
         assert 2 <= len(set(shifts)) < len(shifts)
         # the line's shift, priced for the whole batch, is past every solo shift
-        k = hzeta.hurwitz._shared_params([(s0, alpha) for alpha in BATCH_ALPHAS], p).k
+        k = hzeta.hurwitz._shared_shift([(s0, alpha) for alpha in BATCH_ALPHAS], p)
         assert k > max(shifts)
         # whichever alpha runs first computes the shared tails
         for alphas in (BATCH_ALPHAS, BATCH_ALPHAS[::-1]):
@@ -407,8 +408,8 @@ class TestBatch:
         alphas, p = (0.5, 1.4e5), SeriesParams()
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 2) for alpha in alphas]
         assert solo[0].k_used == 2 and isinstance(solo[1], Nonconvergence)
-        k = hzeta.hurwitz._shared_params([(2.0, 0.5)], p).k
-        assert hzeta.hurwitz._shared_params([(2.0, alpha) for alpha in alphas], p).k == k
+        k = hzeta.hurwitz._shared_shift([(2.0, 0.5)], p)
+        assert hzeta.hurwitz._shared_shift([(2.0, alpha) for alpha in alphas], p) == k
         at_k = hurwitz_jet(2.0, 0.5, 2, SeriesParams(k=k))
         calls = _count_tails(monkeypatch)
         for batch, first in ((lambda: _per_alpha(2.0, alphas, 2, p), at_k),
@@ -425,7 +426,7 @@ class TestBatch:
         # and 0.5 does not, there or alone at its shift 2; 2 + 1j would hit
         # the cap too, and 0.0 is excluded
         p, alphas = SeriesParams(n_max=8), (0.05, 0.5, 2 + 1j, 0.0)
-        k = hzeta.hurwitz._shared_params([(2.0, alpha) for alpha in alphas], p).k
+        k = hzeta.hurwitz._shared_shift([(2.0, alpha) for alpha in alphas], p)
         assert k > 5  # the largest solo shift, that of 2 + 1j
         solo = [_outcome(hurwitz_jet, 2.0, alpha, 1, p) for alpha in alphas]
         assert not isinstance(solo[0], Exception)
@@ -513,7 +514,7 @@ class TestLineShift:
             while k <= hzeta.hurwitz._MAX_BOUNDARY:
                 ladder.append((hzeta.hurwitz._line_cost(k, a, size, len(points)), k))
                 k = math.ceil(1.5 * k)
-            got = hzeta.hurwitz._shared_params(points, self.P).k
+            got = hzeta.hurwitz._shared_shift(points, self.P)
             assert got == min(ladder)[1] and got >= k0
             longer += got > k0
         assert longer >= 150
@@ -525,7 +526,7 @@ class TestLineShift:
         for ws in ((0.5 + 1j, 1.5 + 1j), (0.0, 1.0, 2.0)):
             points = [(w, a) for w in ws for a in alphas]
             assert self._k0(points) == 4
-            assert hzeta.hurwitz._shared_params(points, self.P).k == 14
+            assert hzeta.hurwitz._shared_shift(points, self.P) == 14
 
     def test_explicit_k_passes_through(self):
         import random
@@ -534,7 +535,7 @@ class TestLineShift:
         for k in (1, 7, 40):
             p = SeriesParams(k=k, n_max=50, tol=1e-10)
             for re_s in ((0.0, 3.0), (-2.5, 3.0)):
-                assert hzeta.hurwitz._shared_params(_line(rng, 2, re_s), p) is p
+                assert hzeta.hurwitz._shared_shift(_line(rng, 2, re_s), p) == k
 
     def test_left_half_plane_keeps_the_largest_shift(self):
         import random
@@ -542,10 +543,10 @@ class TestLineShift:
         rng = random.Random(27)
         for _ in range(100):
             points = _line(rng, 2) + [(complex(rng.uniform(-2.5, -1e-9), 1.0), 1.5 + 1j)]
-            assert hzeta.hurwitz._shared_params(points, self.P).k == self._k0(points)
+            assert hzeta.hurwitz._shared_shift(points, self.P) == self._k0(points)
         # -0.0 is at Re s >= 0, as it is for the solo shift
         points = [(complex(-0.0, 1.0), 1.3 + 0.4j)]
-        assert hzeta.hurwitz._shared_params(points, self.P).k > self._k0(points)
+        assert hzeta.hurwitz._shared_shift(points, self.P) > self._k0(points)
 
     @pytest.mark.parametrize("cap", [2000, None])
     def test_head_cap_and_excluded_points(self, monkeypatch, cap):
@@ -559,7 +560,7 @@ class TestLineShift:
         for alpha in big + near:
             for ws in ((0.5 + 1j, 1.5 + 1j), (0.0, 1.0, 2.0), (3.0,)):
                 points = [(w, a) for w in ws for a in (alpha, alpha + 1e-4)]
-                k = hzeta.hurwitz._shared_params(points, self.P).k
+                k = hzeta.hurwitz._shared_shift(points, self.P)
                 assert self._k0(points) <= k <= cap
                 for s0, a in points:
                     shift = hzeta.hurwitz._shift(s0, a, self.P)

@@ -1,10 +1,14 @@
+import csv
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import hzeta.hurwitz
 import hzeta.identities as identities
+import hzeta.zetacore
 from hzeta import (
     IDENTITY_NAMES,
     DomainError,
@@ -23,6 +27,10 @@ from hzeta import (
 from hzeta.oracles import hurwitz_em_oracle
 
 from conftest import assert_close, central_diff
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 S_GRID = (-2.5, -1.0, -0.3, 0.5, 2.0, 3 + 2j)
 ALPHA_GRID = (0.3, 1.0, 1.7, 2 + 2j)
@@ -197,7 +205,7 @@ SHARED_POINTS = (
 class TestSharedEvaluations:
     def test_one_point_tail_count(self, tmp_path, monkeypatch, capsys):
         calls = []
-        em_tail_jet = hzeta.hurwitz.em_tail_jet
+        em_tail_jet = hzeta.zetacore.em_tail_jet
 
         def counting(*args, **kwargs):
             calls.append((complex(args[0]).imag, *args[1:3]))
@@ -205,7 +213,7 @@ class TestSharedEvaluations:
 
         grid = tmp_path / "grid.csv"
         grid.write_text("s_re,s_im,alpha_re,alpha_im,r\n0.5,1,1.3,0.4,2\n")
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", counting)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
         monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
         assert cli.main(["verify", "--identity", "all", "--grid", str(grid)]) == 0
         capsys.readouterr()
@@ -228,8 +236,8 @@ class TestSharedEvaluations:
         seen = []
         shared_eval = identities._shared_eval
 
-        def recording(w0, alpha, order, p, shared, regularized, line):
-            result = shared_eval(w0, alpha, order, p, shared, regularized, line)
+        def recording(w0, alpha, order, p, regularized, line):
+            result = shared_eval(w0, alpha, order, p, regularized, line)
             seen.append((w0, alpha, order, regularized, result))
             return result
 
@@ -247,6 +255,33 @@ class TestSharedEvaluations:
                 assert abs(g - w) <= bound + 4 * math.ulp(max(abs(g), abs(w))), (
                     w0, alpha, order, regularized)
         assert len(seen) > 150 and longer > len(seen) // 2
+
+    def test_verify_box_needs_no_solo_fallback(self, tmp_path, monkeypatch, capsys):
+        # the line's shift serves every evaluation on its line: over the
+        # benchmark's verify grids of seeds 1-3 and the default grid, no
+        # evaluation falls back to its solo call (which, unlike one on a
+        # line, _shared_eval makes without a line)
+        grids = [(str(tmp_path / f"grid-{seed}-{n}.csv"), points)
+                 for seed in (1, 2, 3) for n, points in enumerate(workloads.verify_all(seed))]
+        for path, points in grids:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["s_re", "s_im", "alpha_re", "alpha_im", "r"])
+                writer.writerows([repr(p["s"].real), repr(p["s"].imag), repr(p["alpha"].real),
+                                  repr(p["alpha"].imag), p["r"]] for p in points)
+        on_line, solo = [], []
+        series_eval = hzeta.hurwitz._series_eval
+
+        def counting(*args, **kwargs):
+            (on_line if len(args) == 6 else solo).append(args[:2])
+            return series_eval(*args, **kwargs)
+
+        monkeypatch.setattr(hzeta.hurwitz, "_series_eval", counting)
+        monkeypatch.delenv("HZ_DEFAULT_TOL", raising=False)
+        for grid in ["default"] + [path for path, _ in grids]:
+            cli.main(["verify", "--identity", "all", "--grid", grid])
+        capsys.readouterr()
+        assert solo == [] and len(on_line) > 1500
 
     def test_any_call_order_matches_fresh_reports(self):
         # each report from a fresh point of its own

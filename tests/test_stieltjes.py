@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-import hzeta.hurwitz
+import hzeta.zetacore
 from hzeta import (
     DomainError,
     LaurentExpansion,
@@ -83,7 +83,7 @@ class TestGeneralizedStieltjes:
         def infinite_tail(w0, start, order, *, regularized, line):
             return (complex(math.inf, 0.0),) * (order + 1), 0.0
 
-        monkeypatch.setattr(hzeta.hurwitz, "em_tail_jet", infinite_tail)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", infinite_tail)
         with pytest.raises(Nonconvergence, match="overflowed") as info:
             generalized_stieltjes(0.5, 2)
         message = str(info.value)

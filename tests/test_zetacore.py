@@ -325,14 +325,21 @@ class TestBoundaryCap:
 
 
 def _read(line: TailLine, start: int, stop: int) -> tuple[list[list[complex]], list[float]]:
-    """Rows start..stop-1 of line and their majorants."""
-    rows = [line.row(m) for m in range(start, stop)]
-    return rows, line._major[start - line._first:stop - line._first]
+    """Rows start..stop-1 of line, read off its columns, and their majorants."""
+    assert start >= line.start
+    line._reach(stop)
+    lo, hi = start - line.start, stop - line.start
+    return [list(row) for row in zip(*(col[lo:hi] for col in line._cols))], line._major[lo:hi]
+
+
+def _row(line: TailLine, m: int) -> list[complex]:
+    """The coefficients of row m of line."""
+    return _read(line, m, m + 1)[0][0]
 
 
 class TestPhaseTable:
     def test_rows_are_unit_phase_power_jets(self):
-        line = TailLine(-3.5, 2)
+        line = TailLine(-3.5, 2, 3)
         rows, major = _read(line, 3, 6)
         for row, top, m in zip(rows, major, range(3, 6)):
             assert row == pow_neg_coeffs(m, [-3.5j, 1 + 0j, 0j])
@@ -340,33 +347,37 @@ class TestPhaseTable:
             assert abs(abs(row[0]) - 1.0) < 1e-15
 
     def test_extends_past_earlier_requests(self):
-        table = TailLine(7.25, 1)
+        table = TailLine(7.25, 1, 5)
         first, first_major = _read(table, 5, 9)
         whole, whole_major = _read(table, 5, 12)
-        assert (whole, whole_major) == _read(TailLine(7.25, 1), 5, 12)
+        assert (whole, whole_major) == _read(TailLine(7.25, 1, 5), 5, 12)
         assert whole[:4] == first and whole_major[:4] == first_major
         assert _read(table, 6, 8) == (first[1:3], first_major[1:3])
-        with pytest.raises(ValueError, match="tail line starts at m = 5"):
-            table.row(4)
+        # the rows begin at the line's start, and so do its tails
+        with pytest.raises(ValueError, match="start 5 does not match .* start 4$"):
+            em_tail_jet(2.0 + 7.25j, 4, 1, line=table)
 
-    # a tail reads the line from the row of its own start
+    # a line has one start: a tail at another, above it or below, raises
+    # naming both, and at its own start it is the fresh line's tail
     @pytest.mark.parametrize("regularized", [False, True])
     @pytest.mark.parametrize("order", [0, 3, 12])
     def test_start_above_the_first_row(self, order, regularized):
         w0 = -2.5 + 17.0j
-        line = TailLine(w0.imag, order)
+        line = TailLine(w0.imag, order, 2)
         em_tail_jet(w0, 2, order, regularized=regularized, line=line)
-        for start in (3, 7, 30):
-            for n in range(3):
-                w = w0 + n
-                shared = em_tail_jet(w, start, order, regularized=regularized, line=line)
-                assert shared == em_tail_jet(w, start, order, regularized=regularized)
+        for start in (1, 3, 7, 30):
+            with pytest.raises(ValueError, match=f"start 2 does not match .* start {start}$"):
+                em_tail_jet(w0 + 1, start, order, regularized=regularized, line=line)
+        for n in range(3):
+            w = w0 + n
+            shared = em_tail_jet(w, 2, order, regularized=regularized, line=line)
+            assert shared == em_tail_jet(w, 2, order, regularized=regularized)
 
     # Im w is fixed and Re w steps by one, as along the shifted series
     @pytest.mark.parametrize("w0,start", [(0.7 + 35.5j, 3), (-6.5 - 12j, 1), (2.0, 5)])
     @pytest.mark.parametrize("order", [0, 1, 6, 12])
     def test_shared_table_matches_own_table(self, w0, start, order):
-        line = TailLine(complex(w0).imag, order)
+        line = TailLine(complex(w0).imag, order, start)
         for n in range(12):
             w = w0 + n
             shared = em_tail_jet(w, start, order, regularized=True, line=line)
@@ -393,9 +404,13 @@ class TestPhaseTable:
 
     def test_mismatched_table_raises(self):
         with pytest.raises(ValueError, match="tail line"):
-            em_tail_jet(2.0 + 1j, 3, 0, line=TailLine(2.0, 0))
+            em_tail_jet(2.0 + 1j, 3, 0, line=TailLine(2.0, 0, 3))
         with pytest.raises(ValueError, match="tail line"):
-            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 1))
+            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 1, 3))
+        with pytest.raises(ValueError, match="tail line"):
+            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 2, 4))
+        with pytest.raises(ValueError, match="order >= 0 and start >= 1"):
+            TailLine(1.0, 2, 0)
 
 
 def _times_quadratic(c: list[complex], q0: complex, q1: complex) -> list[complex]:
@@ -425,7 +440,7 @@ def _reference_corrections(w0: complex, base: list[complex], boundary: int):
 def _edge_jet(w0: complex, boundary: int, order: int, regularized: bool) -> list[complex]:
     """The jet of M**-w at w0, times (w - 1) when regularized, as
     em_tail_jet builds it."""
-    edge = TailLine(w0.imag, order).row(boundary)
+    edge = _row(TailLine(w0.imag, order, boundary), boundary)
     base = [float(boundary) ** -w0.real * c for c in edge]
     return times_linear(w0 - 1.0, base) if regularized else base
 
@@ -445,12 +460,12 @@ class TestCorrectionChain:
     def test_chain_is_the_list_chain(self, re, im, boundary, order, regularized):
         w0 = complex(re, im)
         base = _edge_jet(w0, boundary, order, regularized)
-        line = TailLine(im, order)
+        line = TailLine(im, order, 1)
         got = zetacore._corrections(w0, base, line.factors(boundary))
         assert repr(got) == repr(_reference_corrections(w0, base, boundary))
 
     def test_factor_row_is_the_expression(self):
-        line = TailLine(2.5, 3)
+        line = TailLine(2.5, 3, 1)
         for boundary in [*range(4, 201), 1000, 12345, 200000]:
             row = line.factors(boundary)
             assert repr(row) == repr([zetacore._EM_FACTOR[j] * float(boundary) ** (1 - 2 * j)
@@ -478,11 +493,11 @@ def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: boo
             raise PoleAtOne("zeta has a simple pole at s = 1")
         if abs(w0 - 1) < NEAR_POLE_RADIUS:
             raise NearPole("s within 1e-8 of the pole; use the regularized form")
-    line = TailLine(w0.imag, order)
+    line = TailLine(w0.imag, order, start)
     boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
 
-    rows = [line.row(m) for m in range(start, boundary + 1)]
+    rows = _read(line, start, boundary + 1)[0]
     cols, major = [iter(col) for col in zip(*rows)], iter([max(map(abs, row)) for row in rows])
     sigma = w0.real
     try:
@@ -497,7 +512,7 @@ def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: boo
     # mags stops one short of each column, so map leaves out row boundary
     total = [sum(map(mul, mags, col), 0j) for col in cols]
     peak = max(map(mul, mags, major), default=0.0)
-    edge = line.row(boundary)
+    edge = _row(line, boundary)
     pole = [pole_mag * c for c in edge]
     if regularized:
         total = list(map(add, times_linear(wm1, total), pole))
@@ -541,7 +556,7 @@ class TestTailKernel:
     @example(re=-100.0, im=0.0, start=1000, order=0, regularized=False)  # the tail is not finite
     @example(re=-120.0, im=0.0, start=1, order=0, regularized=True)  # the search overflows
     def test_tail_is_the_reference(self, re, im, start, order, regularized):
-        line = TailLine(im, order)
+        line = TailLine(im, order, start)
         # Re w + 0 would turn -0.0 into 0.0, so the first point is taken as is
         for n, w in enumerate([complex(re, im), complex(re + 1, im), complex(re + 2, im)]):
             want = repr(_outcome(_reference_tail, w, start, order, regularized=regularized))
@@ -569,7 +584,7 @@ class TestContinuedBoundarySearch:
     # Re w rounds to 1 at n = 1, so w - 1 is not the w of n = 0: no carry there
     @example(re=1.565e-187, im=1.565e-187, order=0, start=1)
     def test_continued_search_is_the_cold_search(self, re, im, order, start):
-        line = TailLine(im, order)
+        line = TailLine(im, order, start)
         for n in range(61):
             w = complex(re + n, im)
             assert _outcome(choose_boundary, w, start, order, line=line) == _outcome(
@@ -581,7 +596,7 @@ class TestContinuedBoundarySearch:
     @example(re=1.565e-187, im=1.565e-187, order=0, start=1)
     @example(re=-8.5, im=0.5, order=0, start=3)  # factors below 1 until Re w = 2
     def test_carried_bounds_hold_the_magnitude(self, re, im, order, start):
-        line = TailLine(im, order)
+        line = TailLine(im, order, start)
         for n in range(61):
             w = complex(re + n, im)
             if not isinstance(_outcome(choose_boundary, w, start, order, line=line), int):
@@ -592,7 +607,7 @@ class TestContinuedBoundarySearch:
 
     @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (0.5 + 3j, 4, 12)])
     def test_bounds_carry_along_the_line(self, w0, start, order):
-        line = TailLine(w0.imag, order)
+        line = TailLine(w0.imag, order, start)
         widths = []
         for n in range(40):
             choose_boundary(w0 + n, start, order, line=line)
@@ -605,7 +620,7 @@ class TestContinuedBoundarySearch:
     def test_straddling_bounds_give_way_to_the_magnitude(self, w0, start, order):
         # bounds a factor 4 apart straddle many tests; each one that does
         # is replaced by the magnitude itself, so M is the cold search's
-        line = TailLine(w0.imag, order)
+        line = TailLine(w0.imag, order, start)
         narrowed = 0
         for n in range(61):
             w = w0 + n
@@ -634,7 +649,7 @@ class TestContinuedBoundarySearch:
     @pytest.mark.parametrize("w0,start,order", [(-8 + 50j, 1, 0), (-8 - 20j, 40, 6)])
     def test_search_moves_both_ways(self, w0, start, order):
         # down the line and back up, so M both falls and rises
-        line = TailLine(w0.imag, order)
+        line = TailLine(w0.imag, order, start)
         ns = list(range(61)) + list(range(60, -1, -1))
         got = [choose_boundary(w0 + n, start, order, line=line) for n in ns]
         assert got == [choose_boundary(w0 + n, start, order) for n in ns]
@@ -646,19 +661,19 @@ class TestContinuedBoundarySearch:
     def test_far_left_searches_cold(self, re, im, order):
         # where Re w <= -19 the test is not monotone in M: the search starts
         # afresh and leaves the line's place as it was
-        line = TailLine(im, order)
+        line = TailLine(im, order, 1)
         choose_boundary(complex(2.0, im), 1, order, line=line)
-        place = (line._start, list(line._marks), line._last)
+        place = (list(line._marks), line._last)
         w = complex(re, im)
         assert _outcome(choose_boundary, w, 1, order, line=line) == _outcome(
             choose_boundary, w, 1, order
         )
-        assert (line._start, line._marks, line._last) == place
+        assert (line._marks, line._last) == place
 
     @DERANDOMIZED
     @given(regularized=st.booleans(), **LINES)
     def test_shared_line_tail_is_a_fresh_tail(self, re, im, order, start, regularized):
-        line = TailLine(im, order)
+        line = TailLine(im, order, start)
         for n in range(0, 61, 4):
             w = complex(re + n, im)
             shared = _outcome(em_tail_jet, w, start, order, regularized=regularized,

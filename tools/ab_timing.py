@@ -44,6 +44,7 @@ import argparse
 import contextlib
 import csv
 import importlib.util
+import inspect
 import io
 import statistics
 import subprocess
@@ -155,9 +156,15 @@ def verify_timer(pkg, paths: list[str]):
 
 def tail_timer(pkg, order: int):
     """A function giving the CPU seconds per tail of TAIL_PASSES passes
-    along the line, on a line warmed by one pass so rows are computed once."""
+    along the line, on a line warmed by one pass so rows are computed once.
+    The line is built by the side's own constructor: TailLine(t, order,
+    start), or TailLine(t, order) in trees whose line takes its start from
+    its first tail."""
     zetacore = sys.modules[pkg.__name__ + ".zetacore"]
-    line = zetacore.TailLine(LINE_W0.imag, order)
+    args = (LINE_W0.imag, order, LINE_START)
+    if "start" not in inspect.signature(zetacore.TailLine).parameters:
+        args = args[:2]
+    line = zetacore.TailLine(*args)
     ws = [LINE_W0 + n for n in range(LINE_TAILS)]
 
     def passes(count: int = TAIL_PASSES) -> float:

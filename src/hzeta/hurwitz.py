@@ -11,7 +11,8 @@ and a_n(s) = (-alpha)**n / n! * s(s+1)...(s+n-2).  Splitting the rising
 product this way cancels the pole of zeta_k(s+n) at s = 1-n against its
 cofactor once and for all, so every term of the tail is an entire
 function of s and the removable singularities at s = 0, -1, -2, ...
-never appear numerically.
+never appear numerically.  Term n is (-alpha)**n T_n(s), T_n free of
+alpha, so the alphas of one call at s0 share one pass (_series_eval).
 
 The automatic shift keeps |alpha|/k <= 2/3 and damps the series peak
 exp(|alpha| |s| / k) for large |s|.  Where Re s >= 0 it also keeps
@@ -36,9 +37,9 @@ The tails zeta_k(s) and B_k(s + n) depend on s and k but not on alpha:
 a line of tails (zetacore.TailLine) is one Im w = Im s, one order and one
 shift k, and computes each tail once for the evaluations given it: the
 alphas of a hurwitz_jet_many batch with equal shifts, and verify's point,
-whose evaluations take one shift per line (_shared_shift).  At Re s >= 0
-that shift is priced for the line, a tail once and a head per evaluation,
-so its evaluations agree with their solo calls within estimate, not bitwise.
+whose evaluations (alpha +- h in one call) take one shift per line
+(_shared_shift), priced for the line at Re s >= 0, so they agree with
+their solo calls within estimate, not bitwise.
 """
 
 from __future__ import annotations
@@ -278,18 +279,21 @@ def _shared_shift(points, p: SeriesParams) -> int | None:
     return best[1]
 
 
-def _shared_eval(s0: complex, alpha, order: int, p: SeriesParams, regularized: bool,
-                 line: TailLine | None) -> EvalResult:
-    """_series_eval on line, at its shift, or where that fails or there is no
-    line the solo call's result or error, so sharing never fails an
-    evaluation.  A solo call at the line's shift and order fails the same."""
+def _shared_eval(s0: complex, alphas, order: int, p: SeriesParams, regularized: bool,
+                 line: TailLine | None) -> list[EvalResult]:
+    """_series_eval of alphas on line, at its shift; where that fails, each
+    alpha's own call on line, and where that fails or there is no line the
+    solo call's result or error, so sharing never fails an evaluation.  A
+    solo call at the line's shift and order fails the same."""
     if line is not None:
         try:
-            return _series_eval(s0, alpha, order, p, regularized, line)
+            return _series_eval(s0, alphas, order, p, regularized, line)
         except (HZetaError, ValueError):
-            if line.order == order and line.start == _shift(s0, alpha, p):
+            if len(alphas) > 1:
+                return [_shared_eval(s0, (a,), order, p, regularized, line)[0] for a in alphas]
+            if line.order == order and line.start == _shift(s0, alphas[0], p):
                 raise
-    return _series_eval(s0, alpha, order, p, regularized)
+    return [_series_eval(s0, (a,), order, p, regularized)[0] for a in alphas]
 
 
 def _kahan_add(total: list, comp: list, term) -> None:
@@ -302,29 +306,48 @@ def _kahan_add(total: list, comp: list, term) -> None:
         total[i] = t
 
 
-def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
-                 regularized: bool = False, line: TailLine | None = None) -> EvalResult:
-    """The one series driver: at s0, the series for zeta(s, alpha), or for
-    the entire (s - 1) zeta(s, alpha) when regularized, which at s0 = 1
-    is the Laurent expansion: coefficient 0 is the pole's residue and
-    coefficient r + 1 is gamma_r(alpha).  It sums the head, the tail
-    zeta_k(s0), then the terms a_n B_k(s0 + n) until three in a row fall
-    below tol relative to the sum, or n reaches n_max.
+def _further_sums(sums, ratios, terms, tol: float, err_tail: float):
+    """Each further alpha's (sum, error) from the lead's (term, max_j |term_j|,
+    continuation error) per n: its terms are (alpha/lead)**n times those,
+    summed by Horner (its rounding counted as 4 N eps per term), or None if
+    its last three are not all below tol relative to its sum."""
+    out, n = [], len(terms)
+    for (total, comp, head_round), q in zip(sums, ratios):
+        acc, cont, m = [0j] * len(total), 0.0, abs(q)
+        for term, norm, weight in reversed(terms):
+            acc = [q * (a + b) for a, b in zip(acc, term)]
+            cont = m * (cont + weight + 4 * n * _EPS * norm)
+        total = [t + (x - c) for t, c, x in zip(total, comp, acc)]
+        if any(m ** j * terms[j - 1][1] > tol * max(max(map(abs, total)), 5e-324)
+               for j in range(n - 2, n + 1)):
+            return None
+        out.append((total, 3.0 * m ** n * terms[-1][1] + cont + err_tail + _EPS * head_round))
+    return out
+
+
+def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
+                 regularized: bool = False, line: TailLine | None = None) -> list[EvalResult]:
+    """The one series driver: at s0, for each of alphas, the series for
+    zeta(s, alpha), or for the entire (s - 1) zeta(s, alpha) when
+    regularized, which at s0 = 1 is the Laurent expansion: coefficient 0 is
+    the pole's residue and coefficient r + 1 is gamma_r(alpha).  It sums
+    each alpha's head, the tail zeta_k(s0), then its terms (-alpha)**n T_n.
+    The largest |alpha|, the lead, drives one pass: its term a_n B_k(s0 + n)
+    is formed once per n and added until three in a row fall below tol
+    relative to its sum, or n reaches n_max.  Each further alpha adds
+    (alpha/lead)**n times it after the pass (_further_sums), and the pass
+    goes on until each meets the same stop on its own sum.
 
     The shift k is that of line, a TailLine for Im s0 (a fresh one at the
-    shift p gives when none is given), and every tail comes from its memo
-    (TailLine.tail), at the line's order; the loop reads a longer tail as
-    its prefix.  Evaluations that share a line share every tail, zeta_k(s0)
-    and B_k(s0 + n), and so does one at s0 + 1, whose term n is term n + 1
-    at s0.
-
-    The loop works on plain coefficient lists: head terms from
-    pow_neg_coeffs, each product by mul_coeffs or times_linear, and a
-    compensated sum held as two lists; at order 0 each norm max_j |x_j|
-    reads |x_0|.  The only Jet it builds is the result's."""
+    shift p gives the lead when none is given), and every tail comes from
+    its memo (TailLine.tail), at the line's order; the loop reads a longer
+    tail as its prefix.  Evaluations that share a line share every tail,
+    and so does one at s0 + 1, whose term n is term n + 1 at s0.  The loop
+    works on plain coefficient lists; at order 0 each norm max_j |x_j|
+    reads |x_0|."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", order, 0)
-    alpha = require_finite(complex(alpha), "alpha")
+    alphas = [require_finite(complex(alpha), "alpha") for alpha in alphas]
     if not regularized:
         if s0 == 1:
             raise PoleAtOne("zeta(s, alpha) has its pole at s = 1")
@@ -333,36 +356,44 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
                 "s within 1e-8 of the pole; only (s-1)*zeta(s,alpha) is "
                 "meaningful there"
             )
+    at = alphas.index(max(alphas, key=abs))
+    alphas.insert(0, alphas.pop(at))  # the lead first
+    alpha = alphas[0]
     if line is None:
         line = TailLine(s0.imag, order, _resolve_k(s0, alpha, p))
     k = line.start
-    _check_head(alpha, k)
 
     s_coeffs = [s0] + [1 + 0j] * min(order, 1) + [0j] * (order - 1)
     # every term of the regularized series carries the factor s - 1
     factor = s0 - 1.0 if regularized else None
-    total, comp = [0j] * (order + 1), [0j] * (order + 1)
     # (n + alpha)**-s takes its magnitude and its phase from products of
     # s and log(n + alpha), whose rounding reaches about (1 + sqrt 2)
     # |s| |log(n + alpha)| ulps of the term (taken as 3), plus a few ulps
     # per jet coefficient.  At large |s| this dwarfs the tails' rounding.
-    head_round, lead, spread = 0.0, 4.0 + order, 3.0 * abs(s0)
-    for n in range(k):
-        base = n + alpha
-        term = pow_neg_coeffs(base, s_coeffs)
-        if factor is not None:
-            term = times_linear(factor, term)
-        _kahan_add(total, comp, term)
-        head_round += (max(map(abs, term)) if order else abs(term[0])) * (
-            lead + spread * abs(cmath.log(base)))
+    lead, spread, sums = 4.0 + order, 3.0 * abs(s0), []
+    for a in alphas:
+        _check_head(a, k)
+        total, comp, head_round = [0j] * (order + 1), [0j] * (order + 1), 0.0
+        for n in range(k):
+            base = n + a
+            term = pow_neg_coeffs(base, s_coeffs)
+            if factor is not None:
+                term = times_linear(factor, term)
+            _kahan_add(total, comp, term)
+            head_round += (max(map(abs, term)) if order else abs(term[0])) * (
+                lead + spread * abs(cmath.log(base)))
+        sums.append((total, comp, head_round))
 
-    tail0, err_cont = line.tail(s0, regularized)
-    _kahan_add(total, comp, tail0[:order + 1])
+    tail0, err_tail = line.tail(s0, regularized)
+    for total, comp, _ in sums:
+        _kahan_add(total, comp, tail0[:order + 1])
+    total, comp, head_round = sums[0]
+    ratios = [a / alpha for a in alphas[1:]]
     pole_scale = max(1.0, abs(s0 - 1.0)) if regularized else 1.0
-    # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2), updated iteratively
+    # a_n = (-alpha)**n / n! * s(s+1)...(s+n-2) of the lead, updated iteratively
     a_n = [-alpha] + [0j] * order
     n = small = 0
-    last_norm = math.inf
+    err_cont, last_norm, terms, further = err_tail, math.inf, [], []
     while n < p.n_max:
         n += 1
         b_k, em_err = line.tail(s0 + n, True)
@@ -380,45 +411,50 @@ def _series_eval(s0: complex, alpha, order: int, p: SeriesParams,
         else:
             size, last_norm, scale = abs(a_n[0]), abs(term[0]), abs(total[0])
         err_cont += size * em_err * pole_scale
+        if ratios:  # kept for the further alphas
+            terms.append((term, last_norm, size * em_err * pole_scale))
         # <= so that exactly-zero terms count as small even when the
         # accumulated value itself is zero (e.g. zeta(0, 1/2) = 0)
         if last_norm <= p.tol * max(scale, 5e-324):
             small += 1
-            if small == 3:
+            if small >= 3 and (not ratios or (
+                    further := _further_sums(sums[1:], ratios, terms, p.tol, err_tail))):
                 break
         else:
             small = 0
         step, c0 = -alpha / (n + 1), s0 + (n - 1)
         a_n = [step * c for c in times_linear(c0, a_n)]
 
-    value = Jet(tuple(total))
-    err = 3.0 * last_norm + err_cont + _EPS * head_round
-    if not (value.is_finite() and math.isfinite(err)):
-        raise DomainError(
-            f"evaluation overflowed for s={s0}, alpha={alpha} (non-finite result)"
-        )
-    result = EvalResult(value=value, err_estimate=err, k_used=k, terms_used=n)
-    if small < 3:
+    results = []
+    for a, (total, err) in zip(alphas, [
+            (total, 3.0 * last_norm + err_cont + _EPS * head_round), *(further or ())]):
+        value = Jet(tuple(total))
+        if not (value.is_finite() and math.isfinite(err)):
+            raise DomainError(
+                f"evaluation overflowed for s={s0}, alpha={a} (non-finite result)"
+            )
+        results.append(EvalResult(value=value, err_estimate=err, k_used=k, terms_used=n))
+    if small < 3 or further is None:  # the term cap, before every alpha met the stop
         raise Nonconvergence(
             f"series hit the term cap n_max={p.n_max} with the last term at "
             f"{last_norm:.3e} against tolerance {p.tol:.1e}; k={k}, "
             f"alpha={alpha}, s={s0}",
-            result=result,
+            result=results[0],
         )
-    return result
+    results.insert(at, results.pop(0))
+    return results
 
 
 def hurwitz_jet_many(
     s0: complex, alphas, r: int = 0, p: SeriesParams | None = None
 ) -> list[EvalResult]:
     """hurwitz_jet at one s0 for a sequence of alphas, one EvalResult each
-    and equal to its solo call.  The alphas with the same shift k share one
-    line of tails, so they compute each Euler-Maclaurin tail once and
-    a central difference in alpha costs little more than one evaluation.
-    Each keeps its own shift, since a large alpha's shift would give a
-    small one a long head, which at Re s < 0 also loses accuracy.  The
-    first alpha in input order that fails raises what its solo call
-    raises, and the alphas after it are not evaluated."""
+    and equal to its solo call, one call each.  The alphas with the same
+    shift k share one line of tails, so they compute each tail once.  Each
+    keeps its own shift, since a large alpha's shift would give a small one
+    a long head, which at Re s < 0 also loses accuracy.  The first alpha in
+    input order that fails raises what its solo call raises, and the
+    alphas after it are not evaluated."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", r, 0)
     p, lines = p or DEFAULT_PARAMS, {}
@@ -427,7 +463,7 @@ def hurwitz_jet_many(
         k = _shift(s0, alpha, p)
         if k is not None and k not in lines:
             lines[k] = TailLine(s0.imag, r, k)
-        results.append(_series_eval(s0, alpha, r, p, line=lines.get(k)))
+        results.append(_series_eval(s0, (alpha,), r, p, line=lines.get(k))[0])
     return results
 
 
@@ -440,7 +476,7 @@ def hurwitz_jet(
     head base n + alpha vanishes, and Nonconvergence when the shift passes
     the head's cap or the term cap is hit before the stopping rule fires.
     """
-    return _series_eval(s0, alpha, r, p or DEFAULT_PARAMS)
+    return _series_eval(s0, (alpha,), r, p or DEFAULT_PARAMS)[0]
 
 
 def hurwitz_regularized_jet(
@@ -449,7 +485,7 @@ def hurwitz_regularized_jet(
     """Order-r jet of the entire function (w - 1) zeta(w, alpha) at w0, valid
     at w0 = 1 where its value is 1 and coefficient j >= 1 is gamma_{j-1}(alpha):
     the generating function s zeta(s+1, alpha) about s = w0 - 1."""
-    return _series_eval(w0, alpha, r, p or DEFAULT_PARAMS, regularized=True)
+    return _series_eval(w0, (alpha,), r, p or DEFAULT_PARAMS, regularized=True)[0]
 
 
 def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:

@@ -26,8 +26,10 @@ needs, r + 1 on Im s = 0 for fd_gamma, and at one shift: p.k if p fixes it,
 else hurwitz._shared_shift of alpha and alpha +- h at its points, priced
 for the line where they all lie at Re s >= 0.  Both depend on the point
 alone, so a report is the one a fresh point gives, in any order of the
-calls.  An evaluation agrees with its solo call within the two estimates,
-and a failing one raises its solo call's error, and is not kept.
+calls.  The pair alpha +- h is one call of the series driver, whose pass
+serves both (hurwitz._series_eval).  An evaluation agrees with its solo
+call within the two estimates, and a failing one raises its solo call's
+error, and is not kept.
 """
 
 from __future__ import annotations
@@ -128,8 +130,7 @@ class VerifyPoint:
         at = (_exact(complex(w0)), len(alphas), order, regularized)
         if at not in self.evals:
             line = self._line(w0)
-            self.evals[at] = [_shared_eval(w0, a, order, self.p, regularized, line)
-                              for a in alphas]
+            self.evals[at] = _shared_eval(w0, alphas, order, self.p, regularized, line)
         return self.evals[at]
 
     def jet(self, w0: complex, regularized: bool = False):

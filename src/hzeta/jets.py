@@ -142,8 +142,14 @@ def times_linear(c0: complex, x) -> list[complex]:
 
 def _exp_coeffs(e0: complex, a) -> list[complex]:
     """Coefficients of exp(f) from those of f and e0 = exp(a[0]), by the
-    convolution recurrence k e_k = sum_j j a_j e_(k-j).  Zero a_j are
-    skipped, so exp of a linear jet costs O(r) rather than O(r^2)."""
+    convolution recurrence k e_k = sum_j j a_j e_(k-j).  Along a linear jet,
+    every exponent the package passes, a step is e_k = a_1 e_(k-1) / k in
+    O(1), written as the sum computes it, to the bit and the zero's sign."""
+    if a[1] and not any(a[2:]):
+        ja, e = 1 * a[1], [e0]
+        for k in range(1, len(a)):
+            e.append((0j + ja * e[-1]) / k)
+        return e
     terms = [(j, j * a[j]) for j in range(1, len(a)) if a[j]]
     e = [e0]
     for k in range(1, len(a)):

@@ -90,7 +90,7 @@ def generalized_stieltjes(
     """gamma_0(alpha) .. gamma_R(alpha), and the pole coefficient, from the
     jet of (s-1) zeta(s, alpha) at s = 1."""
     _check_order("R", r_max)
-    res = _series_eval(1.0, alpha, r_max + 1, p or DEFAULT_PARAMS, regularized=True)
+    res = _series_eval(1.0, (alpha,), r_max + 1, p or DEFAULT_PARAMS, regularized=True)[0]
     return _expansion(alpha, res.value.coeffs, r_max)
 
 

@@ -294,9 +294,9 @@ class TestTailMemo:
         monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
         p = SeriesParams()
         line = TailLine(1.0, 2, hzeta.hurwitz._shift(0.5 + 1j, 0.7, p))
-        at_s0 = hzeta.hurwitz._series_eval(0.5 + 1j, 0.7, 2, p, False, line)
+        at_s0, = hzeta.hurwitz._series_eval(0.5 + 1j, (0.7,), 2, p, False, line)
         before = len(calls)
-        at_s1 = hzeta.hurwitz._series_eval(1.5 + 1j, 0.7, 2, p, True, line)
+        at_s1, = hzeta.hurwitz._series_eval(1.5 + 1j, (0.7,), 2, p, True, line)
         # the regularized series at s0 + 1 computes only the tails past the
         # last term at s0; the earlier ones were terms of the series at s0
         served = calls[:before]
@@ -315,11 +315,11 @@ def _outcome(call, *args, **kwargs):
 
 
 def _per_alpha(s0, alphas, order, p, regularized=False) -> list:
-    """The series driver on each alpha in turn at the batch's shift over
-    one shared line, as verify's evaluations call it."""
+    """The series driver on each alpha in turn, a call of one alpha each, at
+    the batch's shift over one shared line."""
     k = hzeta.hurwitz._shared_shift([(s0, alpha) for alpha in alphas], p)
     line = TailLine(complex(s0).imag, order, k)
-    return [hzeta.hurwitz._shared_eval(s0, alpha, order, p, regularized, line)
+    return [hzeta.hurwitz._shared_eval(s0, (alpha,), order, p, regularized, line)[0]
             for alpha in alphas]
 
 
@@ -479,6 +479,66 @@ class TestBatch:
             hurwitz_jet_many(float("nan"), [])
         with pytest.raises(ValueError, match="^r must be >= 0"):
             hurwitz_jet_many(2.0, [], r=-1)
+
+
+def _own_terms(s0, alpha, n_terms, order, line) -> list:
+    """max_j |coefficient j| of the terms a_n B_k(s0 + n), n = 1..n_terms, of
+    alpha's own series on line, a_n = (-alpha)**n / n! * s(s+1)...(s+n-2)."""
+    a_n, norms = [-complex(alpha)] + [0j] * order, []
+    for n in range(1, n_terms + 1):
+        norms.append(max(map(abs, mul_coeffs(a_n, line.tail(s0 + n, True)[0]))))
+        a_n = [-alpha / (n + 1) * c for c in hzeta.jets.times_linear(s0 + (n - 1), a_n)]
+    return norms
+
+
+class TestOnePass:
+    """Several alphas in one call of the series driver: the largest drives
+    the pass, and each further alpha's sum is formed after it."""
+
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("s0", [0.5 + 3j, -1.5 + 2j, 2.5 - 1j])
+    def test_alphas_of_very_different_size(self, s0, order):
+        alphas, p = (0.3, 2.5), hzeta.hurwitz.DEFAULT_PARAMS
+        k = hzeta.hurwitz._shared_shift([(s0, alpha) for alpha in alphas], p)
+        line = TailLine(complex(s0).imag, order, k)
+        results = hzeta.hurwitz._series_eval(s0, alphas, order, p, False, line)
+        for alpha, got in zip(alphas, results):
+            assert (got.k_used, got.terms_used) == (k, results[1].terms_used)
+            want = _mpmath_jet(s0, alpha, order)
+            for g, w in zip(got.value.coeffs, want):
+                assert abs(g - w) <= got.err_estimate, (alpha, g, w)
+            # the stop on its own sum: its last three terms below tol of it
+            floor = p.tol * max(map(abs, got.value.coeffs)) * (1 + 1e-9)
+            assert all(norm <= floor for norm in _own_terms(
+                s0, alpha, got.terms_used, order, line)[-3:]), alpha
+
+    def test_further_alpha_extends_the_pass(self):
+        # zeta(s, 1) vanishes at the first Riemann zero, so 1.0 must sum its
+        # terms to far below the lead's own stop
+        s0, alphas, p = 0.5 + 14.134725141734693j, (1.3, 1.0), hzeta.hurwitz.DEFAULT_PARAMS
+        k = hzeta.hurwitz._shared_shift([(s0, alpha) for alpha in alphas], p)
+        line = TailLine(s0.imag, 0, k)
+        results = hzeta.hurwitz._series_eval(s0, alphas, 0, p, False, line)
+        solo = [hurwitz_jet(s0, alpha, 0, SeriesParams(k=k)) for alpha in alphas]
+        assert solo[0].terms_used < solo[1].terms_used == results[1].terms_used
+        wants = [_mpmath_jet(s0, alpha, 0)[0] for alpha in alphas]
+        assert abs(wants[1]) < 1e-14 < abs(wants[0])
+        for alpha, got, want in zip(alphas, results, wants):
+            assert abs(got.value.value - want) <= got.err_estimate, alpha
+
+    def test_failing_pair_falls_back_to_each_alpha(self):
+        # at the term cap 8 the pair fails, so each alpha runs alone on the
+        # line, and 0.05 converges there while 0.5 raises its solo error
+        p, alphas = SeriesParams(n_max=8), (0.5, 0.05)
+        k = hzeta.hurwitz._shared_shift([(2.0, alpha) for alpha in alphas], p)
+        line = TailLine(0.0, 1, k)
+        with pytest.raises(Nonconvergence):
+            hzeta.hurwitz._series_eval(2.0, alphas, 1, p, False, line)
+        with pytest.raises(Nonconvergence) as info:
+            hzeta.hurwitz._shared_eval(2.0, alphas, 1, p, False, line)
+        assert str(info.value) == str(_outcome(hurwitz_jet, 2.0, 0.5, 1, p))
+        assert hzeta.hurwitz._shared_eval(2.0, alphas[1:], 1, p, False, line) == [
+            hurwitz_jet(2.0, 0.05, 1, SeriesParams(k=k, n_max=8))]
 
 
 def _line(rng, n, re_s=(0.0, 3.0)) -> list:

@@ -236,10 +236,12 @@ class TestSharedEvaluations:
         seen = []
         shared_eval = identities._shared_eval
 
-        def recording(w0, alpha, order, p, regularized, line):
-            result = shared_eval(w0, alpha, order, p, regularized, line)
-            seen.append((w0, alpha, order, regularized, result))
-            return result
+        def recording(w0, alphas, order, p, regularized, line):
+            # one call per evaluation group, alpha alone or alpha +- h together
+            results = shared_eval(w0, alphas, order, p, regularized, line)
+            seen.extend((w0, alpha, order, regularized, result)
+                        for alpha, result in zip(alphas, results))
+            return results
 
         monkeypatch.setattr(identities, "_shared_eval", recording)
         for s0, alpha, r in points:
@@ -260,7 +262,8 @@ class TestSharedEvaluations:
         # the line's shift serves every evaluation on its line: over the
         # benchmark's verify grids of seeds 1-3 and the default grid, no
         # evaluation falls back to its solo call (which, unlike one on a
-        # line, _shared_eval makes without a line)
+        # line, _shared_eval makes without a line), counted per alpha: a call
+        # on a line evaluates alpha alone or alpha +- h together
         grids = [(str(tmp_path / f"grid-{seed}-{n}.csv"), points)
                  for seed in (1, 2, 3) for n, points in enumerate(workloads.verify_all(seed))]
         for path, points in grids:
@@ -273,7 +276,7 @@ class TestSharedEvaluations:
         series_eval = hzeta.hurwitz._series_eval
 
         def counting(*args, **kwargs):
-            (on_line if len(args) == 6 else solo).append(args[:2])
+            (on_line if len(args) == 6 else solo).extend((args[0], a) for a in args[1])
             return series_eval(*args, **kwargs)
 
         monkeypatch.setattr(hzeta.hurwitz, "_series_eval", counting)

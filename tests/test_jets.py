@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hzeta import Jet
 from hzeta.errors import DomainError
-from hzeta.jets import mul_coeffs, pow_neg_coeffs, pow_negs, times_linear
+from hzeta.jets import _exp_coeffs, mul_coeffs, pow_neg_coeffs, pow_negs, times_linear
 
 from conftest import assert_close, naive_pow
 
@@ -139,6 +139,31 @@ class TestKernelPins:
         coeffs = pow_neg_coeffs(math.e, [0j, 1 + 0j, 1 + 0j, 0j])
         for c, want in zip(coeffs, (1, -1, -0.5, 5 / 6)):
             assert abs(c - want) < 1e-15
+
+
+def _exp_generic(e0, a):
+    # the convolution recurrence k e_k = sum_j j a_j e_(k-j), over the nonzero a_j
+    terms = [(j, j * a[j]) for j in range(1, len(a)) if a[j]]
+    e = [e0]
+    for k in range(1, len(a)):
+        e.append(sum((ja * e[k - j] for j, ja in terms if j <= k), 0j) / k)
+    return e
+
+
+def test_exp_of_linear_jet_matches_the_generic_recurrence():
+    # the one-step recurrence of a linear exponent, bit for bit and to the
+    # sign of every zero, with signed zeros in e0, in a_1 and past a_1
+    rng = random.Random(29)
+
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0)))
+
+    for _ in range(20000):
+        e0, a1 = complex(part(), part()), complex(part(), part()) or 1 - 0j
+        zeros = [complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+                 for _ in range(rng.randint(0, 11))]
+        a = [complex(part(), part()), a1, *zeros]
+        assert repr(_exp_coeffs(e0, a)) == repr(_exp_generic(e0, a)), (e0, a)
 
 
 class TestPowNegs:

@@ -21,15 +21,16 @@ side that goes first alternating from round to round:
                    (M runs from 27 down to 15): the cost of one tail, per
                    tail, over TAIL_PASSES passes.
 
-With --workload verify_all the measures are instead "verify total" and
-"verify p90 pair": one pass of each side's own CLI, `cli.main(["verify",
-"--identity", "all", "--grid", FILE])` with its stdout captured, over the
-perfbench verify_all grid files of --seed; the pass's total, and the 90th
-percentile of its times per (identity, point) pair, the unit of perfbench's
-latency, timed around the side's cli.verify_identity as perfbench's
-cliboot.py times it.  So the two sides may differ in how verify_identity is
-called.  perfbench's own verify_all throughput also counts each grid
-process's start-up and import; this is the in-process share alone.
+With --workload verify_all the measures are instead "verify total",
+"verify p50 pair" and "verify p90 pair": one pass of each side's own CLI,
+`cli.main(["verify", "--identity", "all", "--grid", FILE])` with its stdout
+captured, over the perfbench verify_all grid files of --seed; the pass's
+total, and the 50th and 90th percentiles of its times per (identity, point)
+pair, the unit of perfbench's latency, timed around the side's
+cli.verify_identity as perfbench's cliboot.py times it.  So the two sides
+may differ in how verify_identity is called.  perfbench's own verify_all
+throughput also counts each grid process's start-up and import; this is
+the in-process share alone.
 
 One process and interleaved rounds put both sides on the same machine
 state, so the ratio work/ref is steadier than two separate runs.  For each
@@ -126,7 +127,7 @@ def write_grids(grids: list[list[dict]], tmp: str) -> list[str]:
 
 def verify_timer(pkg, paths: list[str]):
     """A function giving the CPU seconds of one pass of pkg's CLI over the
-    grid files, and of the pass's 90th-percentile pair."""
+    grid files, and of the pass's 50th- and 90th-percentile pairs."""
     cli = importlib.import_module(pkg.__name__ + ".cli")
     verify_identity, pairs = cli.verify_identity, []
 
@@ -139,7 +140,7 @@ def verify_timer(pkg, paths: list[str]):
 
     cli.verify_identity = timed_pair
 
-    def one_pass() -> tuple[float, float]:
+    def one_pass() -> tuple[float, float, float]:
         pairs.clear()
         t0 = time.process_time()
         for path in paths:
@@ -149,7 +150,7 @@ def verify_timer(pkg, paths: list[str]):
                 raise SystemExit(f"{pkg.__name__}: hzeta verify on {path} exited {code}")
         total = time.process_time() - t0
         pairs.sort()
-        return total, pairs[int(0.9 * len(pairs))]
+        return total, statistics.median(pairs), pairs[int(0.9 * len(pairs))]
 
     return one_pass
 
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
         measures: dict[tuple, dict] = {}
         if args.workload == VERIFY:
             paths = write_grids(pool, tmp)
-            measures[("verify total", "verify p90 pair")] = {
+            measures[("verify total", "verify p50 pair", "verify p90 pair")] = {
                 side: verify_timer(pkg, paths) for side, pkg in sides.items()}
             sizes = f"{sum(map(len, pool))} points"
         else:

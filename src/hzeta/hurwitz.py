@@ -344,7 +344,8 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
     tail as its prefix.  Evaluations that share a line share every tail,
     and so does one at s0 + 1, whose term n is term n + 1 at s0.  The loop
     works on plain coefficient lists; at order 0 each norm max_j |x_j|
-    reads |x_0|."""
+    reads |x_0|, and the step's product, finiteness check and update run on
+    the one coefficient."""
     s0 = require_finite(complex(s0), "s")
     _check_count("r", order, 0)
     alphas = [require_finite(complex(alpha), "alpha") for alpha in alphas]
@@ -397,10 +398,11 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
     while n < p.n_max:
         n += 1
         b_k, em_err = line.tail(s0 + n, True)
-        term = mul_coeffs(a_n, b_k)
+        term = mul_coeffs(a_n, b_k) if order else [a_n[0] * b_k[0]]
         if factor is not None:
             term = times_linear(factor, term)
-        if not (all(map(cmath.isfinite, term)) and all(map(cmath.isfinite, a_n))):
+        if not (all(map(cmath.isfinite, term)) and all(map(cmath.isfinite, a_n)) if order
+                else cmath.isfinite(term[0]) and cmath.isfinite(a_n[0])):
             raise Nonconvergence(
                 f"coefficient recurrence overflowed at n={n} before the "
                 f"series converged; k={k} is too small for alpha={alpha}"
@@ -423,7 +425,7 @@ def _series_eval(s0: complex, alphas, order: int, p: SeriesParams,
         else:
             small = 0
         step, c0 = -alpha / (n + 1), s0 + (n - 1)
-        a_n = [step * c for c in times_linear(c0, a_n)]
+        a_n = [step * c for c in times_linear(c0, a_n)] if order else [step * (c0 * a_n[0])]
 
     results = []
     for a, (total, err) in zip(alphas, [

@@ -40,11 +40,13 @@ serves all of its tails, bitwise as fresh lines would.  The Bernoulli
 corrections c_j (w)_{2j-1} M**-w, c_j = B_{2j}/(2j)! M**(1-2j), ride on
 the jet of M**-w itself: starting from w M**-w, each term is the last
 times (w + 2j - 3)(w + 2j - 2), whose jet has three nonzero coefficients,
-so the chain runs over j one coefficient at a time (_corrections, which
-at order 0 stops after its one column), with no O(r^2) product; the pole
-term M**(1-w) / (w - 1) is an O(r) division recurrence.  The boundary
-search raises Nonconvergence rather than use a boundary that misses the
-target, and a tail that is not finite in binary64 raises DomainError.
+so the chain runs over j one coefficient at a time (_corrections), with
+no O(r^2) product; the pole term M**(1-w) / (w - 1) is an O(r) division
+recurrence.  At order 0 em_tail_jet runs on numbers, with the same
+operations in the same order and the chain's one column by accumulate.
+The boundary search raises Nonconvergence rather than use a boundary
+that misses the target, and a tail that is not finite in binary64 raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -300,6 +302,9 @@ def em_tail_jet(
     to the largest summand, bounded through the rows' majorants, and 4 eps
     times the pole term, the base and the corrections added at M.  A total
     or estimate that is not finite raises DomainError.
+
+    Orders 1 and up run on coefficient lists; order 0 runs on numbers, to
+    the same bits.
     """
     w0 = require_finite(complex(w0), "s")
     if start < 1:
@@ -336,27 +341,40 @@ def em_tail_jet(
         ) from None
 
     # mags stops at row boundary - 1, and map with it
-    cols = line._cols
-    total = [sum(map(mul, mags, col), 0j) for col in cols]
     peak = max(map(mul, mags, line._major), default=0.0)
-    edge = [col[hi] for col in cols]
     # the pole term (over w - 1 unless regularized) and the jet of M**-w, times
     # w - 1 when regularized; row M's majorant times large bounds them and the corrections
-    if regularized:
-        total = [t + pole_mag * c for t, c in zip(times_linear(wm1, total), edge)]
-        base = times_linear(wm1, [edge_mag * c for c in edge])
-        large = pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0)
-    else:
-        # pole / (w - 1) by the division recurrence (w0 - 1) q_i = p_i - q_{i-1}
-        q, inv = 0j, 1.0 / wm1
-        for i, c in enumerate(edge):
-            q = (pole_mag * c - q) * inv
-            total[i] += q
-        base = [edge_mag * c for c in edge]
-        large = pole_mag / abs(wm1) + 2.0 * edge_mag
-    peak = max(peak, max(map(abs, total)) if order else abs(total[0]))
-    corr, last = _corrections(w0, base, line.factors(boundary))
-    total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
+    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
+             else pole_mag / abs(wm1) + 2.0 * edge_mag)
+    factors = line.factors(boundary)
+    if order:
+        cols = line._cols
+        total = [sum(map(mul, mags, col), 0j) for col in cols]
+        edge = [col[hi] for col in cols]
+        if regularized:
+            total = [t + pole_mag * c for t, c in zip(times_linear(wm1, total), edge)]
+            base = times_linear(wm1, [edge_mag * c for c in edge])
+        else:
+            # pole / (w - 1) by the division recurrence (w0 - 1) q_i = p_i - q_{i-1}
+            q, inv = 0j, 1.0 / wm1
+            for i, c in enumerate(edge):
+                q = (pole_mag * c - q) * inv
+                total[i] += q
+            base = [edge_mag * c for c in edge]
+        peak = max(peak, max(map(abs, total)))
+        corr, last = _corrections(w0, base, factors)
+        total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
+    else:  # the same operations in the same order on numbers, the chain's one column
+        col = line._cols[0]
+        total, edge = sum(map(mul, mags, col), 0j), col[hi]
+        if regularized:
+            total, base = wm1 * total + pole_mag * edge, wm1 * (edge_mag * edge)
+        else:
+            total, base = total + (pole_mag * edge - 0j) * (1.0 / wm1), edge_mag * edge
+        peak = max(peak, abs(total))
+        chain = list(accumulate([(w0 + n) * (w0 + (n + 1)) for n in _ODD], mul, initial=w0 * base))
+        last = abs(factors[-1] * chain[-1])
+        total = (total + 0.5 * base + sum(map(mul, factors, chain), 0j),)
 
     err = 2.0 * last + 2.220446049250313e-16 * (
         8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * line._major[hi] * large)
@@ -371,12 +389,12 @@ def em_tail_jet(
 def _corrections(w0: complex, base: list, factors: list) -> tuple[list, float]:
     """sum_j c_j x_j, x_j = (w)_{2j-1} M**-w, from base = M**-w and factors =
     c_j, and its last term's largest coefficient.  Column i (coefficient i of
-    every x_j) needs only columns i-2..i, as x_j = x_{j-1}(w+2j-3)(w+2j-2)."""
+    every x_j) needs only columns i-2..i, as x_j = x_{j-1}(w+2j-3)(w+2j-2).
+    em_tail_jet calls it at orders 1 and up, and runs column 0 on numbers
+    at order 0."""
     q0s = [(w0 + n) * (w0 + (n + 1)) for n in _ODD]
     col = list(accumulate(q0s, mul, initial=w0 * base[0]))
     corr, tops = [sum(map(mul, factors, col), 0j)], [abs(factors[-1] * col[-1])]
-    if len(base) == 1:
-        return corr, tops[0]
     q1s = [(w0 + n) + (w0 + (n + 1)) for n in _ODD]
     col1, col2 = col, ()
     for i in range(1, len(base)):

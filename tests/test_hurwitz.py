@@ -163,17 +163,19 @@ class TestErrors:
         assert (result.k_used, result.terms_used, result.value.order) == (1, 50, 2)
         assert 0.0 < result.err_estimate < math.inf and result.value.is_finite()
 
-    def test_coefficient_overflow_names_its_term(self, monkeypatch):
-        # tails that are infinite from w0 = s0 + 4 on overflow the fourth term
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("r", [0, 1])  # the step on numbers, and on lists
+    def test_coefficient_overflow_names_its_term(self, monkeypatch, r, bad):
+        # tails that are not finite from w0 = s0 + 4 on overflow the fourth term
         original = hzeta.zetacore.em_tail_jet
 
-        def infinite_from_four(w0, start, order, *, regularized, line):
+        def not_finite_from_four(w0, start, order, *, regularized, line):
             coeffs, err = original(w0, start, order, regularized=regularized, line=line)
-            return (complex(math.inf, 0.0),) * (order + 1) if w0.real >= 6.0 else coeffs, err
+            return (complex(bad, 0.0),) * (order + 1) if w0.real >= 6.0 else coeffs, err
 
-        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", infinite_from_four)
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", not_finite_from_four)
         with pytest.raises(Nonconvergence, match="overflowed at n=4 before") as info:
-            hurwitz_jet(2.0, 0.5, 1)
+            hurwitz_jet(2.0, 0.5, r)
         assert "k=2 is too small for alpha=(0.5+0j)" in str(info.value)
         assert info.value.result is None
 

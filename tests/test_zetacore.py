@@ -541,10 +541,10 @@ def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: boo
 
 
 class TestTailKernel:
-    """em_tail_jet reads its line by slice and stops the Bernoulli chain at
-    its one column at order 0; every bit of its coefficients and estimate
-    (repr tells -0.0 from 0.0), and the type and message of every failure,
-    is the reference's, on a fresh line and on a warm one."""
+    """em_tail_jet reads its line by slice, and at order 0 runs on numbers,
+    its Bernoulli chain one column; every bit of its coefficients and
+    estimate (repr tells -0.0 from 0.0), and the type and message of every
+    failure, is the reference's, on a fresh line and on a warm one."""
 
     @DERANDOMIZED
     @given(re=st.floats(-8.0, 4.0),
@@ -555,6 +555,8 @@ class TestTailKernel:
     @example(re=-100.0, im=3.0, start=1150, order=0, regularized=False)  # a power overflows
     @example(re=-100.0, im=0.0, start=1000, order=0, regularized=False)  # the tail is not finite
     @example(re=-120.0, im=0.0, start=1, order=0, regularized=True)  # the search overflows
+    @example(re=0.5, im=-0.0, start=1, order=0, regularized=False)  # -0.0 through the pole's - 0j
+    @example(re=1.0, im=-0.0, start=1, order=0, regularized=True)  # w - 1 = 0 on numbers
     def test_tail_is_the_reference(self, re, im, start, order, regularized):
         line = TailLine(im, order, start)
         # Re w + 0 would turn -0.0 into 0.0, so the first point is taken as is

@@ -54,10 +54,6 @@ from .jets import Jet, mul_coeffs, pow_neg_coeffs, require_finite, times_linear
 from .zetacore import _MAX_BOUNDARY, TailLine, boundary_model
 
 _ZERO_BASE_RADIUS = 1e-12
-# Within this distance d of its removable singularity a closed form takes the
-# regularized jet: the product route multiplies d = w - 1 into the pole's
-# 1/d**(j+1) in coefficient j of zeta(w), losing |d|**-j to cancellation.
-_REGULARIZED_RADIUS = 1.0
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -493,16 +489,16 @@ def hurwitz_regularized_jet(
 def _alpha_derivative(s0: complex, m: int, r: int, jet) -> EvalResult:
     """The one implementation of every alpha-derivative closed form, on the
     order-r evaluations jet(w0, regularized) of zeta(w, alpha) or of
-    (w - 1) zeta(w, alpha): hurwitz_alpha_derivative's, or verify's."""
+    (w - 1) zeta(w, alpha): hurwitz_alpha_derivative's, or verify's.  The
+    entire jet at s0 + m holds the rising product's last factor s0 + m - 1."""
     _check_count("m", m, 0)
     if m == 0:
         return jet(s0)
     s0 = require_finite(complex(s0), "s")
-    near = abs(s0 + m - 1) < _REGULARIZED_RADIUS
-    inner = jet(s0 + m, near)
-    # the rising product s(s+1)...(s+m-1), less its last factor when near
+    inner = jet(s0 + m, True)
+    # the rising product less its last factor, which inner holds
     prefactor = [1 + 0j] + [0j] * r
-    for j in range(m - 1 if near else m):
+    for j in range(m - 1):
         prefactor = times_linear(s0 + j, prefactor)
     sign = -1.0 if m % 2 else 1.0
     value = Jet(tuple(sign * c for c in mul_coeffs(prefactor, inner.value.coeffs)))
@@ -523,10 +519,9 @@ def hurwitz_alpha_derivative(
 ) -> EvalResult:
     """Order-r jet (in s) of the m-th alpha-derivative of zeta(s, alpha),
     computed analytically as (-1)**m s(s+1)...(s+m-1) zeta(s+m, alpha),
-    an entire function: within distance 1 of s = 1 - m the factor s + m - 1
-    stays inside the regularized jet of (w - 1) zeta(w, alpha) at s + m."""
+    an entire function: for m >= 1 the factor s + m - 1 stays inside the
+    regularized jet of (w - 1) zeta(w, alpha) at s + m, at every s."""
     def jet(w0: complex, regularized: bool = False) -> EvalResult:
         return (hurwitz_regularized_jet if regularized else hurwitz_jet)(w0, alpha, r, p)
 
     return _alpha_derivative(s0, m, r, jet)
-

@@ -10,11 +10,11 @@ with the r = 0 case dropping the first term.  Every closed form here is
 one read of hurwitz._alpha_derivative at m = 1, the jet in s of
 -s zeta(s+1, alpha): its r-th derivative at s0 (dalpha_of_sderiv), at
 s0 = 0 (dalpha_sderiv_at_zero) and at s0 = 1, where its coefficient r is
-d/d alpha gamma_r(alpha) (stieltjes.dgamma_dalpha).  Within distance 1 of
-s = 0 that jet comes from the regularized jet of (w - 1) zeta(w, alpha),
-so the 0 * pole product at s = 0 is never formed.  The finite-difference
-route differentiates the s-jet numerically in alpha and is what
-verify_identity compares against.
+d/d alpha gamma_r(alpha) (stieltjes.dgamma_dalpha).  That jet is the
+regularized jet of (w - 1) zeta(w, alpha) at w = s + 1, negated, so no
+0 * pole product is formed, and INTERCHANGE's rhs is RECURRENCE's to the
+bit.  The finite-difference route differentiates the s-jet numerically
+in alpha and is what verify_identity compares against.
 
 A VerifyPoint (s0, alpha, r, p, h) keeps the evaluations its identities
 share, keyed exactly (to the sign of a zero) by (w0, number of alphas,
@@ -80,9 +80,9 @@ def dalpha_of_sderiv(
     """d/d alpha of the r-th s-derivative of zeta at (s0, alpha): the r-th
     derivative of hurwitz_alpha_derivative(s0, alpha, 1, r), that is
     -r zeta^(r-1)(s0+1, alpha) - s0 zeta^(r)(s0+1, alpha).  s0 = 1 is
-    covered by the same expression (the defined value there).  s0 within
-    distance 1 of 0 takes the regularized route through the entire
-    function -s zeta(s+1, alpha)."""
+    covered by the same expression (the defined value there).  Every s0
+    takes the regularized route through the entire function
+    -s zeta(s+1, alpha)."""
     return hurwitz_alpha_derivative(s0, alpha, 1, r, p).value.derivative(r)
 
 

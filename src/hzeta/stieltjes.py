@@ -32,7 +32,7 @@ from .hurwitz import (
     hurwitz_alpha_derivative,
 )
 from .jets import require_finite
-from .zetacore import em_tail_jet
+from .zetacore import TailLine
 
 MAX_GENERALIZED_ORDER = 12
 _STIELTJES_MAX = 20
@@ -98,7 +98,7 @@ def generalized_stieltjes(
 def _stieltjes_cached() -> tuple[complex, ...]:
     # One fixed-order evaluation; slicing it keeps the prefix of lower-R
     # requests bitwise stable.
-    return em_tail_jet(1.0, 1, _STIELTJES_MAX + 1, regularized=True)[0]
+    return TailLine(0.0, _STIELTJES_MAX + 1, 1).tail(1.0, True)[0]
 
 
 def stieltjes_constants(r_max: int) -> LaurentExpansion:

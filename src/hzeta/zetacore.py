@@ -14,8 +14,8 @@ boundaries keep the summands small, which is what limits accuracy at
 negative Re w, while the prediction keeps the asymptotic truncation
 under control at large |Im w|.  The policy is fixed: M is at least 4
 (_CUTOFF) and at most _MAX_BOUNDARY, and j runs to 10 (_DEPTH).  So a tail
-is a function of (w0, start, order, regularized) alone: on a TailLine, one
-Im w0, order and start, of (w0, regularized), the key of its tails memo.
+is a function of (w0, start, order) alone: on a TailLine, one Im w0,
+order and start, of w0, the key of its tails memo.
 Along a line the search continues from the last boundary, with bounds on
 its Pochhammer magnitude carried from w0 - 1, and finds the same M (see
 choose_boundary).  boundary_model
@@ -23,10 +23,10 @@ is the same test in closed form, at order 0 and with no grid, for the
 shift ladder in hurwitz, which predicts M before any tail exists; it
 holds for Re w > -_DEPTH and |w| < 2 pi _MAX_BOUNDARY.
 
-The regularized variant multiplies through by (w - 1), in O(r) by
-jets.times_linear, turning the pole term into plain M**(1-w); every
-summand is then an entire function of w and the formula is valid at
-w = 1 itself.
+em_tail_jet sums the formula times (w - 1), in O(r) by jets.times_linear,
+turning the pole term into plain M**(1-w): every summand, and so the tail
+B(w) = (w - 1) sum_{m >= start} m**-w, is entire, valid at w = 1 itself.
+TailLine.tail's plain read, B / (w - 1), is the one place the pole forms.
 
 em_tail_jet works on plain lists of Taylor coefficients in w and
 returns them as a tuple.  Its integer powers split as
@@ -38,11 +38,10 @@ real magnitude times a table row, read from the line's columns.
 The shifted series moves only Re w from term to term, so one line
 serves all of its tails, bitwise as fresh lines would.  The Bernoulli
 corrections c_j (w)_{2j-1} M**-w, c_j = B_{2j}/(2j)! M**(1-2j), ride on
-the jet of M**-w itself: starting from w M**-w, each term is the last
+the jet of (w - 1) M**-w: starting from w times it, each term is the last
 times (w + 2j - 3)(w + 2j - 2), whose jet has three nonzero coefficients,
 so the chain runs over j one coefficient at a time (_corrections), with
-no O(r^2) product; the pole term M**(1-w) / (w - 1) is an O(r) division
-recurrence.  At order 0 em_tail_jet runs on numbers, with the same
+no O(r^2) product.  At order 0 em_tail_jet runs on numbers, with the same
 operations in the same order and the chain's one column by accumulate.
 The boundary search raises Nonconvergence rather than use a boundary
 that misses the target, and a tail that is not finite in binary64 raises
@@ -248,15 +247,36 @@ class TailLine:
             self._major.extend(max(map(abs, row)) for row in rows)
 
     def tail(self, w0: complex, regularized: bool) -> tuple[tuple[complex, ...], float]:
-        """em_tail_jet at w0 on this line, computed once: the memo is keyed
-        by w0 exact to the sign of a zero and regularized.  A failed tail
-        is not kept, so its failure is that of a fresh line."""
-        key = (_exact(w0), regularized)
+        """B(w0), em_tail_jet on this line, when regularized, else the plain
+        tail B(w) / (w - 1), each with its estimate.  B is computed once per
+        w0, the memo's key, exact to the sign of a zero; a failed tail is
+        not kept, so it fails as on a fresh line.  The plain read, the one
+        place a tail's pole is formed, raises PoleAtOne / NearPole at and
+        next to w0 = 1, and divides by (w0 - 1) q_i = p_i - q_{i-1}.  Its
+        estimate is the largest e_i = (B's + e_{i-1}) / |w0 - 1| + 4 eps |q_i|,
+        B's estimate and the recurrence's own rounding carried through it."""
+        if not regularized:
+            if w0 == 1:
+                raise PoleAtOne("zeta has a simple pole at s = 1")
+            if abs(w0 - 1) < NEAR_POLE_RADIUS:
+                raise NearPole("s within 1e-8 of the pole; use the regularized form")
+        key = _exact(w0)
         tail = self._tails.get(key)
         if tail is None:
-            tail = self._tails[key] = em_tail_jet(w0, self.start, self.order,
-                                                  regularized=regularized, line=self)
-        return tail
+            tail = self._tails[key] = em_tail_jet(w0, self)
+        if regularized:
+            return tail
+        coeffs, err = tail
+        inv, scale = 1.0 / (w0 - 1.0), 1.0 / abs(w0 - 1.0)
+        q, bound, top, quotient = 0j, 0.0, 0.0, []
+        for p in coeffs:
+            q = (p - q) * inv
+            bound = (err + bound) * scale + 8.881784197001252e-16 * abs(q)
+            top = max(top, bound)
+            quotient.append(q)
+        if not math.isfinite(top):
+            raise DomainError(f"the tail over w - 1 is not finite in binary64 at w0={w0!r}")
+        return tuple(quotient), top
 
     def factors(self, boundary: int) -> list[float]:
         """c_j = B_{2j}/(2j)! M**(1-2j), j = 1.._DEPTH, at M = boundary."""
@@ -279,51 +299,27 @@ class TailLine:
         return _poch_magnitude(w0, order) if poch is None or not poch[1] < 1e270 else poch
 
 
-def em_tail_jet(
-    w0: complex,
-    start: int,
-    order: int = 0,
-    *,
-    regularized: bool = False,
-    line: TailLine | None = None,
-) -> tuple[tuple[complex, ...], float]:
-    """Taylor coefficients in w of sum_{m >= start} m**-w at w0 (or of
-    (w-1) times it when regularized), order + 1 of them as a tuple,
-    together with an a-posteriori error estimate.
-
-    line, when given, must be a TailLine for t = Im w0, this order and
-    this start; callers that evaluate many tails along one horizontal line
-    share it, and without it the call builds one of its own.  Either way
-    the rows start..M-1 are the first entries of its columns, and row M is
-    read at one index.
+def em_tail_jet(w0: complex, line: TailLine) -> tuple[tuple[complex, ...], float]:
+    """Taylor coefficients in w of the entire B(w) = (w - 1) sum_{m >= start}
+    m**-w at w0, order + 1 of them as a tuple, together with an a-posteriori
+    error estimate.  line is a TailLine for t = Im w0, and start and order
+    are its own; the rows start..M-1 are the first entries of its columns,
+    and row M is read at one index.  TailLine.tail is its caller, and keeps
+    each tail for the line's later reads.
 
     The estimate is twice the largest coefficient of the last Bernoulli
-    correction, c_10 (w)_19 M**-w, plus a rounding allowance proportional
-    to the largest summand, bounded through the rows' majorants, and 4 eps
-    times the pole term, the base and the corrections added at M.  A total
-    or estimate that is not finite raises DomainError.
+    correction, c_10 (w)_19 (w - 1) M**-w, plus a rounding allowance
+    proportional to the largest summand, bounded through the rows'
+    majorants, and 4 eps times the pole term, the base and the corrections
+    added at M.  A total or estimate that is not finite raises DomainError.
 
     Orders 1 and up run on coefficient lists; order 0 runs on numbers, to
     the same bits.
     """
     w0 = require_finite(complex(w0), "s")
-    if start < 1:
-        raise ValueError("start must be >= 1")
-    if not regularized:
-        if w0 == 1:
-            raise PoleAtOne("zeta has a simple pole at s = 1")
-        if abs(w0 - 1) < NEAR_POLE_RADIUS:
-            raise NearPole(
-                "s within 1e-8 of the pole; use the regularized form"
-            )
-    if line is None:
-        line = TailLine(w0.imag, order, start)
-    elif line.t != w0.imag or line.order != order or line.start != start:
-        raise ValueError(
-            f"tail line for Im w = {line.t}, order {line.order}, start {line.start} "
-            f"does not match w0={w0}, order {order}, start {start}"
-        )
-
+    if line.t != w0.imag:
+        raise ValueError(f"tail line for Im w = {line.t} does not match w0={w0}")
+    start, order = line.start, line.order
     boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
 
@@ -342,35 +338,23 @@ def em_tail_jet(
 
     # mags stops at row boundary - 1, and map with it
     peak = max(map(mul, mags, line._major), default=0.0)
-    # the pole term (over w - 1 unless regularized) and the jet of M**-w, times
-    # w - 1 when regularized; row M's majorant times large bounds them and the corrections
-    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
-             else pole_mag / abs(wm1) + 2.0 * edge_mag)
+    # the pole term and the jet of (w - 1) M**-w; row M's majorant times large
+    # bounds them and the corrections
+    large = pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0)
     factors = line.factors(boundary)
     if order:
         cols = line._cols
         total = [sum(map(mul, mags, col), 0j) for col in cols]
         edge = [col[hi] for col in cols]
-        if regularized:
-            total = [t + pole_mag * c for t, c in zip(times_linear(wm1, total), edge)]
-            base = times_linear(wm1, [edge_mag * c for c in edge])
-        else:
-            # pole / (w - 1) by the division recurrence (w0 - 1) q_i = p_i - q_{i-1}
-            q, inv = 0j, 1.0 / wm1
-            for i, c in enumerate(edge):
-                q = (pole_mag * c - q) * inv
-                total[i] += q
-            base = [edge_mag * c for c in edge]
+        total = [t + pole_mag * c for t, c in zip(times_linear(wm1, total), edge)]
+        base = times_linear(wm1, [edge_mag * c for c in edge])
         peak = max(peak, max(map(abs, total)))
         corr, last = _corrections(w0, base, factors)
         total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
     else:  # the same operations in the same order on numbers, the chain's one column
         col = line._cols[0]
         total, edge = sum(map(mul, mags, col), 0j), col[hi]
-        if regularized:
-            total, base = wm1 * total + pole_mag * edge, wm1 * (edge_mag * edge)
-        else:
-            total, base = total + (pole_mag * edge - 0j) * (1.0 / wm1), edge_mag * edge
+        total, base = wm1 * total + pole_mag * edge, wm1 * (edge_mag * edge)
         peak = max(peak, abs(total))
         chain = list(accumulate([(w0 + n) * (w0 + (n + 1)) for n in _ODD], mul, initial=w0 * base))
         last = abs(factors[-1] * chain[-1])
@@ -387,8 +371,8 @@ def em_tail_jet(
 
 
 def _corrections(w0: complex, base: list, factors: list) -> tuple[list, float]:
-    """sum_j c_j x_j, x_j = (w)_{2j-1} M**-w, from base = M**-w and factors =
-    c_j, and its last term's largest coefficient.  Column i (coefficient i of
+    """sum_j c_j x_j, x_j = (w)_{2j-1} base, from base = (w - 1) M**-w and
+    factors = c_j, and its last term's largest coefficient.  Column i (coefficient i of
     every x_j) needs only columns i-2..i, as x_j = x_{j-1}(w+2j-3)(w+2j-2).
     em_tail_jet calls it at orders 1 and up, and runs column 0 on numbers
     at order 0."""

@@ -39,11 +39,17 @@ def central_diff(f, x: complex, h: float, order: int = 1) -> complex:
     raise ValueError("stencils implemented for order 1..3 only")
 
 
+def tail(w: complex, start: int, order: int = 0, regularized: bool = False):
+    """The Taylor coefficients of sum_{m >= start} m**-w at w, or of (w - 1)
+    times it when regularized, and their estimate: the read of a fresh line."""
+    from hzeta.zetacore import TailLine
+
+    return TailLine(complex(w).imag, order, start).tail(w, regularized)
+
+
 def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
     """A-priori majorant of the n >= 1 tail magnitude of the series for
     Re s > 1: zeta(sigma) (1 - |alpha|/k)**(-|s|) - zeta_k(sigma)."""
-    from hzeta.zetacore import em_tail_jet
-
     if k < 1:
         raise ValueError("k must be >= 1")
     s0 = complex(s0)
@@ -53,8 +59,8 @@ def convergence_bound(s0: complex, alpha: complex, k: int) -> float:
     sigma = s0.real
     if not sigma > 1:
         raise ValueError("the bound is proved for Re s > 1 only")
-    zeta_sigma = em_tail_jet(sigma, 1, 0)[0][0].real
-    zeta_k_sigma = em_tail_jet(sigma, k, 0)[0][0].real
+    zeta_sigma = tail(sigma, 1, 0)[0][0].real
+    zeta_k_sigma = tail(sigma, k, 0)[0][0].real
     beta = abs(alpha) / k
     return zeta_sigma * (1.0 - beta) ** (-abs(s0)) - zeta_k_sigma
 
@@ -64,14 +70,13 @@ def measured_tail_sum(s0: complex, alpha: complex) -> float:
     for comparison against convergence_bound."""
     from hzeta import hurwitz_jet
     from hzeta.jets import pow_neg_coeffs
-    from hzeta.zetacore import em_tail_jet
 
     res = hurwitz_jet(s0, alpha)
     k = res.k_used
     head = 0j
     for n in range(k):
         head += pow_neg_coeffs(n + alpha, [complex(s0)])[0]
-    tail0, _ = em_tail_jet(complex(s0), k)
+    tail0, _ = tail(complex(s0), k)
     return abs(res.value.value - head - tail0[0])
 
 

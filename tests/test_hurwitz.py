@@ -28,7 +28,7 @@ from hzeta.jets import mul_coeffs
 from hzeta.oracles import hurwitz_closed_form_oracle, hurwitz_direct_sum, hurwitz_em_oracle
 from hzeta.zetacore import TailLine
 
-from conftest import assert_close, central_diff, convergence_bound, measured_tail_sum
+from conftest import assert_close, central_diff, convergence_bound, measured_tail_sum, tail
 
 
 class TestChooseK:
@@ -169,9 +169,9 @@ class TestErrors:
         # tails that are not finite from w0 = s0 + 4 on overflow the fourth term
         original = hzeta.zetacore.em_tail_jet
 
-        def not_finite_from_four(w0, start, order, *, regularized, line):
-            coeffs, err = original(w0, start, order, regularized=regularized, line=line)
-            return (complex(bad, 0.0),) * (order + 1) if w0.real >= 6.0 else coeffs, err
+        def not_finite_from_four(w0, line):
+            coeffs, err = original(w0, line)
+            return (complex(bad, 0.0),) * (line.order + 1) if w0.real >= 6.0 else coeffs, err
 
         monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", not_finite_from_four)
         with pytest.raises(Nonconvergence, match="overflowed at n=4 before") as info:
@@ -240,9 +240,9 @@ class TestSharedPhaseTable:
         seen = []
         original = hzeta.zetacore.em_tail_jet
 
-        def counting(*args, line=None, **kwargs):
+        def counting(w0, line):
             seen.append(line)
-            return original(*args, line=line, **kwargs)
+            return original(w0, line)
 
         monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
         evaluate = hurwitz_regularized_jet if regularized else hurwitz_jet
@@ -284,6 +284,23 @@ class TestTailMemo:
             assert got == [(complex(i),) for i in range(1, 5)]
         assert names == [repr(w) for w in points]
         assert len(line._tails) == 4
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_one_kernel_call_serves_both_reads(self, monkeypatch, order):
+        calls = []
+        original = hzeta.zetacore.em_tail_jet
+
+        def counting(w0, line):
+            calls.append(w0)
+            return original(w0, line)
+
+        monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
+        for w, first in ((2.5 + 3j, True), (-0.5 - 1j, False)):
+            calls.clear()
+            line = TailLine(w.imag, order, 2)
+            reads = [line.tail(w, first), line.tail(w, not first)]
+            assert calls == [w]
+            assert reads[::1 if first else -1] == [tail(w, 2, order, True), tail(w, 2, order)]
 
     def test_memo_serves_a_shifted_evaluation(self, monkeypatch):
         calls = []
@@ -331,9 +348,9 @@ def _count_tails(monkeypatch) -> list:
     calls = []
     original = hzeta.zetacore.em_tail_jet
 
-    def counting(w0, start, *args, **kwargs):
-        calls.append((w0, start))
-        return original(w0, start, *args, **kwargs)
+    def counting(w0, line):
+        calls.append((w0, line.start))
+        return original(w0, line)
 
     monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", counting)
     return calls
@@ -728,11 +745,17 @@ class TestAlphaDerivative:
         assert_close(got, fd, 1e-6, label="fd cross-check")
 
     def test_pochhammer_prefactor(self):
-        # (s)_3 = s(s+1)(s+2) is 24 at s = 2, with derivative 26
+        # (s)_3 = s(s+1)(s+2) is 24 at s = 2, with derivative 26; its last
+        # factor s + 2 is inside the entire jet at 5, and s(s+1) is 6, with
+        # derivative 5
         alpha = 0.3 + 0.2j
-        got = hurwitz_alpha_derivative(2.0, alpha, 3, r=1).value.coeffs
-        inner = hurwitz_jet(5.0, alpha, 1).value.coeffs
-        assert got == tuple(-1.0 * c for c in mul_coeffs((24 + 0j, 26 + 0j), inner))
+        res = hurwitz_alpha_derivative(2.0, alpha, 3, r=1)
+        inner = hurwitz_regularized_jet(5.0, alpha, 1).value.coeffs
+        assert res.value.coeffs == tuple(-1.0 * c for c in mul_coeffs((6 + 0j, 5 + 0j), inner))
+        plain = hurwitz_jet(5.0, alpha, 1)
+        product = mul_coeffs((-24 + 0j, -26 + 0j), plain.value.coeffs)
+        for got, want in zip(res.value.coeffs, product):
+            assert abs(got - want) <= res.err_estimate + 26 * plain.err_estimate
 
     def test_second_derivative_of_jet_coefficient(self):
         s0, alpha = -0.5, 1.3
@@ -830,6 +853,26 @@ class TestRegularized:
             reg = hurwitz_regularized_jet(w0, alpha).value.value
             product = (w0 - 1.0) * hurwitz_jet(w0, alpha).value.value
             assert_close(reg, product, 1e-11, label=f"w={w0}")
+
+
+class TestNextToThePole:
+    def test_plain_jet_against_mpmath(self):
+        # the plain read divides the entire tail by s - 1, which amplifies its
+        # error up to |s - 1|**-(j + 1) times in coefficient j
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("plain jet next to the pole")
+        for _ in range(40):
+            s0 = 1 + 10 ** rng.uniform(-6, 0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            alpha = complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+            with mpmath.workdps(20):
+                s, a = mpmath.mpc(s0), mpmath.mpc(alpha)
+                want = [complex(mpmath.zeta(s, a, j) / mpmath.factorial(j)) for j in range(13)]
+            for r in (0, 1, 3, 6, 12):
+                res = hurwitz_jet(s0, alpha, r)
+                for j, (got, w) in enumerate(zip(res.value.coeffs, want)):
+                    assert abs(got - w) <= res.err_estimate, f"s={s0}, alpha={alpha}, r={r}, j={j}"
 
 
 class TestConvergenceBound:

@@ -80,8 +80,8 @@ class TestGeneralizedStieltjes:
             generalized_stieltjes(0.5, 13)
 
     def test_overflow_is_reported_as_overflow(self, monkeypatch):
-        def infinite_tail(w0, start, order, *, regularized, line):
-            return (complex(math.inf, 0.0),) * (order + 1), 0.0
+        def infinite_tail(w0, line):
+            return (complex(math.inf, 0.0),) * (line.order + 1), 0.0
 
         monkeypatch.setattr(hzeta.zetacore, "em_tail_jet", infinite_tail)
         with pytest.raises(Nonconvergence, match="overflowed") as info:

@@ -24,7 +24,7 @@ from hzeta.errors import NEAR_POLE_RADIUS
 from hzeta.jets import pow_neg_coeffs, require_finite, times_linear
 from hzeta.zetacore import TailLine, choose_boundary, em_tail_jet
 
-from conftest import assert_close, central_diff
+from conftest import assert_close, central_diff, tail
 
 # the same examples on every run, so that CI is deterministic
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -39,31 +39,31 @@ def zeta_direct(sigma: float, start: int = 1, terms: int = 10**6) -> float:
 class TestRiemannZeta:
     def test_at_two(self):
         want = zeta_direct(2.0)
-        got = em_tail_jet(2.0, 1)[0][0]
+        got = tail(2.0, 1)[0][0]
         assert_close(got, want, 1e-12, label="zeta(2)")
         assert abs(got - math.pi**2 / 6) < 1e-13
 
     def test_at_zero(self):
         want = hurwitz_closed_form_oracle(0, 1.0)  # -1/2
-        assert_close(em_tail_jet(0.0, 1)[0][0], want, 1e-13, relative=False)
+        assert_close(tail(0.0, 1)[0][0], want, 1e-13, relative=False)
 
     def test_at_minus_one(self):
         want = hurwitz_closed_form_oracle(1, 1.0)  # -1/12
-        assert_close(em_tail_jet(-1.0, 1)[0][0], want, 1e-13, relative=False)
+        assert_close(tail(-1.0, 1)[0][0], want, 1e-13, relative=False)
 
     def test_pole_errors(self):
         with pytest.raises(PoleAtOne):
-            em_tail_jet(1.0, 1)
+            tail(1.0, 1)
         with pytest.raises(NearPole):
-            em_tail_jet(1.0 + 1e-9, 1)
+            tail(1.0 + 1e-9, 1)
 
     def test_jet_matches_finite_differences(self):
         s0 = 2.0
-        coeffs = em_tail_jet(s0, 1, 3)[0]
+        coeffs = tail(s0, 1, 3)[0]
         h = 1e-3
 
         def f(s):
-            return em_tail_jet(s, 1)[0][0]
+            return tail(s, 1)[0][0]
 
         for j in range(1, 4):
             fd = central_diff(f, s0, h, j)
@@ -74,44 +74,44 @@ class TestTail:
     def test_empty_head(self):
         # from start = 1 the tail is all of zeta(s) = zeta(s, 1)
         want = oracles.hurwitz_em_oracle(2.0, 1.0).value
-        assert_close(em_tail_jet(2.0, 1)[0][0], want, 1e-15)
+        assert_close(tail(2.0, 1)[0][0], want, 1e-15)
 
     def test_k2(self):
         assert_close(
-            em_tail_jet(2.0, 2)[0][0], em_tail_jet(2.0, 1)[0][0] - 1.0, 1e-13
+            tail(2.0, 2)[0][0], tail(2.0, 1)[0][0] - 1.0, 1e-13
         )
 
     def test_k3_direct_sum(self):
         want = zeta_direct(4.0, start=3)
-        assert_close(em_tail_jet(4.0, 3)[0][0], want, 1e-12, label="zeta_3(4)")
+        assert_close(tail(4.0, 3)[0][0], want, 1e-12, label="zeta_3(4)")
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("s0", [2.0, -0.5, 3.0 + 2.0j, -2.3 + 1.0j])
     def test_tail_identity(self, k, s0):
         head = sum(n ** (-complex(s0)) for n in range(1, k))
-        got = em_tail_jet(s0, k)[0][0] + head
-        assert_close(got, em_tail_jet(s0, 1)[0][0], 1e-12, label=f"k={k}")
+        got = tail(s0, k)[0][0] + head
+        assert_close(got, tail(s0, 1)[0][0], 1e-12, label=f"k={k}")
 
 
 class TestRegularizedTail:
     def test_value_at_pole(self):
-        assert_close(em_tail_jet(1.0, 1, regularized=True)[0][0], 1.0, 1e-13)
+        assert_close(tail(1.0, 1, 0, True)[0][0], 1.0, 1e-13)
 
     def test_first_coefficient_is_gamma(self):
-        coeffs = em_tail_jet(1.0, 1, 1, regularized=True)[0]
+        coeffs = tail(1.0, 1, 1, True)[0]
         assert_close(coeffs[0], 1.0, 1e-13)
         assert_close(coeffs[1], euler_mascheroni_oracle(), 1e-12)
 
     def test_at_two(self):
         want = zeta_direct(2.0)
-        assert_close(em_tail_jet(2.0, 1, regularized=True)[0][0], want, 1e-12)
+        assert_close(tail(2.0, 1, 0, True)[0][0], want, 1e-12)
 
     @pytest.mark.parametrize("angle", range(8))
     def test_pole_cancellation_on_circle(self, angle):
         w = 1.0 + 0.1 * cmath.exp(1j * math.pi * angle / 4)
-        reconstructed = em_tail_jet(w, 1, regularized=True)[0][0] / (w - 1.0)
+        reconstructed = tail(w, 1, 0, True)[0][0] / (w - 1.0)
         assert_close(
-            reconstructed, em_tail_jet(w, 1)[0][0], 1e-10, label=f"w={w}"
+            reconstructed, tail(w, 1)[0][0], 1e-10, label=f"w={w}"
         )
 
 
@@ -127,8 +127,8 @@ class TestEulerMaclaurinRobustness:
 
         def head_and_tail(start):
             head = [m ** -s for m in range(1, start)]
-            tail, err = em_tail_jet(s, start, 0)
-            return sum(head) + tail[0], err, sum(map(abs, head))
+            value, err = tail(s, start, 0)
+            return sum(head) + value[0], err, sum(map(abs, head))
 
         small, err_small, mag_small = head_and_tail(24)
         big, err_big, mag_big = head_and_tail(48)
@@ -144,7 +144,8 @@ class TestEulerMaclaurinRobustness:
             assert zetacore._EM_FACTOR[j] == oracles._EM_FACTOR[j], f"j={j}"
 
     def test_flags_are_keyword_only(self):
-        # a fourth positional argument cannot land in regularized
+        # the kernel takes no flag, and its start and order are its line's:
+        # a call in the form (w0, start, order, flag) raises
         with pytest.raises(TypeError):
             em_tail_jet(2.0, 1, 0, True)
 
@@ -214,7 +215,7 @@ class TestTailAgainstMpmath:
     )
     def test_coefficients(self, w, start, regularized, rel_tol, order):
         mpmath = pytest.importorskip("mpmath")
-        got, err = em_tail_jet(w, start, order, regularized=regularized)
+        got, err = tail(w, start, order, regularized)
         assert type(got) is tuple and len(got) == order + 1
         want = _mpmath_tail(mpmath, w, start, order, regularized)
         diffs = [abs(g - x) for g, x in zip(got, want)]
@@ -248,7 +249,7 @@ class TestTailEstimateCalibration:
     @staticmethod
     def error_and_estimate(w: complex, start: int, regularized: bool) -> tuple[float, float]:
         mpmath = pytest.importorskip("mpmath")
-        got, err = em_tail_jet(w, start, regularized=regularized)
+        got, err = tail(w, start, 0, regularized)
         with mpmath.workdps(40):
             want = mpmath.zeta(mpmath.mpc(w), start)
             if regularized:
@@ -310,7 +311,7 @@ class TestBoundaryModel:
 class TestBoundaryCap:
     def test_raises_past_cap(self):
         with pytest.raises(Nonconvergence, match=r"M = 200000") as info:
-            em_tail_jet(0.5 + 1e6j, 1)
+            tail(0.5 + 1e6j, 1)
         message = str(info.value)
         assert "w0=(0.5+1000000j)" in message
         assert "start=1" in message and "order=0" in message
@@ -353,25 +354,16 @@ class TestPhaseTable:
         assert (whole, whole_major) == _read(TailLine(7.25, 1, 5), 5, 12)
         assert whole[:4] == first and whole_major[:4] == first_major
         assert _read(table, 6, 8) == (first[1:3], first_major[1:3])
-        # the rows begin at the line's start, and so do its tails
-        with pytest.raises(ValueError, match="start 5 does not match .* start 4$"):
-            em_tail_jet(2.0 + 7.25j, 4, 1, line=table)
 
-    # a line has one start: a tail at another, above it or below, raises
-    # naming both, and at its own start it is the fresh line's tail
+    # a line has one start, its tails' own: each is the fresh line's tail
     @pytest.mark.parametrize("regularized", [False, True])
     @pytest.mark.parametrize("order", [0, 3, 12])
     def test_start_above_the_first_row(self, order, regularized):
         w0 = -2.5 + 17.0j
         line = TailLine(w0.imag, order, 2)
-        em_tail_jet(w0, 2, order, regularized=regularized, line=line)
-        for start in (1, 3, 7, 30):
-            with pytest.raises(ValueError, match=f"start 2 does not match .* start {start}$"):
-                em_tail_jet(w0 + 1, start, order, regularized=regularized, line=line)
         for n in range(3):
             w = w0 + n
-            shared = em_tail_jet(w, 2, order, regularized=regularized, line=line)
-            assert shared == em_tail_jet(w, 2, order, regularized=regularized)
+            assert line.tail(w, regularized) == tail(w, 2, order, regularized)
 
     # Im w is fixed and Re w steps by one, as along the shifted series
     @pytest.mark.parametrize("w0,start", [(0.7 + 35.5j, 3), (-6.5 - 12j, 1), (2.0, 5)])
@@ -380,18 +372,18 @@ class TestPhaseTable:
         line = TailLine(complex(w0).imag, order, start)
         for n in range(12):
             w = w0 + n
-            shared = em_tail_jet(w, start, order, regularized=True, line=line)
-            assert shared == em_tail_jet(w, start, order, regularized=True)
+            shared = em_tail_jet(w, line)
+            assert shared == em_tail_jet(w, TailLine(complex(w0).imag, order, start))
 
     def test_overflowing_magnitude_is_a_domain_error(self):
         # the boundary search stays in range, but 1150**100 does not
         with pytest.raises(DomainError, match="overflows binary64"):
-            em_tail_jet(-100 + 3j, 1150)
+            tail(-100 + 3j, 1150)
 
     def test_non_finite_tail_is_a_domain_error(self):
         # with M = start = 1000 the corrections (w)_{2j-1} M**-w overflow
         with pytest.raises(DomainError, match="not finite") as info:
-            em_tail_jet(-100, 1000)
+            tail(-100, 1000)
         message = str(info.value)
         assert "w0=(-100+0j)" in message
         assert "start=1000" in message and "M=1000" in message
@@ -399,16 +391,12 @@ class TestPhaseTable:
     def test_overflowing_boundary_search_is_a_domain_error(self):
         # the predicted correction M**(1 - 2 depth - Re w) passes 1e308
         with pytest.raises(DomainError, match="overflows binary64") as info:
-            em_tail_jet(-120, 1)
+            tail(-120, 1)
         assert "w0=(-120+0j)" in str(info.value) and "start=1" in str(info.value)
 
     def test_mismatched_table_raises(self):
         with pytest.raises(ValueError, match="tail line"):
-            em_tail_jet(2.0 + 1j, 3, 0, line=TailLine(2.0, 0, 3))
-        with pytest.raises(ValueError, match="tail line"):
-            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 1, 3))
-        with pytest.raises(ValueError, match="tail line"):
-            em_tail_jet(2.0 + 1j, 3, 2, line=TailLine(1.0, 2, 4))
+            TailLine(2.0, 0, 3).tail(2.0 + 1j, False)
         with pytest.raises(ValueError, match="order >= 0 and start >= 1"):
             TailLine(1.0, 2, 0)
 
@@ -438,7 +426,7 @@ def _reference_corrections(w0: complex, base: list[complex], boundary: int):
 
 
 def _edge_jet(w0: complex, boundary: int, order: int, regularized: bool) -> list[complex]:
-    """The jet of M**-w at w0, times (w - 1) when regularized, as
+    """The jet of M**-w at w0, or of (w - 1) M**-w when regularized, as
     em_tail_jet builds it."""
     edge = _row(TailLine(w0.imag, order, boundary), boundary)
     base = [float(boundary) ** -w0.real * c for c in edge]
@@ -484,15 +472,14 @@ def _outcome(call, *args, **kwargs):
 def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: bool = False):
     """em_tail_jet as it read its line through iterators over the columns,
     on a fresh line of its own, with _reference_corrections for the
-    Bernoulli chain: the reference for the bits of em_tail_jet."""
-    w0 = require_finite(complex(w0), "s")
-    if start < 1:
-        raise ValueError("start must be >= 1")
+    Bernoulli chain, and when not regularized the plain read's quotient by
+    w - 1: the reference for the bits of TailLine.tail."""
     if not regularized:
         if w0 == 1:
             raise PoleAtOne("zeta has a simple pole at s = 1")
         if abs(w0 - 1) < NEAR_POLE_RADIUS:
             raise NearPole("s within 1e-8 of the pole; use the regularized form")
+    w0 = require_finite(complex(w0), "s")
     line = TailLine(w0.imag, order, start)
     boundary = choose_boundary(w0, start, order, line=line)
     wm1 = w0 - 1.0
@@ -513,23 +500,13 @@ def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: boo
     total = [sum(map(mul, mags, col), 0j) for col in cols]
     peak = max(map(mul, mags, major), default=0.0)
     edge = _row(line, boundary)
-    pole = [pole_mag * c for c in edge]
-    if regularized:
-        total = list(map(add, times_linear(wm1, total), pole))
-    else:
-        q, inv = 0j, 1.0 / wm1
-        for i, p in enumerate(pole):
-            q = (p - q) * inv
-            total[i] += q
-    base = [edge_mag * c for c in edge]
-    if regularized:
-        base = times_linear(wm1, base)
+    total = list(map(add, times_linear(wm1, total), [pole_mag * c for c in edge]))
+    base = times_linear(wm1, [edge_mag * c for c in edge])
     peak = max(peak, max(map(abs, total)))
     corr, last = _reference_corrections(w0, base, boundary)
     total = [t + 0.5 * c + x for t, c, x in zip(total, base, corr)]
 
-    large = (pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0) if regularized
-             else pole_mag / abs(wm1) + 2.0 * edge_mag)
+    large = pole_mag + 2.0 * edge_mag * (abs(wm1) + 1.0)
     err = 2.0 * last + 2.220446049250313e-16 * (
         8.0 * peak * math.sqrt(max(boundary - start, 1)) + 4.0 * next(major) * large)
     if not (math.isfinite(err) and all(map(cmath.isfinite, total))):
@@ -537,14 +514,26 @@ def _reference_tail(w0: complex, start: int, order: int = 0, *, regularized: boo
             f"Euler-Maclaurin tail is not finite in binary64 at w0={w0!r}, "
             f"start={start}, M={boundary}"
         )
-    return tuple(total), err
+    if regularized:
+        return tuple(total), err
+    # the quotient (w0 - 1) q_i = p_i - q_{i-1}, and its running bound
+    inv, scale = 1.0 / wm1, 1.0 / abs(wm1)
+    q, bound, top, quotient = 0j, 0.0, 0.0, []
+    for p in total:
+        q = (p - q) * inv
+        bound = (err + bound) * scale + 4 * 2.220446049250313e-16 * abs(q)
+        top = max(top, bound)
+        quotient.append(q)
+    if not math.isfinite(top):
+        raise DomainError(f"the tail over w - 1 is not finite in binary64 at w0={w0!r}")
+    return tuple(quotient), top
 
 
 class TestTailKernel:
     """em_tail_jet reads its line by slice, and at order 0 runs on numbers,
-    its Bernoulli chain one column; every bit of its coefficients and
-    estimate (repr tells -0.0 from 0.0), and the type and message of every
-    failure, is the reference's, on a fresh line and on a warm one."""
+    its Bernoulli chain one column; every bit of each read's coefficients
+    and estimate (repr tells -0.0 from 0.0), and the type and message of
+    every failure, is the reference's, on a fresh line and on a warm one."""
 
     @DERANDOMIZED
     @given(re=st.floats(-8.0, 4.0),
@@ -562,8 +551,8 @@ class TestTailKernel:
         # Re w + 0 would turn -0.0 into 0.0, so the first point is taken as is
         for n, w in enumerate([complex(re, im), complex(re + 1, im), complex(re + 2, im)]):
             want = repr(_outcome(_reference_tail, w, start, order, regularized=regularized))
-            for on in (line, None):
-                got = _outcome(em_tail_jet, w, start, order, regularized=regularized, line=on)
+            for on in (line, TailLine(im, order, start)):
+                got = _outcome(on.tail, w, regularized)
                 assert repr(got) == want, f"n={n}, line={on is line}"
 
 
@@ -678,7 +667,5 @@ class TestContinuedBoundarySearch:
         line = TailLine(im, order, start)
         for n in range(0, 61, 4):
             w = complex(re + n, im)
-            shared = _outcome(em_tail_jet, w, start, order, regularized=regularized,
-                              line=line)
-            assert shared == _outcome(em_tail_jet, w, start, order,
-                                      regularized=regularized), f"n={n}"
+            shared = _outcome(line.tail, w, regularized)
+            assert shared == _outcome(tail, w, start, order, regularized), f"n={n}"

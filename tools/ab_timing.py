@@ -16,10 +16,13 @@ side that goes first alternating from round to round:
                    its cost and error model only at Re s < 0, so a change
                    there shows in the first and leaves the second at x1.00;
     tail r=R       em_tail_jet along the line w = -3.5 + 20i + n, n = 0..36,
-                   at start 8 and orders 0, 6 and 12, regularized as in the
-                   series, on a line whose rows and boundary search are warm
-                   (M runs from 27 down to 15): the cost of one tail, per
-                   tail, over TAIL_PASSES passes.
+                   at start 8 and orders 0, 6 and 12, the entire tail
+                   (w - 1) zeta_8(w) of the series terms, on a line whose
+                   rows and boundary search are warm (M runs from 27 down
+                   to 15): the cost of one tail, per tail, over TAIL_PASSES
+                   passes.  Each side calls its own kernel: em_tail_jet(w,
+                   line), or em_tail_jet(w, start, order, regularized=True,
+                   line=line) in trees whose kernel takes a flag.
 
 With --workload verify_all the measures are instead "verify total",
 "verify p50 pair" and "verify p90 pair": one pass of each side's own CLI,
@@ -160,19 +163,24 @@ def tail_timer(pkg, order: int):
     along the line, on a line warmed by one pass so rows are computed once.
     The line is built by the side's own constructor: TailLine(t, order,
     start), or TailLine(t, order) in trees whose line takes its start from
-    its first tail."""
+    its first tail; the tail is the side's own kernel call, em_tail_jet(w,
+    line), or its regularized call in trees whose kernel takes a flag."""
     zetacore = sys.modules[pkg.__name__ + ".zetacore"]
     args = (LINE_W0.imag, order, LINE_START)
     if "start" not in inspect.signature(zetacore.TailLine).parameters:
         args = args[:2]
     line = zetacore.TailLine(*args)
     ws = [LINE_W0 + n for n in range(LINE_TAILS)]
+    kernel = zetacore.em_tail_jet
+    if "regularized" in inspect.signature(kernel).parameters:
+        def kernel(w, line, flagged=kernel):
+            return flagged(w, LINE_START, order, regularized=True, line=line)
 
     def passes(count: int = TAIL_PASSES) -> float:
         t0 = time.process_time()
         for _ in range(count):
             for w in ws:
-                zetacore.em_tail_jet(w, LINE_START, order, regularized=True, line=line)
+                kernel(w, line)
         return (time.process_time() - t0) / (count * len(ws))
 
     passes(1)
